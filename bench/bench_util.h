@@ -129,20 +129,10 @@ template <typename T, typename Task>
 std::vector<T> run_indexed(std::size_t count, std::size_t jobs,
                            const Task& task) {
   std::vector<T> results(count);
-  jobs = common::ThreadPool::resolve_jobs(jobs);
-  if (jobs <= 1 || count <= 1) {
-    for (std::size_t i = 0; i < count; ++i) results[i] = task(i);
-    return results;
-  }
-  common::ThreadPool pool(jobs);
-  std::vector<std::future<void>> futures;
-  futures.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    futures.push_back(pool.submit([&task, &results, i] {
-      results[i] = task(i);
-    }));
-  }
-  for (auto& future : futures) future.get();
+  const std::size_t workers =
+      count <= 1 ? 1 : common::ThreadPool::resolve_jobs(jobs);
+  common::run_indexed(count, workers,
+                      [&](std::size_t i) { results[i] = task(i); });
   return results;
 }
 

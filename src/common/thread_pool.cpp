@@ -1,6 +1,7 @@
 #include "src/common/thread_pool.h"
 
 #include <cstdlib>
+#include <exception>
 #include <string>
 
 namespace gridbox::common {
@@ -56,6 +57,29 @@ std::size_t ThreadPool::resolve_jobs(std::size_t requested) {
   }
   const unsigned hw = std::thread::hardware_concurrency();
   return hw > 0 ? hw : 1;
+}
+
+void run_indexed(std::size_t count, std::size_t jobs,
+                 const std::function<void(std::size_t)>& task) {
+  if (jobs <= 1) {
+    for (std::size_t i = 0; i < count; ++i) task(i);
+    return;
+  }
+  ThreadPool pool(jobs);
+  std::vector<std::future<void>> futures;
+  futures.reserve(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    futures.push_back(pool.submit([&task, i] { task(i); }));
+  }
+  std::exception_ptr first_error;
+  for (std::future<void>& future : futures) {
+    try {
+      future.get();
+    } catch (...) {
+      if (!first_error) first_error = std::current_exception();
+    }
+  }
+  if (first_error) std::rethrow_exception(first_error);
 }
 
 }  // namespace gridbox::common

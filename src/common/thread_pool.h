@@ -62,4 +62,10 @@ class ThreadPool {
   std::vector<std::thread> workers_;
 };
 
+/// Runs task(0) .. task(count - 1): inline when jobs <= 1, else across a
+/// pool of `jobs` workers. Every task is joined before the first failure
+/// (in index order) is rethrown, so no task outlives the caller's state.
+void run_indexed(std::size_t count, std::size_t jobs,
+                 const std::function<void(std::size_t)>& task);
+
 }  // namespace gridbox::common

@@ -68,6 +68,14 @@ void Group::recover(MemberId id) {
   alive_count_.fetch_add(1, std::memory_order_release);
 }
 
+std::vector<MemberId> Group::alive_members() const {
+  std::vector<MemberId> alive;
+  for (const MemberId m : members()) {
+    if (is_alive(m)) alive.push_back(m);
+  }
+  return alive;
+}
+
 std::size_t Group::apply_round_crashes(const CrashModel& model,
                                        std::uint64_t round, Rng& rng) {
   std::size_t crashed = 0;

@@ -36,9 +36,9 @@ class Group {
   /// Creates a group of `size` members with ids 0..size-1, all alive.
   explicit Group(std::size_t size);
 
-  /// Movable so per-instance groups can be built and handed to an
-  /// Instance record. Moving is only legal before any concurrent access
-  /// (true today: instances move their group at construction time).
+  /// Movable so a world can scatter positions into its group before the
+  /// group lands in place. Moving is only legal before any concurrent
+  /// access (true today: worlds move their group at construction time).
   Group(Group&& other) noexcept;
   Group& operator=(Group&&) = delete;
   Group(const Group&) = delete;
@@ -77,6 +77,9 @@ class Group {
   /// Returns the number of members that crashed this round.
   std::size_t apply_round_crashes(const CrashModel& model, std::uint64_t round,
                                   Rng& rng);
+
+  /// Members alive right now, ascending.
+  [[nodiscard]] std::vector<MemberId> alive_members() const;
 
   /// All member ids (alive or not), ascending.
   [[nodiscard]] const std::vector<MemberId>& members() const {

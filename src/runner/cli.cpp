@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <exception>
 #include <fstream>
 #include <functional>
-#include <future>
 #include <map>
 #include <sstream>
 #include <stdexcept>
@@ -31,8 +31,15 @@ namespace gridbox::runner {
 
 namespace {
 
+/// Flag parsing shared by gridbox_sim and gridbox_node: a cursor over the
+/// arguments plus value validators. Every value is validated in full, and
+/// the first bad one becomes `error`.
 struct Parser {
-  CliOptions options;
+  explicit Parser(const std::vector<std::string>& arguments)
+      : args(arguments) {}
+
+  const std::vector<std::string>& args;
+  std::size_t i = 0;
   std::string error;
 
   [[nodiscard]] bool fail(const std::string& message) {
@@ -40,34 +47,64 @@ struct Parser {
     return false;
   }
 
-  [[nodiscard]] bool parse_double(const std::string& flag,
-                                  const std::string& value, double* out) {
+  /// Consumes the value following `flag`.
+  [[nodiscard]] bool value(const std::string& flag, std::string* out) {
+    if (i + 1 >= args.size()) return fail(flag + ": missing value");
+    *out = args[++i];
+    return true;
+  }
+
+  [[nodiscard]] bool parse_double(const std::string& flag, double* out) {
+    std::string text;
+    if (!value(flag, &text)) return false;
     try {
       std::size_t used = 0;
-      *out = std::stod(value, &used);
-      if (used != value.size()) return fail(flag + ": not a number: " + value);
+      *out = std::stod(text, &used);
+      if (used != text.size()) return fail(flag + ": not a number: " + text);
     } catch (const std::exception&) {
-      return fail(flag + ": not a number: " + value);
+      return fail(flag + ": not a number: " + text);
     }
     return true;
   }
 
-  [[nodiscard]] bool parse_uint(const std::string& flag,
-                                const std::string& value, std::uint64_t* out) {
+  /// A non-negative integer no larger than `hi`.
+  [[nodiscard]] bool parse_uint(const std::string& flag, std::uint64_t* out,
+                                std::uint64_t hi = UINT64_MAX) {
+    std::string text;
+    if (!value(flag, &text)) return false;
     try {
       std::size_t used = 0;
-      const long long parsed = std::stoll(value, &used);
-      if (used != value.size() || parsed < 0) {
-        return fail(flag + ": not a non-negative integer: " + value);
+      const long long parsed = std::stoll(text, &used);
+      if (used != text.size() || parsed < 0) {
+        return fail(flag + ": not a non-negative integer: " + text);
       }
       *out = static_cast<std::uint64_t>(parsed);
     } catch (const std::exception&) {
-      return fail(flag + ": not a non-negative integer: " + value);
+      return fail(flag + ": not a non-negative integer: " + text);
+    }
+    if (*out > hi) {
+      return fail(flag + ": must be at most " + std::to_string(hi) + ": " +
+                  text);
     }
     return true;
   }
 
-  [[nodiscard]] bool parse_protocol(const std::string& value) {
+  /// parse_uint, rejecting zero.
+  [[nodiscard]] bool parse_positive(const std::string& flag,
+                                    std::uint64_t* out,
+                                    std::uint64_t hi = UINT64_MAX) {
+    if (!parse_uint(flag, out, hi)) return false;
+    return *out > 0 || fail(flag + ": must be at least 1");
+  }
+
+  [[nodiscard]] bool parse_port(const std::string& flag, std::uint16_t* out) {
+    std::uint64_t u = 0;
+    if (!parse_positive(flag, &u, 65535)) return false;
+    *out = static_cast<std::uint16_t>(u);
+    return true;
+  }
+
+  [[nodiscard]] bool parse_protocol(ExperimentConfig& config) {
     static const std::map<std::string, ProtocolKind> kNames = {
         {"hier-gossip", ProtocolKind::kHierGossip},
         {"all-to-all", ProtocolKind::kFullyDistributed},
@@ -75,13 +112,15 @@ struct Parser {
         {"leader", ProtocolKind::kLeaderElection},
         {"committee", ProtocolKind::kCommittee},
     };
-    const auto it = kNames.find(value);
-    if (it == kNames.end()) return fail("--protocol: unknown: " + value);
-    options.config.protocol = it->second;
+    std::string text;
+    if (!value("--protocol", &text)) return false;
+    const auto it = kNames.find(text);
+    if (it == kNames.end()) return fail("--protocol: unknown: " + text);
+    config.protocol = it->second;
     return true;
   }
 
-  [[nodiscard]] bool parse_aggregate(const std::string& value) {
+  [[nodiscard]] bool parse_aggregate(ExperimentConfig& config) {
     static const std::map<std::string, agg::AggregateKind> kNames = {
         {"average", agg::AggregateKind::kAverage},
         {"sum", agg::AggregateKind::kSum},
@@ -91,31 +130,78 @@ struct Parser {
         {"range", agg::AggregateKind::kRange},
         {"stddev", agg::AggregateKind::kStdDev},
     };
-    const auto it = kNames.find(value);
-    if (it == kNames.end()) return fail("--aggregate: unknown: " + value);
-    options.config.aggregate = it->second;
+    std::string text;
+    if (!value("--aggregate", &text)) return false;
+    const auto it = kNames.find(text);
+    if (it == kNames.end()) return fail("--aggregate: unknown: " + text);
+    config.aggregate = it->second;
     return true;
   }
 
-  /// --chaos accepts a spec file path or inline text (';' = newline). The
-  /// spec is validated here so a typo fails at the command line, not three
-  /// runs into a sweep.
-  [[nodiscard]] bool parse_chaos(const std::string& value) {
-    std::string text;
-    if (std::ifstream file(value); file.good()) {
-      std::ostringstream content;
-      content << file.rdbuf();
-      text = content.str();
-    } else {
-      text = value;
-      std::replace(text.begin(), text.end(), ';', '\n');
-    }
+  /// Stores `text` as the chaos spec after validating it, so a typo fails
+  /// at the command line (with a line number), not three runs into a sweep.
+  [[nodiscard]] bool set_chaos(const std::string& flag, const std::string& text,
+                               ExperimentConfig& config) {
     try {
       (void)net::ChaosSpec::parse(text);
     } catch (const std::exception& e) {
-      return fail(std::string("--chaos: ") + e.what());
+      return fail(flag + ": " + e.what());
     }
-    options.config.chaos_spec = text;
+    config.chaos_spec = text;
+    return true;
+  }
+
+  /// The flags both tools accept, each meaning the same in both. Sets
+  /// `*matched` when `flag` is one of them; false on a bad value.
+  [[nodiscard]] bool parse_shared(const std::string& flag,
+                                  ExperimentConfig& config,
+                                  ServiceCliOptions& service, bool* matched) {
+    *matched = true;
+    std::uint64_t u = 0;
+    if (flag == "--n") {
+      if (!parse_uint(flag, &u)) return false;
+      config.group_size = static_cast<std::size_t>(u);
+    } else if (flag == "--protocol") {
+      return parse_protocol(config);
+    } else if (flag == "--aggregate") {
+      return parse_aggregate(config);
+    } else if (flag == "--seed") {
+      return parse_uint(flag, &config.seed);
+    } else if (flag == "--loss") {
+      return parse_double(flag, &config.ucast_loss);
+    } else if (flag == "--chaos") {
+      // A spec file path, or inline text with ';' for newlines.
+      std::string text;
+      if (!value(flag, &text)) return false;
+      if (std::ifstream file(text); file.good()) {
+        std::ostringstream content;
+        content << file.rdbuf();
+        text = content.str();
+      } else {
+        std::replace(text.begin(), text.end(), ';', '\n');
+      }
+      return set_chaos(flag, text, config);
+    } else if (flag == "--telemetry-out") {
+      config.telemetry.enabled = true;
+      return value(flag, &config.telemetry.out_path);
+    } else if (flag == "--telemetry-interval-us") {
+      if (!parse_positive(flag, &u)) return false;
+      config.telemetry.interval =
+          SimTime::micros(static_cast<SimTime::underlying>(u));
+      config.telemetry.enabled = true;
+    } else if (flag == "--instances") {
+      if (!parse_uint(flag, &u)) return false;
+      service.instances = static_cast<std::size_t>(u);
+    } else if (flag == "--epoch-interval-us") {
+      if (!parse_positive(flag, &u)) return false;
+      service.epoch_interval =
+          SimTime::micros(static_cast<SimTime::underlying>(u));
+    } else if (flag == "--in-flight") {
+      if (!parse_positive(flag, &u)) return false;
+      service.in_flight = static_cast<std::size_t>(u);
+    } else {
+      *matched = false;
+    }
     return true;
   }
 };
@@ -206,49 +292,41 @@ observability
 )";
 }
 
+
 CliParseResult parse_cli(const std::vector<std::string>& args) {
-  Parser p;
-  ExperimentConfig& config = p.options.config;
+  Parser p(args);
+  CliOptions options;
+  ExperimentConfig& config = options.config;
 
-  std::size_t i = 0;
-  const auto next_value = [&](const std::string& flag,
-                              std::string* out) -> bool {
-    if (i + 1 >= args.size()) return p.fail(flag + ": missing value");
-    *out = args[++i];
-    return true;
-  };
-
-  for (; i < args.size(); ++i) {
-    const std::string& flag = args[i];
+  for (; p.i < args.size(); ++p.i) {
+    const std::string& flag = args[p.i];
     std::string value;
     double d = 0.0;
     std::uint64_t u = 0;
+    bool shared = false;
 
     if (flag == "--help" || flag == "-h") {
-      p.options.show_help = true;
-      return CliParseResult{p.options, ""};
-    } else if (flag == "--protocol") {
-      if (!next_value(flag, &value) || !p.parse_protocol(value)) break;
-    } else if (flag == "--aggregate") {
-      if (!next_value(flag, &value) || !p.parse_aggregate(value)) break;
-    } else if (flag == "--n") {
-      if (!next_value(flag, &value) || !p.parse_uint(flag, value, &u)) break;
-      config.group_size = static_cast<std::size_t>(u);
+      options.show_help = true;
+      return CliParseResult{options, ""};
+    } else if (!p.parse_shared(flag, config, options, &shared)) {
+      break;
+    } else if (shared) {
+      continue;
     } else if (flag == "--k") {
-      if (!next_value(flag, &value) || !p.parse_uint(flag, value, &u)) break;
+      if (!p.parse_uint(flag, &u)) break;
       config.gossip.k = static_cast<std::uint32_t>(u);
       config.hierarchy_k = static_cast<std::uint32_t>(u);
     } else if (flag == "--m") {
-      if (!next_value(flag, &value) || !p.parse_uint(flag, value, &u)) break;
+      if (!p.parse_uint(flag, &u)) break;
       config.gossip.fanout_m = static_cast<std::uint32_t>(u);
     } else if (flag == "--c") {
-      if (!next_value(flag, &value) || !p.parse_double(flag, value, &d)) break;
+      if (!p.parse_double(flag, &d)) break;
       config.gossip.round_multiplier_c = d;
     } else if (flag == "--rounds-per-phase") {
-      if (!next_value(flag, &value) || !p.parse_uint(flag, value, &u)) break;
+      if (!p.parse_uint(flag, &u)) break;
       config.gossip.rounds_per_phase_override = u;
     } else if (flag == "--exchange") {
-      if (!next_value(flag, &value)) break;
+      if (!p.value(flag, &value)) break;
       if (value == "full") {
         config.gossip.exchange_mode =
             protocols::gossip::ExchangeMode::kFullState;
@@ -264,13 +342,13 @@ CliParseResult parse_cli(const std::vector<std::string>& args) {
     } else if (flag == "--no-linger") {
       config.gossip.final_phase_linger = false;
     } else if (flag == "--committee-size") {
-      if (!next_value(flag, &value) || !p.parse_uint(flag, value, &u)) break;
+      if (!p.parse_uint(flag, &u)) break;
       config.committee.committee_size = static_cast<std::uint32_t>(u);
     } else if (flag == "--view-coverage") {
-      if (!next_value(flag, &value) || !p.parse_double(flag, value, &d)) break;
+      if (!p.parse_double(flag, &d)) break;
       config.view_coverage = d;
     } else if (flag == "--hash") {
-      if (!next_value(flag, &value)) break;
+      if (!p.value(flag, &value)) break;
       if (value == "fair") {
         config.hash = HashKind::kFair;
       } else if (value == "topo") {
@@ -280,17 +358,14 @@ CliParseResult parse_cli(const std::vector<std::string>& args) {
         (void)p.fail("--hash: unknown: " + value);
         break;
       }
-    } else if (flag == "--loss") {
-      if (!next_value(flag, &value) || !p.parse_double(flag, value, &d)) break;
-      config.ucast_loss = d;
     } else if (flag == "--partition-loss") {
-      if (!next_value(flag, &value) || !p.parse_double(flag, value, &d)) break;
+      if (!p.parse_double(flag, &d)) break;
       config.partition_loss = d;
     } else if (flag == "--pf") {
-      if (!next_value(flag, &value) || !p.parse_double(flag, value, &d)) break;
+      if (!p.parse_double(flag, &d)) break;
       config.crash_probability = d;
     } else if (flag == "--workload") {
-      if (!next_value(flag, &value)) break;
+      if (!p.value(flag, &value)) break;
       if (value == "uniform") {
         config.workload = WorkloadKind::kUniform;
       } else if (value == "normal") {
@@ -304,78 +379,32 @@ CliParseResult parse_cli(const std::vector<std::string>& args) {
       }
     } else if (flag == "--audit") {
       config.audit = true;
-    } else if (flag == "--chaos") {
-      if (!next_value(flag, &value) || !p.parse_chaos(value)) break;
     } else if (flag == "--no-invariants") {
       config.check_invariants = false;
     } else if (flag == "--differential") {
-      p.options.differential = true;
-    } else if (flag == "--seed") {
-      if (!next_value(flag, &value) || !p.parse_uint(flag, value, &u)) break;
-      config.seed = u;
+      options.differential = true;
     } else if (flag == "--runs") {
-      if (!next_value(flag, &value) || !p.parse_uint(flag, value, &u)) break;
-      if (u == 0) {
-        (void)p.fail("--runs: must be at least 1");
-        break;
-      }
-      p.options.runs = static_cast<std::size_t>(u);
+      if (!p.parse_positive(flag, &u)) break;
+      options.runs = static_cast<std::size_t>(u);
     } else if (flag == "--jobs") {
-      if (!next_value(flag, &value) || !p.parse_uint(flag, value, &u)) break;
-      if (u == 0) {
-        (void)p.fail("--jobs: must be at least 1");
-        break;
-      }
+      if (!p.parse_positive(flag, &u)) break;
       config.jobs = static_cast<std::size_t>(u);
     } else if (flag == "--csv") {
-      if (!next_value(flag, &value)) break;
-      p.options.csv_path = value;
+      if (!p.value(flag, &options.csv_path)) break;
     } else if (flag == "--metrics") {
-      p.options.metrics = true;
+      options.metrics = true;
       config.collect_metrics = true;
     } else if (flag == "--trace-out") {
-      if (!next_value(flag, &value)) break;
-      p.options.trace_out = value;
+      if (!p.value(flag, &options.trace_out)) break;
     } else if (flag == "--run-manifest") {
-      if (!next_value(flag, &value)) break;
-      p.options.manifest_path = value;
+      if (!p.value(flag, &options.manifest_path)) break;
       config.collect_metrics = true;  // manifests carry timelines + metrics
     } else if (flag == "--lineage") {
-      if (!next_value(flag, &value)) break;
-      p.options.lineage_out = value;
+      if (!p.value(flag, &options.lineage_out)) break;
     } else if (flag == "--curves-out") {
-      if (!next_value(flag, &value)) break;
-      p.options.curves_out = value;
-    } else if (flag == "--telemetry-out") {
-      if (!next_value(flag, &value)) break;
-      config.telemetry.out_path = value;
-      config.telemetry.enabled = true;
-    } else if (flag == "--telemetry-interval-us") {
-      if (!next_value(flag, &value) || !p.parse_uint(flag, value, &u)) break;
-      if (u == 0) {
-        (void)p.fail("--telemetry-interval-us: must be positive");
-        break;
-      }
-      config.telemetry.interval =
-          SimTime::micros(static_cast<SimTime::underlying>(u));
-      config.telemetry.enabled = true;
+      if (!p.value(flag, &options.curves_out)) break;
     } else if (flag == "--flight-recorder") {
-      if (!next_value(flag, &value)) break;
-      p.options.flight_out = value;
-    } else if (flag == "--instances") {
-      if (!next_value(flag, &value) || !p.parse_uint(flag, value, &u)) break;
-      p.options.instances = static_cast<std::size_t>(u);
-    } else if (flag == "--epoch-interval-us") {
-      if (!next_value(flag, &value) || !p.parse_uint(flag, value, &u)) break;
-      p.options.epoch_interval =
-          SimTime::micros(static_cast<SimTime::underlying>(u));
-    } else if (flag == "--in-flight") {
-      if (!next_value(flag, &value) || !p.parse_uint(flag, value, &u)) break;
-      if (u == 0) {
-        (void)p.fail("--in-flight: must be at least 1");
-        break;
-      }
-      p.options.in_flight = static_cast<std::size_t>(u);
+      if (!p.value(flag, &options.flight_out)) break;
     } else if (flag == "--profile") {
       config.profile = true;
     } else {
@@ -384,17 +413,66 @@ CliParseResult parse_cli(const std::vector<std::string>& args) {
     }
   }
 
-  if (p.error.empty() && p.options.instances > 0) {
-    if (p.options.runs > 1) {
+  if (p.error.empty() && options.instances > 0) {
+    if (options.runs > 1) {
       (void)p.fail("--instances: service mode streams one run; drop --runs");
-    } else if (p.options.differential) {
+    } else if (options.differential) {
       (void)p.fail(
           "--instances: the service differential lives in gridbox_node "
           "--instances --differential");
     }
   }
   if (!p.error.empty()) return CliParseResult{std::nullopt, p.error};
-  return CliParseResult{p.options, ""};
+  return CliParseResult{options, ""};
+}
+
+NodeCliParseResult parse_node_cli(const std::vector<std::string>& args) {
+  Parser p(args);
+  NodeCliOptions options;
+  ExperimentConfig& config = options.udp.experiment;
+  config.crash_probability = 0.0;  // real runs default crash-free
+  config.audit = true;
+
+  for (; p.i < args.size(); ++p.i) {
+    const std::string& flag = args[p.i];
+    std::string value;
+    std::uint64_t u = 0;
+    bool shared = false;
+
+    if (flag == "--help") {
+      options.show_help = true;
+      return NodeCliParseResult{options, ""};
+    } else if (!p.parse_shared(flag, config, options, &shared)) {
+      break;
+    } else if (shared) {
+      continue;
+    } else if (flag == "--port-base") {
+      if (!p.parse_port(flag, &options.udp.port_base)) break;
+    } else if (flag == "--threads") {
+      if (!p.parse_uint(flag, &u)) break;
+      options.udp.shards = static_cast<std::size_t>(u);
+    } else if (flag == "--chaos-spec") {
+      if (!p.value(flag, &value) || !p.set_chaos(flag, value, config)) break;
+    } else if (flag == "--round-us") {
+      if (!p.parse_positive(flag, &u, UINT32_MAX)) break;
+      config.gossip.round_duration =
+          SimTime::micros(static_cast<SimTime::underlying>(u));
+    } else if (flag == "--deadline-factor") {
+      if (!p.parse_double(flag, &options.udp.deadline_factor)) break;
+    } else if (flag == "--telemetry-port") {
+      if (!p.parse_port(flag, &config.telemetry.udp_port)) break;
+      config.telemetry.enabled = true;
+    } else if (flag == "--differential") {
+      options.differential = true;
+    } else if (flag == "--report-dir") {
+      if (!p.value(flag, &options.report_dir)) break;
+    } else {
+      (void)p.fail("unknown flag: " + flag + " (see --help)");
+      break;
+    }
+  }
+  if (!p.error.empty()) return NodeCliParseResult{std::nullopt, p.error};
+  return NodeCliParseResult{options, ""};
 }
 
 namespace {
@@ -456,11 +534,8 @@ int run_service_cli(const CliOptions& options) {
 
   Table table({"instance", "launched_ms", "done_ms", "participants",
                "completeness", "true value", "audit", "invariants", "msgs"});
-  bool clean = result.completed;
   for (const service::InstanceResult& inst : result.instances) {
     const auto& m = inst.measurement;
-    clean = clean && inst.completed && m.audit_violations == 0 &&
-            m.reconstruction_failures == 0 && inst.invariant_violations == 0;
     table.add_row(
         {std::to_string(inst.id),
          std::to_string(inst.launched_at.ticks() / 1000),
@@ -515,7 +590,7 @@ int run_service_cli(const CliOptions& options) {
                 "gridbox_explain --instance ID)\n",
                 options.lineage_out.c_str());
   }
-  return clean ? 0 : 1;
+  return result.clean() ? 0 : 1;
 }
 
 }  // namespace
@@ -633,25 +708,7 @@ int run_cli(const CliOptions& options) {
     }
   };
   try {
-    if (jobs <= 1) {
-      for (std::size_t run = 0; run < options.runs; ++run) run_one(run);
-    } else {
-      common::ThreadPool pool(jobs);
-      std::vector<std::future<void>> futures;
-      futures.reserve(options.runs);
-      for (std::size_t run = 0; run < options.runs; ++run) {
-        futures.push_back(pool.submit([&run_one, run] { run_one(run); }));
-      }
-      std::exception_ptr first_error;
-      for (auto& future : futures) {
-        try {
-          future.get();
-        } catch (...) {
-          if (!first_error) first_error = std::current_exception();
-        }
-      }
-      if (first_error) std::rethrow_exception(first_error);
-    }
+    common::run_indexed(options.runs, jobs, run_one);
   } catch (const std::exception& ex) {
     std::fprintf(stderr, "error: %s\n", ex.what());
     return 1;

@@ -1,7 +1,10 @@
-// Command-line front end for the experiment runner (the `gridbox_sim` tool).
+// Command-line front ends: the simulated experiment runner (`gridbox_sim`)
+// and the real-socket runner (`gridbox_node`).
 //
-// The parser is a library function so tests can exercise it without spawning
-// processes; the tool's main() is a thin wrapper (tools/gridbox_sim.cpp).
+// The parsers are library functions so tests can exercise them without
+// spawning processes; they share one flag-value validator, so a flag both
+// tools accept means the same thing in both. gridbox_sim's main() is a thin
+// wrapper (tools/gridbox_sim.cpp).
 #pragma once
 
 #include <optional>
@@ -9,10 +12,25 @@
 #include <vector>
 
 #include "src/runner/config.h"
+#include "src/runner/udp_runtime.h"
 
 namespace gridbox::runner {
 
-struct CliOptions {
+/// Service-mode flags both tools accept (docs/service.md). In gridbox_sim,
+/// service mode is incompatible with --runs/--differential, and --lineage
+/// then writes one "gridbox-lineage-multi/1" document for gridbox_explain
+/// --instance.
+struct ServiceCliOptions {
+  /// --instances I > 0: service mode — stream I concurrent protocol
+  /// instances through one membership.
+  std::size_t instances = 0;
+  /// --epoch-interval-us U: service launch cadence.
+  SimTime epoch_interval = SimTime::millis(50);
+  /// --in-flight W: service bounded in-flight window.
+  std::size_t in_flight = 8;
+};
+
+struct CliOptions : ServiceCliOptions {
   ExperimentConfig config;
   std::size_t runs = 1;
   std::string csv_path;  ///< empty = no CSV output
@@ -40,16 +58,6 @@ struct CliOptions {
   /// dump it (config + chaos spec + event tail) to PATH when the run dies on
   /// an invariant violation. Nothing is written for clean runs.
   std::string flight_out;
-
-  /// --instances I > 0: service mode — stream I concurrent protocol
-  /// instances through one simulated membership/transport (docs/service.md).
-  /// Incompatible with --runs/--differential; --lineage then writes one
-  /// "gridbox-lineage-multi/1" document for gridbox_explain --instance.
-  std::size_t instances = 0;
-  /// --epoch-interval-us U: service launch cadence.
-  SimTime epoch_interval = SimTime::millis(50);
-  /// --in-flight W: service bounded in-flight window.
-  std::size_t in_flight = 8;
 };
 
 /// The trace file a given run writes: `base` itself for a single run, else
@@ -68,6 +76,30 @@ struct CliParseResult {
 
 /// The --help text.
 [[nodiscard]] std::string usage_text();
+
+/// gridbox_node's options: one real-socket run, or (instances > 0) a
+/// service stream over one socket set.
+struct NodeCliOptions : ServiceCliOptions {
+  /// The run; group, network and telemetry flags land here. Defaults differ
+  /// from gridbox_sim's: crash-free (pf 0) and audited.
+  UdpRunConfig udp;
+  bool show_help = false;
+  /// --differential: also run the simulator and cross-check (exit 2 on
+  /// divergence; per instance in service mode).
+  bool differential = false;
+  /// --report-dir DIR: write summary, chaos spec and manifest artifacts.
+  std::string report_dir;
+};
+
+struct NodeCliParseResult {
+  std::optional<NodeCliOptions> options;  ///< set on success
+  std::string error;                      ///< set on failure
+};
+
+/// Parses gridbox_node flags (tools/gridbox_node.cpp --help). `args`
+/// excludes argv[0].
+[[nodiscard]] NodeCliParseResult parse_node_cli(
+    const std::vector<std::string>& args);
 
 /// Runs the experiment(s) described by `options` and prints per-run rows and
 /// a summary to stdout. Returns a process exit code.

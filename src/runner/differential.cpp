@@ -12,9 +12,7 @@ bool DifferentialReport::ok() const {
   double true_value = 0.0;
   bool have_true_value = false;
   for (const DifferentialRow& row : rows) {
-    if (!row.ran) return false;
-    if (row.measurement.audit_violations != 0) return false;
-    if (row.measurement.reconstruction_failures != 0) return false;
+    if (!row.ran || !protocols::honest(row.measurement)) return false;
     // All protocols aggregate the same vote table: the ground truth they
     // are judged against must be bit-identical across rows.
     if (!have_true_value) {
@@ -25,6 +23,20 @@ bool DifferentialReport::ok() const {
     }
   }
   return true;
+}
+
+DifferentialRow run_row(
+    ProtocolKind protocol,
+    const std::function<protocols::RunMeasurement()>& run) {
+  DifferentialRow row;
+  row.protocol = protocol;
+  try {
+    row.measurement = run();
+    row.ran = true;
+  } catch (const std::exception& e) {
+    row.error = e.what();
+  }
+  return row;
 }
 
 DifferentialReport run_differential(const ExperimentConfig& base) {
@@ -42,16 +54,8 @@ DifferentialReport run_differential(const ExperimentConfig& base) {
     ExperimentConfig config = base;
     config.protocol = protocol;
     config.audit = true;  // the oracle is the audit trail
-
-    DifferentialRow row;
-    row.protocol = protocol;
-    try {
-      row.measurement = run_experiment(config).measurement;
-      row.ran = true;
-    } catch (const std::exception& e) {
-      row.error = e.what();
-    }
-    report.rows.push_back(std::move(row));
+    report.rows.push_back(run_row(
+        protocol, [&config] { return run_experiment(config).measurement; }));
   }
   return report;
 }

@@ -10,6 +10,7 @@
 // and hier-gossip additionally runs under the full invariant checker.
 #pragma once
 
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -25,6 +26,12 @@ struct DifferentialRow {
   std::string error;
   protocols::RunMeasurement measurement;
 };
+
+/// Runs one row of an oracle: `run` yields the measurement, and a throw
+/// becomes a row that did not run, carrying the error message.
+[[nodiscard]] DifferentialRow run_row(
+    ProtocolKind protocol,
+    const std::function<protocols::RunMeasurement()>& run);
 
 struct DifferentialReport {
   std::vector<DifferentialRow> rows;

@@ -157,35 +157,19 @@ void configure_curves(obs::CurveRecorder& curves,
 }  // namespace
 
 RunResult run_experiment(const ExperimentConfig& config) {
-  expects(config.group_size >= 2, "need at least two members");
   const Rng root(config.seed);
-
-  membership::Group group(config.group_size);
-  if (config.assign_positions || config.hash == HashKind::kTopoAware ||
-      config.workload == WorkloadKind::kField) {
-    Rng pos_rng = root.derive(streams::kPosition);
-    group.scatter_positions(pos_rng);
-  }
-
-  Rng vote_rng = root.derive(streams::kVote);
-  const agg::VoteTable votes = make_votes(config, group, vote_rng);
-
-  const std::unique_ptr<hashing::HashFunction> hash =
-      make_hash(config, group, root);
-  hierarchy::GridBoxHierarchy hier(config.group_size, hierarchy_fanout(config),
-                                   *hash);
-
-  sim::Simulator simulator;
-  net::SimNetwork network(
-      simulator, make_faults(config),
-      std::make_unique<net::UniformLatency>(config.latency_lo,
-                                            config.latency_hi),
-      root.derive(streams::kNet));
-  network.set_liveness([&group](MemberId m) { return group.is_alive(m); });
+  World world(config, root);
+  membership::Group& group = world.group;
+  const hierarchy::GridBoxHierarchy& hier = world.hier;
 
   // Chaos: scripted adversity layered over (or replacing) the static fault
   // pipeline. The schedule draws from its own derived streams, so adding a
   // chaos spec never perturbs vote/view/node randomness.
+  const net::ChaosSpec chaos = one_shot_chaos(config);
+  sim::Simulator simulator;
+  const std::unique_ptr<net::SimNetwork> network =
+      make_sim_network(config, simulator, group, chaos);
+
   // Observability: one registry + observer per run when anything wants
   // events. Metric values are a pure function of (config, seed); the
   // registry lives on this stack frame, so parallel sweep runs never share
@@ -208,7 +192,7 @@ RunResult run_experiment(const ExperimentConfig& config) {
     oopt.curves = config.curves;
     oopt.flight = config.flight;
     observer = std::make_unique<obs::RunObserver>(oopt);
-    network.set_observer(observer.get());
+    network->set_observer(observer.get());
     group.set_crash_listener(
         [&observer](MemberId m) { observer->on_crash(m); });
   }
@@ -229,26 +213,13 @@ RunResult run_experiment(const ExperimentConfig& config) {
   if (profiling) profiler = std::make_unique<obs::ProfileCollector>();
   obs::ProfileInstallGuard profile_guard(profiler.get());
 
-  net::ChaosSpec chaos = net::ChaosSpec::parse(config.chaos_spec);
-  // Churn needs an epoch boundary for a joiner to enter at; the one-shot
-  // protocol has none. The service runtime (src/service) honors these.
-  expects(!chaos.has_churn(),
-          "join/recover directives require the service runtime");
-  if (chaos.affects_network()) {
-    network.install_chaos(std::make_unique<net::ChaosSchedule>(
-        chaos, make_faults(config), config.group_size,
-        root.derive(streams::kChaos)));
-  }
   net::schedule_chaos_crashes(chaos, simulator,
                               [&group](MemberId m) { group.crash(m); });
   if (group.has_positions()) {
-    network.set_distance([&group](MemberId a, MemberId b) {
+    network->set_distance([&group](MemberId a, MemberId b) {
       return std::sqrt(squared_distance(group.position(a), group.position(b)));
     });
   }
-
-  const std::unique_ptr<agg::AuditRegistry> audit =
-      make_audit(config, group, hier);
 
   // Shared struct-of-arrays node state (§DESIGN 11): one arena of flat
   // per-member lanes plus the hierarchy's phase-group segment tables,
@@ -264,82 +235,34 @@ RunResult run_experiment(const ExperimentConfig& config) {
   simulator.set_event_limit(std::max<std::uint64_t>(
       500'000'000, 1000 * static_cast<std::uint64_t>(config.group_size)));
 
-  protocols::NodeEnv env;
-  env.scheduler = &simulator;
-  env.network = &network;
-  env.hierarchy = &hier;
-  env.audit = audit.get();
-  env.arena = &arena;
-  env.is_alive = [&group](MemberId m) { return group.is_alive(m); };
-  env.kind = config.aggregate;
-
-  // Always-on invariant checker (hier-gossip: it is the only protocol with
-  // trace hooks). Chains in front of any caller-supplied trace; violations
-  // throw InvariantError out of simulator.run() at the offending event.
   // Trace chain: node -> invariant checker -> run observer -> user trace.
   // The observer (when present) already forwards to config.gossip.trace.
+  // The checker's deadline is Theorem 1's horizon; violations throw
+  // InvariantError out of simulator.run() at the offending event.
   protocols::gossip::GossipTrace* trace_tail =
       observer != nullptr
           ? static_cast<protocols::gossip::GossipTrace*>(observer.get())
           : config.gossip.trace;
-  ExperimentConfig node_config = config;
-  node_config.gossip.trace = trace_tail;
-  std::unique_ptr<protocols::InvariantChecker> checker;
-  if (config.check_invariants &&
-      config.protocol == ProtocolKind::kHierGossip) {
-    protocols::InvariantChecker::Config icfg;
-    icfg.group_size = config.group_size;
-    icfg.fanout = config.gossip.k;
-    icfg.num_phases = hier.num_phases();
-    icfg.scheduler = &simulator;
-    icfg.audit = audit.get();
-    // Theorem 1 bound: every phase lasts ⌈C·log_M N⌉ rounds, so all trace
-    // activity must stop by start skew + num_phases × rounds-per-phase
-    // rounds, plus one round of slack for the final deadline conclusion.
-    const std::uint64_t total_rounds =
-        hier.num_phases() * config.gossip.rounds_per_phase(config.group_size) +
-        1;
-    icfg.deadline =
-        config.gossip.start_skew_max +
-        SimTime::micros(static_cast<SimTime::underlying>(total_rounds) *
-                        config.gossip.round_duration.ticks());
-    icfg.next = trace_tail;
-    checker = std::make_unique<protocols::InvariantChecker>(icfg);
-    node_config.gossip.trace = checker.get();
-  }
-  // The baselines read their trace from the environment (they take no
-  // per-protocol trace config); same chain head as hier-gossip.
-  env.trace = node_config.gossip.trace;
+  const std::unique_ptr<protocols::InvariantChecker> checker = make_checker(
+      config, hier, world.audit.get(), &simulator,
+      protocol_horizon(config, hier.num_phases()), /*fail_fast=*/true,
+      /*concurrent=*/false, trace_tail);
+  const std::vector<std::unique_ptr<protocols::ProtocolNode>> nodes =
+      make_nodes(config, world, root, arena,
+                 checker != nullptr ? checker.get() : trace_tail,
+                 [&simulator, &network](MemberId, protocols::NodeEnv& env) {
+                   env.scheduler = &simulator;
+                   env.network = network.get();
+                 });
+  for (const auto& node : nodes) network->attach(node->self(), *node);
+  for (const auto& node : nodes) node->start(SimTime::zero());
 
-  Rng view_rng = root.derive(streams::kView);
-  std::vector<std::unique_ptr<protocols::ProtocolNode>> nodes;
-  nodes.reserve(config.group_size);
-  for (const MemberId m : group.members()) {
-    auto node = make_node(node_config, m, votes.of(m),
-                          make_view(config, group, m, view_rng), env,
-                          root.derive(streams::kNodeBase + m.value()));
-    network.attach(m, *node);
-    nodes.push_back(std::move(node));
-  }
-  for (auto& node : nodes) node->start(SimTime::zero());
-
-  // Crash clock: one tick per gossip round, applying pf to each live member
-  // (paper §7: crash without recovery). Stops once no live member is still
-  // running the protocol, letting the simulation drain and finish.
-  const membership::PerRoundCrash crash_model(config.crash_probability);
-  if (config.crash_probability > 0.0) {
-    auto crash_rng = std::make_shared<Rng>(root.derive(streams::kCrash));
-    auto round = std::make_shared<std::uint64_t>(0);
-    simulator.schedule_periodic(
-        config.round_duration(), config.round_duration(),
-        [&group, &nodes, &crash_model, crash_rng, round]() {
-          (void)group.apply_round_crashes(crash_model, (*round)++, *crash_rng);
-          for (const auto& node : nodes) {
-            if (!node->finished() && group.is_alive(node->self())) return true;
-          }
-          return false;
-        });
-  }
+  // Crash clock (paper §7: crash without recovery). Stops once no live
+  // member is still running the protocol, letting the simulation drain.
+  CrashClock crash_clock(config, group, [&nodes, &group]() {
+    return !settled(nodes, group);
+  });
+  crash_clock.arm(simulator);
 
   // Live telemetry on the simulator substrate: one lane, sampled on the
   // virtual clock between run_until slices — the series is a pure function
@@ -366,18 +289,14 @@ RunResult run_experiment(const ExperimentConfig& config) {
   if (checker != nullptr) {
     // Termination: every member still alive at the end must have delivered
     // an estimate within the deadline (crashed members legitimately stop).
-    std::vector<MemberId> alive;
-    for (const MemberId m : group.members()) {
-      if (group.is_alive(m)) alive.push_back(m);
-    }
-    checker->expect_all_finished(alive);
+    checker->expect_all_finished(group.alive_members());
   }
 
   RunResult result;
-  result.measurement = protocols::measure_run(group, nodes, votes,
-                                              config.aggregate,
-                                              network.stats(), audit.get());
-  result.network = network.stats();
+  result.measurement =
+      protocols::measure_run(group, nodes, world.votes, config.aggregate,
+                             network->stats(), world.audit.get());
+  result.network = network->stats();
   result.sim_events = executed;
   result.sim_end_us = simulator.now().ticks();
   if (metrics != nullptr) {
@@ -400,10 +319,10 @@ RunResult run_experiment(const ExperimentConfig& config) {
   // trackers cannot dangle.
   if (config.lineage != nullptr) config.lineage->set_clock(nullptr);
   if (config.curves != nullptr) config.curves->set_clock(nullptr);
-  if (group.has_positions() && network.stats().messages_sent > 0) {
+  if (group.has_positions() && network->stats().messages_sent > 0) {
     result.mean_link_distance =
-        network.stats().link_distance_sum /
-        static_cast<double>(network.stats().messages_sent);
+        network->stats().link_distance_sum /
+        static_cast<double>(network->stats().messages_sent);
   }
   if (config.protocol == ProtocolKind::kHierGossip) {
     result.effective_b = analysis::effective_b(

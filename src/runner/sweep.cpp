@@ -1,8 +1,6 @@
 #include "src/runner/sweep.h"
 
 #include <chrono>
-#include <exception>
-#include <future>
 #include <utility>
 
 #include "src/common/ensure.h"
@@ -22,40 +20,12 @@ void execute_runs(const ExperimentConfig& base,
                   const std::function<void(ExperimentConfig&, double)>& apply,
                   std::size_t runs_per_point, std::size_t jobs,
                   std::vector<RunResult>& results) {
-  const auto run_one = [&](std::size_t point_index, std::size_t run) {
+  common::run_indexed(results.size(), jobs, [&](std::size_t slot) {
     ExperimentConfig config = base;
-    apply(config, xs[point_index]);
-    const std::size_t slot = point_index * runs_per_point + run;
+    apply(config, xs[slot / runs_per_point]);
     config.seed = base.seed + static_cast<std::uint64_t>(slot);
     results[slot] = run_experiment(config);
-  };
-
-  if (jobs <= 1) {
-    for (std::size_t p = 0; p < xs.size(); ++p) {
-      for (std::size_t r = 0; r < runs_per_point; ++r) run_one(p, r);
-    }
-    return;
-  }
-
-  common::ThreadPool pool(jobs);
-  std::vector<std::future<void>> futures;
-  futures.reserve(results.size());
-  for (std::size_t p = 0; p < xs.size(); ++p) {
-    for (std::size_t r = 0; r < runs_per_point; ++r) {
-      futures.push_back(pool.submit([&run_one, p, r] { run_one(p, r); }));
-    }
-  }
-  // Join everything before rethrowing so no task is left writing into
-  // `results` when the first failure propagates.
-  std::exception_ptr first_error;
-  for (std::future<void>& future : futures) {
-    try {
-      future.get();
-    } catch (...) {
-      if (!first_error) first_error = std::current_exception();
-    }
-  }
-  if (first_error) std::rethrow_exception(first_error);
+  });
 }
 
 }  // namespace

@@ -9,11 +9,10 @@ namespace gridbox::runner {
 
 namespace {
 
-/// One row's half of the agreement definition (completion is checked by
-/// the caller, which knows each side's notion of "complete").
+/// One row's half of the agreement definition: honest, and every survivor
+/// finished (the UDP side's deadline is checked by the caller).
 [[nodiscard]] bool row_honest(const DifferentialRow& row) {
-  return row.ran && row.measurement.audit_violations == 0 &&
-         row.measurement.reconstruction_failures == 0 &&
+  return row.ran && protocols::honest(row.measurement) &&
          row.measurement.finished_nodes == row.measurement.survivors;
 }
 
@@ -64,24 +63,14 @@ UdpDifferentialReport run_udp_differential(const UdpRunConfig& config) {
   udp_config.experiment.audit = true;
   udp_config.experiment.check_invariants = true;
 
-  report.sim.protocol = udp_config.experiment.protocol;
-  try {
-    report.sim.measurement =
-        run_experiment(udp_config.experiment).measurement;
-    report.sim.ran = true;
-  } catch (const std::exception& e) {
-    report.sim.error = e.what();
-  }
-
-  report.udp.protocol = udp_config.experiment.protocol;
-  try {
+  const ProtocolKind protocol = udp_config.experiment.protocol;
+  report.sim = run_row(protocol, [&udp_config] {
+    return run_experiment(udp_config.experiment).measurement;
+  });
+  report.udp = run_row(protocol, [&report, &udp_config] {
     report.udp_run = run_udp_experiment(udp_config);
-    report.udp.measurement = report.udp_run.measurement;
-    report.udp.ran = true;
-  } catch (const std::exception& e) {
-    report.udp.error = e.what();
-  }
-
+    return report.udp_run.measurement;
+  });
   return report;
 }
 

@@ -4,22 +4,15 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cstdio>
-#include <exception>
 #include <memory>
-#include <thread>
-#include <utility>
+#include <string>
 #include <vector>
 
 #include "src/common/ensure.h"
 #include "src/membership/group.h"
 #include "src/net/chaos.h"
-#include "src/net/reactor.h"
-#include "src/net/telemetry_socket.h"
-#include "src/net/udp_transport.h"
-#include "src/obs/telemetry.h"
-#include "src/protocols/invariant_checker.h"
+#include "src/runner/udp_mesh.h"
 #include "src/runner/world_setup.h"
 
 namespace gridbox::runner {
@@ -56,20 +49,6 @@ class CompletionBoard {
  private:
   std::unique_ptr<std::atomic<bool>[]> settled_;
   std::atomic<std::size_t> remaining_;
-};
-
-/// Self-stopping periodic telemetry tick on shard 0 (same pattern as the
-/// service runtime): samples on the reactor clock, stops rescheduling when
-/// the run resolves.
-struct SamplerTick final : sim::TimerTarget {
-  obs::TelemetrySampler* sampler = nullptr;
-  net::Reactor* clock = nullptr;
-  std::function<bool()> keep_going;
-
-  bool on_timer(std::uint32_t /*timer_id*/) override {
-    sampler->sample(clock->now());
-    return keep_going();
-  }
 };
 
 }  // namespace
@@ -120,78 +99,17 @@ void require_fd_capacity(std::uint64_t need) {
 
 UdpRunResult run_udp_experiment(const UdpRunConfig& udp_config) {
   const ExperimentConfig& config = udp_config.experiment;
-  expects(config.group_size >= 2, "need at least two members");
-  // Sockets + stdio + test-framework slack; fail early with the numbers if
-  // the hard limit cannot cover the run instead of mid-setup on bind().
-  require_fd_capacity(config.group_size + 64);
+  const net::ChaosSpec chaos = one_shot_chaos(config);
 
-  // === World construction: identical derivations to run_experiment. ===
+  // The identical world run_experiment derives, on a real-time substrate.
   const Rng root(config.seed);
-  membership::Group group(config.group_size);
-  if (config.assign_positions || config.hash == HashKind::kTopoAware ||
-      config.workload == WorkloadKind::kField) {
-    Rng pos_rng = root.derive(streams::kPosition);
-    group.scatter_positions(pos_rng);
-  }
-  Rng vote_rng = root.derive(streams::kVote);
-  const agg::VoteTable votes = make_votes(config, group, vote_rng);
-  const std::unique_ptr<hashing::HashFunction> hash =
-      make_hash(config, group, root);
-  hierarchy::GridBoxHierarchy hier(config.group_size, hierarchy_fanout(config),
-                                   *hash);
-  const std::unique_ptr<agg::AuditRegistry> audit =
-      make_audit(config, group, hier);
+  World world(config, root);
+  membership::Group& group = world.group;
+  UdpMesh mesh(config, udp_config.port_base, udp_config.shards, group);
+  const bool concurrent = mesh.shard_count() > 1;
+  if (world.audit != nullptr) world.audit->set_concurrent(concurrent);
   protocols::StateArena arena(group.shared_members());
-  arena.build_phase_tables(hier);
-
-  // === Real-time substrate: reactors (one thread each) + transports. ===
-  // Shard s owns members with id % shard_count == s, end to end: their
-  // sockets, their timers, their deliveries, their arena lanes. Dispatch
-  // runs lock-free on the owning shard's thread; the state a callback can
-  // reach outside its shard is concurrency-safe by construction (atomic
-  // Group liveness, mutex-gated AuditRegistry, the completion board).
-  const std::size_t shard_count =
-      udp_config.shards > 0
-          ? udp_config.shards
-          : std::max<std::size_t>(
-                1, std::min<std::size_t>(
-                       {4, std::thread::hardware_concurrency(),
-                        config.group_size}));
-  const bool concurrent = shard_count > 1;
-  if (audit != nullptr) audit->set_concurrent(concurrent);
-  const auto epoch = std::chrono::steady_clock::now();
-  std::vector<std::unique_ptr<net::Reactor>> reactors;
-  std::vector<std::unique_ptr<net::UdpTransport>> transports;
-  reactors.reserve(shard_count);
-  transports.reserve(shard_count);
-  const net::ChaosSpec chaos = net::ChaosSpec::parse(config.chaos_spec);
-  // Churn needs an epoch boundary for a joiner to enter at; the one-shot
-  // protocol has none. The service runtime (src/service) honors these.
-  expects(!chaos.has_churn(),
-          "join/recover directives require the service runtime");
-  const bool shim_active = chaos.affects_network() ||
-                           config.ucast_loss > 0.0 ||
-                           config.partition_loss >= 0.0;
-  const Rng chaos_root = root.derive(streams::kChaos);
-  for (std::size_t s = 0; s < shard_count; ++s) {
-    reactors.push_back(std::make_unique<net::Reactor>(net::Reactor::Options{}));
-    reactors.back()->bind_epoch(epoch);
-    net::UdpTransport::Options topt;
-    topt.port_base = udp_config.port_base;
-    auto transport =
-        std::make_unique<net::UdpTransport>(*reactors.back(), topt);
-    transport->set_liveness([&group](MemberId m) { return group.is_alive(m); });
-    if (shim_active) {
-      // One schedule per shard, each with its own derived streams: with
-      // real sockets there is no global send order for a single schedule
-      // to consume in, so parity with the simulator is statistical (same
-      // marginal loss/jitter/dup law), not per-message.
-      auto schedule = std::make_unique<net::ChaosSchedule>(
-          chaos, make_faults(config), config.group_size, chaos_root.derive(s));
-      transport->install_chaos(std::move(schedule));
-    }
-    transports.push_back(std::move(transport));
-  }
+  arena.build_phase_tables(world.hier);
 
   // Completion: every member settles once, on finish or on crash; done()
   // is a single atomic read from any shard thread.
@@ -201,185 +119,60 @@ UdpRunResult run_udp_experiment(const UdpRunConfig& udp_config) {
   // Scripted crashes fire as reactor actions on the member's own shard;
   // liveness publication is atomic, so other shards observe it safely.
   for (const net::CrashEvent& event : chaos.crashes) {
-    const std::size_t s = event.member.value() % shard_count;
-    reactors[s]->schedule_at(event.at,
-                             [&group, m = event.member]() { group.crash(m); });
+    mesh.reactor_of(event.member)
+        .schedule_at(event.at, [&group, m = event.member]() { group.crash(m); });
   }
 
-  // === Nodes: same construction order and RNG streams as the simulator. ===
-  protocols::NodeEnv base_env;
-  base_env.hierarchy = &hier;
-  base_env.audit = audit.get();
-  base_env.arena = &arena;
-  base_env.is_alive = [&group](MemberId m) { return group.is_alive(m); };
-  base_env.kind = config.aggregate;
-  base_env.on_finished = [&board](MemberId m) { board.settle(m); };
-
-  const SimTime horizon = protocol_horizon(config, hier.num_phases());
-  const SimTime deadline = std::max(
-      udp_config.min_deadline,
-      SimTime::micros(static_cast<SimTime::underlying>(
-          static_cast<double>(horizon.ticks()) * udp_config.deadline_factor)));
-
-  std::unique_ptr<protocols::InvariantChecker> checker;
-  ExperimentConfig node_config = config;
-  node_config.gossip.trace = nullptr;
-  if (config.check_invariants &&
-      config.protocol == ProtocolKind::kHierGossip) {
-    protocols::InvariantChecker::Config icfg;
-    icfg.group_size = config.group_size;
-    icfg.fanout = config.gossip.k;
-    icfg.num_phases = hier.num_phases();
-    icfg.scheduler = reactors[0].get();
-    icfg.audit = audit.get();
-    // The Theorem-1 deadline is meaningful on the virtual clock; on a real
-    // host the run-level deadline (already a generous multiple of the
-    // horizon) plays that role, so scheduler noise cannot fake a
-    // violation.
-    icfg.deadline = deadline;
-    // Never throw across reactor threads; collect and report after join.
-    icfg.fail_fast = false;
-    // Trace events arrive from every shard thread.
-    icfg.concurrent = concurrent;
-    checker = std::make_unique<protocols::InvariantChecker>(icfg);
-    node_config.gossip.trace = checker.get();
-  }
-  base_env.trace = node_config.gossip.trace;
-
-  Rng view_rng = root.derive(streams::kView);
-  std::vector<std::unique_ptr<protocols::ProtocolNode>> nodes;
-  nodes.reserve(config.group_size);
-  for (const MemberId m : group.members()) {
-    const std::size_t s = m.value() % shard_count;
-    protocols::NodeEnv env = base_env;
-    env.scheduler = reactors[s].get();
-    env.network = transports[s].get();
-    auto node = make_node(node_config, m, votes.of(m),
-                          make_view(config, group, m, view_rng), env,
-                          root.derive(streams::kNodeBase + m.value()));
-    transports[s]->attach(m, *node);
-    nodes.push_back(std::move(node));
+  // The Theorem-1 deadline is meaningful on the virtual clock; on a real
+  // host the run-level deadline (a generous multiple of the horizon) plays
+  // that role, so scheduler noise cannot fake a violation. The checker
+  // never throws across reactor threads: it collects, reported post-join.
+  const SimTime deadline =
+      scaled_deadline(protocol_horizon(config, world.hier.num_phases()),
+                      udp_config.deadline_factor, udp_config.min_deadline);
+  const std::unique_ptr<protocols::InvariantChecker> checker =
+      make_checker(config, world.hier, world.audit.get(), &mesh.control(),
+                   deadline, /*fail_fast=*/false, concurrent, nullptr);
+  const std::vector<std::unique_ptr<protocols::ProtocolNode>> nodes =
+      make_nodes(config, world, root, arena, checker.get(),
+                 [&mesh, &board](MemberId m, protocols::NodeEnv& env) {
+                   env.scheduler = &mesh.reactor_of(m);
+                   env.network = &mesh.transport_of(m);
+                   env.on_finished = [&board](MemberId id) {
+                     board.settle(id);
+                   };
+                 });
+  for (const auto& node : nodes) {
+    mesh.transport_of(node->self()).attach(node->self(), *node);
   }
   // Still single-threaded here: start() arms each node's timers on its
-  // shard reactor before any loop runs, and std::thread construction below
-  // publishes everything built so far to the shard threads.
-  for (auto& node : nodes) node->start(SimTime::zero());
+  // shard reactor before any loop runs; the mesh's thread launch publishes
+  // everything built so far to the shard threads.
+  for (const auto& node : nodes) node->start(SimTime::zero());
 
-  // Per-round crash clock (paper §7 pf), ticking as a self-rescheduling
-  // action on shard 0. It reads only cross-thread-safe state: atomic node
-  // finished() flags, atomic liveness, and crash() publication.
-  const membership::PerRoundCrash crash_model(config.crash_probability);
-  auto crash_rng = std::make_shared<Rng>(root.derive(streams::kCrash));
-  if (config.crash_probability > 0.0) {
-    auto round = std::make_shared<std::uint64_t>(0);
-    auto tick = std::make_shared<std::function<void()>>();
-    net::Reactor& r0 = *reactors[0];
-    *tick = [&group, &nodes, &crash_model, &r0, crash_rng, round, tick,
-             interval = config.round_duration()]() {
-      (void)group.apply_round_crashes(crash_model, (*round)++, *crash_rng);
-      for (const auto& node : nodes) {
-        if (!node->finished() && group.is_alive(node->self())) {
-          r0.schedule_after(interval, [tick]() { (*tick)(); });
-          return;
-        }
-      }
-    };
-    r0.schedule_after(config.round_duration(), [tick]() { (*tick)(); });
-  }
-
-  // Live telemetry: one lane per shard; sampler + optional stats socket on
-  // shard 0 (scheduling is still single-threaded here, before the loops).
-  std::unique_ptr<obs::TelemetryHub> tel_hub;
-  std::unique_ptr<obs::TelemetrySampler> tel_sampler;
-  std::unique_ptr<net::TelemetrySocket> tel_socket;
-  SamplerTick sampler_tick;
-  if (config.telemetry.enabled) {
-    tel_hub = std::make_unique<obs::TelemetryHub>(shard_count);
-    for (std::size_t s = 0; s < shard_count; ++s) {
-      reactors[s]->set_telemetry(&tel_hub->lane(s));
-      transports[s]->set_telemetry(&tel_hub->lane(s));
-    }
-    tel_sampler =
-        std::make_unique<obs::TelemetrySampler>(*tel_hub, config.telemetry);
-    sampler_tick.sampler = tel_sampler.get();
-    sampler_tick.clock = reactors[0].get();
-    sampler_tick.keep_going = [&board]() { return !board.done(); };
-    reactors[0]->schedule_periodic(config.telemetry.interval,
-                                   config.telemetry.interval, sampler_tick);
-    if (config.telemetry.udp_port != 0) {
-      tel_socket = std::make_unique<net::TelemetrySocket>(
-          *reactors[0], config.telemetry.udp_port,
-          [sampler = tel_sampler.get()]() { return sampler->latest(); });
-    }
-  }
-
-  // === Run: one thread per reactor until global completion or deadline.
-  // A shard must keep serving datagrams until *everyone* finished, not
-  // just its own members; done() is one atomic load, not a scan.
-  const auto done = [&board]() { return board.done(); };
-  std::vector<std::thread> threads;
-  std::vector<char> shard_done(shard_count, 0);
-  std::vector<std::exception_ptr> errors(shard_count);
-  threads.reserve(shard_count);
-  for (std::size_t s = 0; s < shard_count; ++s) {
-    threads.emplace_back([&, s]() {
-      try {
-        shard_done[s] = reactors[s]->run_until(done, deadline) ? 1 : 0;
-      } catch (...) {
-        errors[s] = std::current_exception();
-      }
-    });
-  }
-  for (auto& thread : threads) thread.join();
-  for (const std::exception_ptr& error : errors) {
-    if (error) std::rethrow_exception(error);
-  }
-
-  // Final sample post-join: exact closing record, ordered by the joins.
-  if (tel_sampler != nullptr) tel_sampler->sample(reactors[0]->now());
+  // Crash clock (paper §7 pf) on the control shard. It reads only
+  // cross-thread-safe state: atomic node finished() flags, atomic
+  // liveness, and crash() publication.
+  CrashClock crash_clock(config, group, [&nodes, &group]() {
+    return !settled(nodes, group);
+  });
+  crash_clock.arm(mesh.control());
 
   UdpRunResult result;
-  result.shards = shard_count;
-  result.completed = true;
-  for (const char d : shard_done) result.completed = result.completed && d;
-  result.elapsed = reactors[0]->now();
-
+  result.completed = mesh.run([&board]() { return board.done(); }, deadline);
+  result.elapsed = mesh.control().now();
   if (checker != nullptr) {
-    std::vector<MemberId> alive;
-    for (const MemberId m : group.members()) {
-      if (group.is_alive(m)) alive.push_back(m);
-    }
-    checker->expect_all_finished(alive);
+    checker->expect_all_finished(group.alive_members());
     result.invariant_violations = checker->violations().size();
     if (!checker->violations().empty()) {
       result.first_violation = checker->violations().front().what;
     }
   }
-
-  // Fold per-shard tallies in shard order (deterministic, same trick as
-  // the sweep reducer): transport stats then reactor counters.
-  net::NetworkStats total;
-  for (const auto& transport : transports) {
-    const net::NetworkStats& s = transport->stats();
-    total.messages_sent += s.messages_sent;
-    total.messages_dropped += s.messages_dropped;
-    total.messages_dead_dest += s.messages_dead_dest;
-    total.messages_delivered += s.messages_delivered;
-    total.messages_malformed += s.messages_malformed;
-    total.messages_duplicated += s.messages_duplicated;
-    total.bytes_sent += s.bytes_sent;
-  }
-  result.network = total;
-  result.measurement = protocols::measure_run(group, nodes, votes,
-                                              config.aggregate, total,
-                                              audit.get());
-  for (std::size_t s = 0; s < shard_count; ++s) {
-    result.timers_fired += reactors[s]->timers_fired();
-    result.actions_run += reactors[s]->actions_run();
-    result.polls += reactors[s]->polls();
-    result.eintr_retries += reactors[s]->eintr_retries();
-    result.eintr_retries += transports[s]->recv_eintr_retries();
-  }
+  result.network = mesh.network();
+  result.measurement =
+      protocols::measure_run(group, nodes, world.votes, config.aggregate,
+                             result.network, world.audit.get());
+  mesh.fold_counters(result);
   return result;
 }
 

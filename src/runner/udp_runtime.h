@@ -1,27 +1,21 @@
 // The real-socket runner: the same experiment, over UDP on loopback.
 //
-// run_udp_experiment builds the identical world run_experiment builds —
-// same votes, views, hash salt, hierarchy, audit bit order, per-node RNG
-// streams, all via world_setup.h — but wires the nodes to net::UdpTransport
-// shards driven by net::Reactor threads instead of the simulator. Protocol
-// code is byte-for-byte the same; only the NodeEnv seams differ. The
-// UDP-vs-simulator differential harness (udp_differential.h) is built on
-// exactly that: any disagreement is a transport or timing bug, never a
-// world-construction artifact.
+// run_udp_experiment builds the identical world run_experiment builds (the
+// one world builder, world_setup.h) but wires the nodes to a UdpMesh
+// (udp_mesh.h: reactor threads and UDP transports, shard ownership, no
+// dispatch lock) instead of the simulator. Protocol code is byte-for-byte
+// the same; only the NodeEnv seams differ. The UDP-vs-simulator
+// differential harness (udp_differential.h) is built on exactly that: any
+// disagreement is a transport or timing bug, never a world-construction
+// artifact.
 //
 // Real time replaces virtual time, so two things change at the harness
 // level: the run needs a wall-clock completion deadline (with a generous
 // multiplier — host scheduling noise must not fail a correct run), and the
 // hier-gossip invariant checker runs with fail_fast off, reporting
 // violations after the threads join instead of throwing across them.
-//
-// Threading (DESIGN.md §14): members shard over reactor threads by
-// id % shards, and each shard owns its members end to end — sockets,
-// timers, deliveries, arena lanes. There is no dispatch lock; the state a
-// callback touches outside its shard is concurrency-safe by construction
-// (atomic Group liveness, the mutex-gated AuditRegistry, the concurrent
-// invariant checker, and a per-member completion board folded into one
-// atomic that replaces the old done()-scans-every-node probe).
+// Completion is a per-member board folded into one atomic, so the shards'
+// done-probe is one load, not a scan of every node.
 #pragma once
 
 #include <cstdint>
@@ -44,7 +38,7 @@ struct UdpRunConfig {
   /// must pick disjoint port windows.
   std::uint16_t port_base = 38000;
 
-  /// Reactor shard threads; 0 = min(4, hardware_concurrency, N).
+  /// Reactor shard threads; 0 = the UdpMesh default, min(4, cores, N).
   std::size_t shards = 0;
 
   /// Wall-clock completion deadline = max(min_deadline, deadline_factor ×
@@ -62,7 +56,6 @@ struct UdpRunResult {
   SimTime elapsed = SimTime::zero();  ///< real run time (µs since epoch)
   std::size_t shards = 0;
   std::uint64_t timers_fired = 0;
-  std::uint64_t actions_run = 0;
   std::uint64_t polls = 0;
   std::uint64_t eintr_retries = 0;
 

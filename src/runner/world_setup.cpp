@@ -12,6 +12,143 @@
 
 namespace gridbox::runner {
 
+namespace {
+
+[[nodiscard]] membership::Group positioned_group(const ExperimentConfig& config,
+                                                 const Rng& root) {
+  expects(config.group_size >= 2, "need at least two members");
+  membership::Group group(config.group_size);
+  if (config.assign_positions || config.hash == HashKind::kTopoAware ||
+      config.workload == WorkloadKind::kField) {
+    Rng pos_rng = root.derive(streams::kPosition);
+    group.scatter_positions(pos_rng);
+  }
+  return group;
+}
+
+[[nodiscard]] agg::VoteTable derived_votes(const ExperimentConfig& config,
+                                           const membership::Group& group,
+                                           const Rng& root) {
+  Rng vote_rng = root.derive(streams::kVote);
+  return make_votes(config, group, vote_rng);
+}
+
+}  // namespace
+
+net::ChaosSpec one_shot_chaos(const ExperimentConfig& config) {
+  net::ChaosSpec chaos = net::ChaosSpec::parse(config.chaos_spec);
+  expects(!chaos.has_churn(),
+          "join/recover directives require the service runtime");
+  return chaos;
+}
+
+World::World(const ExperimentConfig& config, const Rng& root)
+    : group(positioned_group(config, root)),
+      votes(derived_votes(config, group, root)),
+      hash(make_hash(config, group, root)),
+      hier(config.group_size, hierarchy_fanout(config), *hash),
+      audit(make_audit(config, group, hier)) {}
+
+std::vector<std::unique_ptr<protocols::ProtocolNode>> make_nodes(
+    const ExperimentConfig& config, const World& world, const Rng& root,
+    protocols::StateArena& arena, protocols::gossip::GossipTrace* trace,
+    const std::function<void(MemberId, protocols::NodeEnv&)>& place) {
+  protocols::NodeEnv env;
+  env.hierarchy = &world.hier;
+  env.audit = world.audit.get();
+  env.arena = &arena;
+  env.is_alive = [group = &world.group](MemberId m) {
+    return group->is_alive(m);
+  };
+  env.kind = config.aggregate;
+  env.trace = trace;
+  ExperimentConfig node_config = config;
+  node_config.gossip.trace = trace;
+
+  Rng view_rng = root.derive(streams::kView);
+  std::vector<std::unique_ptr<protocols::ProtocolNode>> nodes;
+  nodes.reserve(config.group_size);
+  for (const MemberId m : world.group.members()) {
+    protocols::NodeEnv member_env = env;
+    place(m, member_env);
+    nodes.push_back(make_node(node_config, m, world.votes.of(m),
+                              make_view(config, world.group, m, view_rng),
+                              std::move(member_env),
+                              root.derive(streams::kNodeBase + m.value())));
+  }
+  return nodes;
+}
+
+std::unique_ptr<protocols::InvariantChecker> make_checker(
+    const ExperimentConfig& config, const hierarchy::GridBoxHierarchy& hier,
+    const agg::AuditRegistry* audit, const sim::Scheduler* scheduler,
+    SimTime deadline, bool fail_fast, bool concurrent,
+    protocols::gossip::GossipTrace* next) {
+  if (!config.check_invariants ||
+      config.protocol != ProtocolKind::kHierGossip) {
+    return nullptr;
+  }
+  protocols::InvariantChecker::Config icfg;
+  icfg.group_size = config.group_size;
+  icfg.fanout = config.gossip.k;
+  icfg.num_phases = hier.num_phases();
+  icfg.scheduler = scheduler;
+  icfg.audit = audit;
+  icfg.deadline = deadline;
+  icfg.fail_fast = fail_fast;
+  icfg.concurrent = concurrent;
+  icfg.next = next;
+  return std::make_unique<protocols::InvariantChecker>(icfg);
+}
+
+bool settled(const std::vector<std::unique_ptr<protocols::ProtocolNode>>& nodes,
+             const membership::Group& group) {
+  return std::all_of(nodes.begin(), nodes.end(), [&group](const auto& node) {
+    return node->finished() || !group.is_alive(node->self());
+  });
+}
+
+CrashClock::CrashClock(const ExperimentConfig& config, membership::Group& group,
+                       std::function<bool()> keep_going)
+    : model_(config.crash_probability),
+      round_(config.round_duration()),
+      rng_(Rng(config.seed).derive(streams::kCrash)),
+      group_(group),
+      keep_going_(std::move(keep_going)) {}
+
+void CrashClock::arm(sim::Scheduler& scheduler) {
+  if (model_.probability() <= 0.0) return;
+  scheduler.schedule_after(round_, [this, &scheduler]() { tick(scheduler); });
+}
+
+void CrashClock::tick(sim::Scheduler& scheduler) {
+  (void)group_.apply_round_crashes(model_, next_round_++, rng_);
+  if (keep_going_()) arm(scheduler);
+}
+
+std::unique_ptr<net::SimNetwork> make_sim_network(
+    const ExperimentConfig& config, sim::Simulator& simulator,
+    const membership::Group& group, const net::ChaosSpec& chaos) {
+  const Rng root(config.seed);
+  auto network = std::make_unique<net::SimNetwork>(
+      simulator, make_faults(config),
+      std::make_unique<net::UniformLatency>(config.latency_lo,
+                                            config.latency_hi),
+      root.derive(streams::kNet));
+  network->set_liveness([&group](MemberId m) { return group.is_alive(m); });
+  if (chaos.affects_network()) {
+    network->install_chaos(std::make_unique<net::ChaosSchedule>(
+        chaos, make_faults(config), config.group_size,
+        root.derive(streams::kChaos)));
+  }
+  return network;
+}
+
+SimTime scaled_deadline(SimTime horizon, double factor, SimTime floor) {
+  return std::max(floor, SimTime::micros(static_cast<SimTime::underlying>(
+                             static_cast<double>(horizon.ticks()) * factor)));
+}
+
 membership::View make_view(const ExperimentConfig& config,
                            const membership::Group& group, MemberId self,
                            Rng& view_rng) {

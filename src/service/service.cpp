@@ -7,6 +7,7 @@
 #include "src/common/ensure.h"
 #include "src/hashing/fair_hash.h"
 #include "src/net/network.h"
+#include "src/runner/udp_mesh.h"
 #include "src/runner/world_setup.h"
 
 namespace gridbox::service {
@@ -30,20 +31,20 @@ ServiceEngine::ServiceEngine(const ServiceConfig& config, InstanceMux& mux,
       mux_(mux),
       shared_group_(shared_group),
       substrate_(std::move(substrate)),
-      crash_model_(config.experiment.crash_probability),
-      crash_rng_(
-          Rng(config.experiment.seed).derive(runner::streams::kCrash)) {
+      crash_clock_(config.experiment, shared_group, [this]() {
+        return !done_.load(std::memory_order_relaxed);
+      }) {
   const runner::ExperimentConfig& xc = config_.experiment;
   expects(xc.group_size >= 2, "need at least two members");
   expects(config_.instances >= 1, "need at least one instance");
   expects(config_.epoch_interval > SimTime::zero(),
           "epoch interval must be positive");
   expects(config_.max_in_flight >= 1, "in-flight window must be at least 1");
-  expects(substrate_.control != nullptr, "substrate needs a control scheduler");
-  expects(static_cast<bool>(substrate_.scheduler_of) &&
-              static_cast<bool>(substrate_.post_to_member) &&
-              static_cast<bool>(substrate_.count_timers),
-          "substrate seam incomplete");
+  expects((substrate_.simulator != nullptr) != (substrate_.mesh != nullptr),
+          "substrate: exactly one of simulator and mesh");
+  control_ = substrate_.simulator != nullptr
+                 ? static_cast<sim::Scheduler*>(substrate_.simulator)
+                 : &substrate_.mesh->control();
   expects(shared_group_.size() == xc.group_size,
           "shared group size must match the experiment config");
 
@@ -65,10 +66,8 @@ ServiceEngine::ServiceEngine(const ServiceConfig& config, InstanceMux& mux,
   const hierarchy::GridBoxHierarchy probe(
       xc.group_size, runner::hierarchy_fanout(xc), probe_hash);
   const SimTime horizon = runner::protocol_horizon(xc, probe.num_phases());
-  instance_deadline_ = std::max(
-      config_.min_deadline,
-      SimTime::micros(static_cast<SimTime::underlying>(
-          static_cast<double>(horizon.ticks()) * config_.deadline_factor)));
+  instance_deadline_ = runner::scaled_deadline(
+      horizon, config_.deadline_factor, config_.min_deadline);
   // Backstop for the event loop: even a fully serialized stream (every
   // launch deferred behind a failing predecessor) resolves within this.
   const auto n = static_cast<SimTime::underlying>(config_.instances);
@@ -88,51 +87,39 @@ void ServiceEngine::begin() {
     shared_group_.crash(e.member);
   }
   for (const net::ChurnEvent& e : chaos_.joins) {
-    substrate_.control->schedule_at(
+    control_->schedule_at(
         e.at, [this, m = e.member]() { shared_group_.recover(m); });
   }
   for (const net::ChurnEvent& e : chaos_.recovers) {
-    substrate_.control->schedule_at(
+    control_->schedule_at(
         e.at, [this, m = e.member]() { shared_group_.recover(m); });
   }
   // Scripted chaos crashes are service-wide events here (the one-shot
   // runners schedule these themselves; the engine owns them in a service
   // run so they hit the shared view exactly once).
   for (const net::CrashEvent& e : chaos_.crashes) {
-    substrate_.control->schedule_at(
+    control_->schedule_at(
         e.at, [this, m = e.member]() { shared_group_.crash(m); });
   }
 
-  if (config_.experiment.crash_probability > 0.0) {
-    substrate_.control->schedule_after(scan_interval_,
-                                       [this]() { crash_tick(); });
-  }
+  crash_clock_.arm(*control_);
 
   for (std::size_t i = 0; i < config_.instances; ++i) {
     const SimTime due = SimTime::micros(
         config_.epoch_interval.ticks() * static_cast<SimTime::underlying>(i));
-    substrate_.control->schedule_at(
+    control_->schedule_at(
         due, [this, id = static_cast<std::uint32_t>(i)]() {
           on_launch_due(id);
         });
   }
 
-  substrate_.control->schedule_after(scan_interval_, [this]() { scan(); });
-}
-
-void ServiceEngine::crash_tick() {
-  (void)shared_group_.apply_round_crashes(crash_model_, crash_round_++,
-                                          crash_rng_);
-  if (!done_.load(std::memory_order_relaxed)) {
-    substrate_.control->schedule_after(scan_interval_,
-                                       [this]() { crash_tick(); });
-  }
+  control_->schedule_after(scan_interval_, [this]() { scan(); });
 }
 
 void ServiceEngine::fan_crash(MemberId member) {
   for (auto& [id, inst] : live_) {
-    if (inst->state == State::kRunning && inst->group.is_alive(member)) {
-      inst->group.crash(member);
+    if (inst->state == State::kRunning && inst->world.group.is_alive(member)) {
+      inst->world.group.crash(member);
       if (inst->lineage) inst->lineage->on_crash(member);
     }
   }
@@ -151,148 +138,121 @@ void ServiceEngine::sync_telemetry() {
 }
 
 void ServiceEngine::on_launch_due(std::uint32_t id) {
+  // The epoch's cohort is fixed at its due time: deferral delays a launch,
+  // never changes who participates, so cohorts cannot depend on how fast
+  // the substrate drains the window.
+  Due due{id, shared_group_.alive_members()};
   // Launches must stay in id order (the mux's monotone id space), so a due
   // epoch also defers while older deferred launches are still queued.
   if (!deferred_.empty() || running_count() >= config_.max_in_flight) {
-    deferred_.push_back(id);
+    deferred_.push_back(std::move(due));
     ++deferred_count_;
     sync_telemetry();
     return;
   }
-  launch(id);
+  launch(due);
 }
 
 void ServiceEngine::try_launches() {
   while (!deferred_.empty() && running_count() < config_.max_in_flight) {
-    const std::uint32_t id = deferred_.front();
+    const Due due = std::move(deferred_.front());
     deferred_.pop_front();
-    launch(id);
+    launch(due);
   }
 }
 
-void ServiceEngine::launch(std::uint32_t id) {
+void ServiceEngine::launch(const Due& due) {
+  const std::uint32_t id = due.id;
   const runner::ExperimentConfig& xc = config_.experiment;
-  const SimTime now = substrate_.control->now();
+  const SimTime now = control_->now();
 
-  // Per-instance world: same derivation order as run_experiment, but off an
-  // instance-specific root, so every epoch aggregates fresh votes over a
-  // fresh hash salt (hence a fresh hierarchy) — and both substrates derive
-  // bit-identical worlds for the differential oracle.
+  // Per-instance world off an instance-specific root, so every epoch
+  // aggregates fresh votes over a fresh hash salt (hence a fresh hierarchy)
+  // — and both substrates derive bit-identical worlds for the differential
+  // oracle.
   const Rng inst_root = Rng(xc.seed).derive(kInstanceWorld).derive(id);
-  membership::Group igroup(xc.group_size);
-  if (xc.assign_positions || xc.hash == runner::HashKind::kTopoAware ||
-      xc.workload == runner::WorkloadKind::kField) {
-    Rng pos_rng = inst_root.derive(runner::streams::kPosition);
-    igroup.scatter_positions(pos_rng);
-  }
-  Rng vote_rng = inst_root.derive(runner::streams::kVote);
-  agg::VoteTable votes = runner::make_votes(xc, igroup, vote_rng);
-  auto inst =
-      std::make_unique<Instance>(id, std::move(igroup), std::move(votes));
-  inst->hash = runner::make_hash(xc, inst->group, inst_root);
-  inst->hier = std::make_unique<hierarchy::GridBoxHierarchy>(
-      xc.group_size, runner::hierarchy_fanout(xc), *inst->hash);
-  inst->audit = runner::make_audit(xc, inst->group, *inst->hier);
+  auto inst = std::make_unique<Instance>(id, xc, inst_root);
+  runner::World& world = inst->world;
   // With several reactor shards, this instance's nodes register votes and
   // merges from every shard concurrently; arm the registry's internal lock.
-  if (inst->audit != nullptr && substrate_.shards > 1) {
-    inst->audit->set_concurrent(true);
+  if (world.audit != nullptr && shards() > 1) {
+    world.audit->set_concurrent(true);
   }
 
   if (!arena_pool_.empty()) {
     inst->arena = std::move(arena_pool_.back());
     arena_pool_.pop_back();
-    inst->arena->recycle(inst->group.shared_members(), *inst->hier);
+    inst->arena->recycle(world.group.shared_members(), world.hier);
   } else {
     inst->arena =
-        std::make_unique<protocols::StateArena>(inst->group.shared_members());
-    inst->arena->build_phase_tables(*inst->hier);
+        std::make_unique<protocols::StateArena>(world.group.shared_members());
+    inst->arena->build_phase_tables(world.hier);
   }
 
-  // The epoch's cohort: members alive in the shared view right now. To the
-  // instance, everyone else is crashed from the start.
-  for (const MemberId m : inst->group.members()) {
-    if (!shared_group_.is_alive(m)) inst->group.crash(m);
+  // To the instance, everyone outside the epoch's cohort is crashed from
+  // the start; so is a cohort member that crashed while the launch waited
+  // (as if the crash had fanned into a running instance).
+  std::vector<bool> in_cohort(xc.group_size, false);
+  for (const MemberId m : due.cohort) in_cohort[m.value()] = true;
+  for (const MemberId m : world.group.members()) {
+    if (!in_cohort[m.value()]) world.group.crash(m);
   }
-  inst->participants = inst->group.alive_count();
+  inst->participants = world.group.alive_count();
+  for (const MemberId m : due.cohort) {
+    if (!shared_group_.is_alive(m)) world.group.crash(m);
+  }
 
   inst->launched_at = now;
   inst->deadline = now + instance_deadline_;
 
   // Observability chain: node -> checker -> lineage (the checker forwards
   // before checking, so lineage keeps the offending event too).
-  runner::ExperimentConfig node_config = xc;
-  node_config.gossip.trace = nullptr;
   protocols::gossip::GossipTrace* tail = nullptr;
-  if (config_.collect_lineage && substrate_.sim_clock != nullptr &&
+  if (config_.collect_lineage && substrate_.simulator != nullptr &&
       xc.protocol == runner::ProtocolKind::kHierGossip) {
     obs::LineageTracker::Options lopt;
     lopt.group_size = xc.group_size;
-    lopt.simulator = substrate_.sim_clock;
+    lopt.simulator = substrate_.simulator;
     inst->lineage = std::make_unique<obs::LineageTracker>(lopt);
-    inst->lineage->capture_hierarchy(*inst->hier);
+    inst->lineage->capture_hierarchy(world.hier);
     tail = inst->lineage.get();
   }
-  if (xc.check_invariants && xc.protocol == runner::ProtocolKind::kHierGossip) {
-    protocols::InvariantChecker::Config icfg;
-    icfg.group_size = xc.group_size;
-    icfg.fanout = xc.gossip.k;
-    icfg.num_phases = inst->hier->num_phases();
-    icfg.scheduler = substrate_.control;
-    icfg.audit = inst->audit.get();
-    // Theorem 1 is meaningful on the virtual clock; on a real host the
-    // instance deadline (a generous multiple of the horizon) plays that
-    // role, so scheduler noise cannot fake a violation.
-    icfg.deadline =
-        substrate_.sim_clock != nullptr
-            ? now + runner::protocol_horizon(xc, inst->hier->num_phases())
-            : inst->deadline;
-    icfg.fail_fast = substrate_.sim_clock != nullptr;
-    icfg.concurrent = substrate_.shards > 1;
-    icfg.next = tail;
-    inst->checker = std::make_unique<protocols::InvariantChecker>(icfg);
-    node_config.gossip.trace = inst->checker.get();
-  } else {
-    node_config.gossip.trace = tail;
-  }
+  // Theorem 1 is meaningful on the virtual clock; on a real host the
+  // instance deadline (a generous multiple of the horizon) plays that
+  // role, so scheduler noise cannot fake a violation.
+  const bool on_sim = substrate_.simulator != nullptr;
+  inst->checker = runner::make_checker(
+      xc, world.hier, world.audit.get(), control_,
+      on_sim ? now + runner::protocol_horizon(xc, world.hier.num_phases())
+             : inst->deadline,
+      /*fail_fast=*/on_sim, /*concurrent=*/shards() > 1, tail);
 
   inst->sender = mux_.open_instance(id);
 
-  protocols::NodeEnv base_env;
-  base_env.network = inst->sender.get();
-  base_env.hierarchy = inst->hier.get();
-  base_env.audit = inst->audit.get();
-  base_env.arena = inst->arena.get();
-  base_env.is_alive = [g = &inst->group](MemberId m) {
-    return g->is_alive(m);
-  };
-  base_env.kind = xc.aggregate;
-  base_env.trace = node_config.gossip.trace;
-
   // All N nodes are constructed (measure_run and the sequential view-RNG
   // consumption both require it); only participants attach and start.
-  Rng view_rng = inst_root.derive(runner::streams::kView);
-  inst->nodes.reserve(xc.group_size);
-  for (const MemberId m : inst->group.members()) {
-    protocols::NodeEnv env = base_env;
-    env.scheduler = substrate_.scheduler_of(m);
-    auto node = runner::make_node(
-        node_config, m, inst->votes.of(m),
-        runner::make_view(xc, inst->group, m, view_rng), env,
-        inst_root.derive(runner::streams::kNodeBase + m.value()));
-    if (inst->group.is_alive(m)) inst->sender->attach(m, *node);
-    inst->nodes.push_back(std::move(node));
+  inst->nodes = runner::make_nodes(
+      xc, world, inst_root, *inst->arena,
+      inst->checker != nullptr ? inst->checker.get() : tail,
+      [this, sender = inst->sender.get()](MemberId m,
+                                          protocols::NodeEnv& env) {
+        env.scheduler = &scheduler_of(m);
+        env.network = sender;
+      });
+  for (const auto& node : inst->nodes) {
+    if (world.group.is_alive(node->self())) {
+      inst->sender->attach(node->self(), *node);
+    }
   }
   for (const auto& node : inst->nodes) {
     const MemberId m = node->self();
-    if (!inst->group.is_alive(m)) continue;
+    if (!world.group.is_alive(m)) continue;
     // Starting schedules timers, which is only thread-legal on the member's
     // own shard. The liveness re-check covers a crash landing between this
     // post and its execution.
-    substrate_.post_to_member(
-        m, [node = node.get(), g = &inst->group, m, at = now]() {
-          if (g->is_alive(m)) node->start(at);
-        });
+    post(m, [node = node.get(), g = &world.group, m, at = now]() {
+      if (g->is_alive(m)) node->start(at);
+    });
   }
 
   live_.emplace(id, std::move(inst));
@@ -301,20 +261,10 @@ void ServiceEngine::launch(std::uint32_t id) {
   sync_telemetry();
 }
 
-bool ServiceEngine::instance_done(const Instance& inst) const {
-  for (const auto& node : inst.nodes) {
-    if (!node->finished() && inst.group.is_alive(node->self())) return false;
-  }
-  return true;
-}
-
 void ServiceEngine::complete(Instance& inst, SimTime now) {
   inst.completed_at = now;
   completion_times_.push_back(now - inst.launched_at);
-  inst.network = inst.sender->stats();
-  mux_.close_instance(inst.id);
-  inst.state = State::kDraining;
-  --in_flight_;
+  close(inst, State::kDraining);
   ++completed_count_;
   if (substrate_.telemetry != nullptr) {
     substrate_.telemetry->service().epoch_latency_us.observe(
@@ -323,22 +273,39 @@ void ServiceEngine::complete(Instance& inst, SimTime now) {
   sync_telemetry();
 }
 
-void ServiceEngine::fail(Instance& inst) {
+void ServiceEngine::close(Instance& inst, State state) {
   inst.network = inst.sender->stats();
   mux_.close_instance(inst.id);
-  inst.state = State::kFailed;
+  inst.state = state;
   --in_flight_;
+}
+
+void ServiceEngine::fail(Instance& inst) {
+  close(inst, State::kFailed);
   ++failed_count_;
   sync_telemetry();
   if (inst.checker) {
     // Materialize never-finished violations for the report (collect mode:
     // the UDP substrate never fail-fasts).
-    std::vector<MemberId> alive;
-    for (const MemberId m : inst.group.members()) {
-      if (inst.group.is_alive(m)) alive.push_back(m);
-    }
-    inst.checker->expect_all_finished(alive);
+    inst.checker->expect_all_finished(inst.world.group.alive_members());
   }
+}
+
+sim::Scheduler& ServiceEngine::scheduler_of(MemberId m) const {
+  if (substrate_.simulator != nullptr) return *substrate_.simulator;
+  return substrate_.mesh->reactor_of(m);
+}
+
+void ServiceEngine::post(MemberId m, sim::Action action) const {
+  if (substrate_.simulator != nullptr) {
+    action();
+  } else {
+    substrate_.mesh->post(m, std::move(action));
+  }
+}
+
+std::size_t ServiceEngine::shards() const {
+  return substrate_.mesh != nullptr ? substrate_.mesh->shard_count() : 1;
 }
 
 void ServiceEngine::probe_drain(Instance& inst) {
@@ -351,13 +318,16 @@ void ServiceEngine::probe_drain(Instance& inst) {
     targets->push_back(static_cast<const sim::TimerTarget*>(node.get()));
   }
   std::sort(targets->begin(), targets->end());
-  substrate_.count_timers(
-      [targets](const sim::TimerTarget* t) {
-        return std::binary_search(targets->begin(), targets->end(), t);
-      },
-      [this, id = inst.id](std::size_t pending) {
-        on_drain_count(id, pending);
-      });
+  const auto pred = [targets](const sim::TimerTarget* t) {
+    return std::binary_search(targets->begin(), targets->end(), t);
+  };
+  if (substrate_.simulator != nullptr) {
+    on_drain_count(inst.id, substrate_.simulator->count_timers_where(pred));
+  } else {
+    substrate_.mesh->count_timers(pred, [this, id = inst.id](std::size_t n) {
+      on_drain_count(id, n);
+    });
+  }
 }
 
 void ServiceEngine::on_drain_count(std::uint32_t id, std::size_t pending) {
@@ -371,29 +341,31 @@ void ServiceEngine::on_drain_count(std::uint32_t id, std::size_t pending) {
   maybe_done();
 }
 
-void ServiceEngine::finalize(Instance& inst, bool teardown) {
+InstanceResult ServiceEngine::row_of(const Instance& inst) const {
   InstanceResult row;
   row.id = inst.id;
-  row.completed = true;
   row.launched_at = inst.launched_at;
   row.completed_at = inst.completed_at;
   row.participants = inst.participants;
   row.network = inst.network;
   if (inst.checker) {
-    std::vector<MemberId> alive;
-    for (const MemberId m : inst.group.members()) {
-      if (inst.group.is_alive(m)) alive.push_back(m);
-    }
-    inst.checker->expect_all_finished(alive);
     row.invariant_violations = inst.checker->violations().size();
     if (!inst.checker->violations().empty()) {
       row.first_violation = inst.checker->violations().front().what;
     }
   }
-  row.measurement =
-      protocols::measure_run(inst.group, inst.nodes, inst.votes,
-                             config_.experiment.aggregate, inst.network,
-                             inst.audit.get());
+  return row;
+}
+
+void ServiceEngine::finalize(Instance& inst, bool teardown) {
+  if (inst.checker) {
+    inst.checker->expect_all_finished(inst.world.group.alive_members());
+  }
+  InstanceResult row = row_of(inst);
+  row.completed = true;
+  row.measurement = protocols::measure_run(
+      inst.world.group, inst.nodes, inst.world.votes,
+      config_.experiment.aggregate, inst.network, inst.world.audit.get());
   if (inst.lineage) row.lineage_json = inst.lineage->to_json();
   results_.push_back(std::move(row));
   if (teardown) {
@@ -406,7 +378,7 @@ void ServiceEngine::finalize(Instance& inst, bool teardown) {
 }
 
 void ServiceEngine::scan() {
-  const SimTime now = substrate_.control->now();
+  const SimTime now = control_->now();
   try_launches();
   std::vector<std::uint32_t> ids;
   ids.reserve(live_.size());
@@ -417,7 +389,7 @@ void ServiceEngine::scan() {
     if (it == live_.end()) continue;
     Instance& inst = *it->second;
     if (inst.state == State::kRunning) {
-      if (instance_done(inst)) {
+      if (runner::settled(inst.nodes, inst.world.group)) {
         complete(inst, now);
       } else if (now >= inst.deadline) {
         fail(inst);
@@ -436,7 +408,7 @@ void ServiceEngine::scan() {
   try_launches();
   maybe_done();
   if (!done_.load(std::memory_order_relaxed)) {
-    substrate_.control->schedule_after(scan_interval_, [this]() { scan(); });
+    control_->schedule_after(scan_interval_, [this]() { scan(); });
   }
 }
 
@@ -451,7 +423,7 @@ ServiceResult ServiceEngine::collect() {
   collected_ = true;
 
   ServiceResult result;
-  result.elapsed = substrate_.control->now();
+  result.elapsed = control_->now();
 
   // Stragglers the event loop abandoned (global deadline / event budget):
   // draining ones did answer — measure them in place, without destroying
@@ -460,31 +432,14 @@ ServiceResult ServiceEngine::collect() {
     if (inst->state == State::kDraining) {
       finalize(*inst, /*teardown=*/false);
     } else if (inst->state == State::kRunning) {
-      inst->network = inst->sender->stats();
-      mux_.close_instance(inst->id);
-      inst->state = State::kFailed;
-      --in_flight_;
+      close(*inst, State::kFailed);
       ++failed_count_;
       parked_.push_back(std::move(inst));
     }
   }
   live_.clear();
 
-  for (const auto& inst : parked_) {
-    InstanceResult row;
-    row.id = inst->id;
-    row.completed = false;
-    row.launched_at = inst->launched_at;
-    row.participants = inst->participants;
-    row.network = inst->network;
-    if (inst->checker) {
-      row.invariant_violations = inst->checker->violations().size();
-      if (!inst->checker->violations().empty()) {
-        row.first_violation = inst->checker->violations().front().what;
-      }
-    }
-    results_.push_back(std::move(row));
-  }
+  for (const auto& inst : parked_) results_.push_back(row_of(*inst));
 
   std::sort(results_.begin(), results_.end(),
             [](const InstanceResult& a, const InstanceResult& b) {
@@ -512,6 +467,15 @@ ServiceResult ServiceEngine::collect() {
   return result;
 }
 
+bool ServiceResult::clean() const {
+  return completed &&
+         std::all_of(instances.begin(), instances.end(),
+                     [](const InstanceResult& i) {
+                       return i.completed && protocols::honest(i.measurement) &&
+                              i.invariant_violations == 0;
+                     });
+}
+
 std::string lineage_multi_json(const std::vector<InstanceResult>& instances) {
   // The per-instance documents are already serialized JSON objects; the
   // container only nests them, so plain concatenation is exact.
@@ -536,43 +500,21 @@ ServiceResult run_service_experiment(const ServiceConfig& config) {
       std::max<std::uint64_t>(500'000'000, static_cast<std::uint64_t>(1000) *
                                                xc.group_size *
                                                config.instances));
-  const Rng root(xc.seed);
-
   membership::Group shared_group(xc.group_size);
-  net::SimNetwork network(simulator, runner::make_faults(xc),
-                          std::make_unique<net::UniformLatency>(xc.latency_lo,
-                                                               xc.latency_hi),
-                          root.derive(runner::streams::kNet));
-  network.set_liveness(
-      [&shared_group](MemberId m) { return shared_group.is_alive(m); });
-  const net::ChaosSpec chaos = net::ChaosSpec::parse(xc.chaos_spec);
-  if (chaos.affects_network()) {
-    network.install_chaos(std::make_unique<net::ChaosSchedule>(
-        chaos, runner::make_faults(xc), xc.group_size,
-        root.derive(runner::streams::kChaos)));
-  }
+  const std::unique_ptr<net::SimNetwork> network = runner::make_sim_network(
+      xc, simulator, shared_group, net::ChaosSpec::parse(xc.chaos_spec));
 
   InstanceMux::Options mopt;
   mopt.group_size = xc.group_size;
   mopt.transport_of = [&network](MemberId) -> net::Transport* {
-    return &network;
+    return network.get();
   };
   mopt.max_instances = config.instances;
   InstanceMux mux(std::move(mopt));
   mux.attach_all();
 
   ServiceEngine::Substrate substrate;
-  substrate.control = &simulator;
-  substrate.scheduler_of = [&simulator](MemberId) -> sim::Scheduler* {
-    return &simulator;
-  };
-  substrate.post_to_member = [](MemberId, sim::Action action) { action(); };
-  substrate.count_timers =
-      [&simulator](std::function<bool(const sim::TimerTarget*)> pred,
-                   std::function<void(std::size_t)> done) {
-        done(simulator.count_timers_where(pred));
-      };
-  substrate.sim_clock = &simulator;
+  substrate.simulator = &simulator;
 
   // Live telemetry: the simulator is one shard, so one lane. The sampler
   // ticks on the virtual clock, making the whole JSONL series a pure

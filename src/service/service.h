@@ -12,9 +12,10 @@
 //   launch    — a fresh world (votes, hash salt, hierarchy, audit, nodes)
 //               derived from Rng(seed).derive(kInstanceWorld).derive(id);
 //               participants are the members alive in the shared group at
-//               launch. Launches respect the max_in_flight window: an epoch
-//               due while the window is full is deferred, launching (in id
-//               order) as soon as a slot frees.
+//               the epoch's due time. Launches respect the max_in_flight
+//               window: an epoch due while the window is full is deferred,
+//               launching (in id order) as soon as a slot frees, with the
+//               cohort it had when due.
 //   running   — nodes execute; crashes in the shared liveness view fan into
 //               every running instance's own membership view.
 //   draining  — every participant finished (or died): the instance closes
@@ -32,7 +33,7 @@
 //
 // Churn: `join M at=T` marks M absent from service start (it participates
 // in no instance) until T, when it enters the shared view again and is a
-// participant of every instance launched from the next epoch on — joiners
+// participant of every instance due from the next epoch on — joiners
 // enter at epoch boundaries, never mid-instance. `recover M at=T` re-enters
 // a (chaos-)crashed member the same way. Running instances never resurrect
 // a member: their membership view only shrinks.
@@ -47,13 +48,8 @@
 #include <unordered_map>
 #include <vector>
 
-#include "src/agg/audit.h"
-#include "src/agg/vote.h"
 #include "src/common/rng.h"
 #include "src/common/types.h"
-#include "src/hashing/hash_function.h"
-#include "src/hierarchy/hierarchy.h"
-#include "src/membership/crash_model.h"
 #include "src/membership/group.h"
 #include "src/net/chaos.h"
 #include "src/net/stats.h"
@@ -63,9 +59,14 @@
 #include "src/protocols/node.h"
 #include "src/protocols/protocol_stats.h"
 #include "src/runner/config.h"
+#include "src/runner/world_setup.h"
 #include "src/service/mux.h"
 #include "src/sim/scheduler.h"
 #include "src/sim/simulator.h"
+
+namespace gridbox::runner {
+class UdpMesh;
+}  // namespace gridbox::runner
 
 namespace gridbox::service {
 
@@ -105,7 +106,7 @@ struct InstanceResult {
   bool completed = false;
   SimTime launched_at = SimTime::zero();
   SimTime completed_at = SimTime::zero();
-  /// Members alive in the shared group at launch (the epoch's cohort).
+  /// Members alive in the shared group at the epoch's due time (its cohort).
   std::size_t participants = 0;
   protocols::RunMeasurement measurement;
   net::NetworkStats network;
@@ -134,47 +135,32 @@ struct ServiceMetrics {
 struct ServiceResult {
   /// Every instance completed and none failed.
   bool completed = false;
+  /// completed, and every instance honest and invariant-clean.
+  [[nodiscard]] bool clean() const;
   SimTime elapsed = SimTime::zero();
   std::vector<InstanceResult> instances;  ///< sorted by id
   ServiceMetrics metrics;
 };
 
-/// The service engine. Substrate-agnostic: all scheduling goes through the
-/// Substrate seam, so the same engine drives the simulator and the UDP
-/// reactor mesh. There is no dispatch lock (DESIGN.md §14): every callback
-/// the engine schedules runs on the control shard's thread (the simulator
-/// thread in the sim substrate), so the engine's own bookkeeping is
+/// The service engine, on the simulator or the UDP reactor mesh
+/// (Substrate). There is no dispatch lock (DESIGN.md §14): every callback
+/// the engine schedules runs on the control thread, so its bookkeeping is
 /// single-threaded by construction. What other shards touch concurrently
 /// is safe on its own terms — node completion and Group liveness are
-/// atomic, the mux is lock-free, `done_` (the run_until probe every shard
-/// reads) is an atomic flag, and with `Substrate::shards > 1` each
-/// instance's audit registry and invariant checker are armed for
-/// concurrent trace events.
+/// atomic, the mux is lock-free, and `done_` (the run_until probe every
+/// shard reads) is an atomic flag.
 class ServiceEngine {
  public:
+  /// Where the stream runs: exactly one of `simulator` and `mesh` is set.
+  /// The simulator runs everything inline on its one thread, with
+  /// Theorem-1 checker deadlines, fail-fast invariants and lineage
+  /// timestamps. On the UDP mesh the engine's bookkeeping runs on the
+  /// control shard, nodes start on their own shard, drain detection hops
+  /// every shard, and with more than one shard each instance's audit
+  /// registry and invariant checker are armed for concurrent trace events.
   struct Substrate {
-    /// Scheduler for engine bookkeeping (launch clock, scan, churn script).
-    /// UDP: reactor 0. All begin()-time scheduling happens on it.
-    sim::Scheduler* control = nullptr;
-    /// Scheduler owning a given member's timers (its shard reactor).
-    std::function<sim::Scheduler*(MemberId)> scheduler_of;
-    /// Runs an action on the member's shard (inline in the simulator;
-    /// Reactor::post on UDP). Used to start nodes on their own shard, where
-    /// scheduling is thread-legal.
-    std::function<void(MemberId, sim::Action)> post_to_member;
-    /// Counts pending timers matching `pred` across every shard, then calls
-    /// `done(count)` back on the control scheduler. The engine's drain
-    /// detection: an instance's nodes are quiescent when the count is zero.
-    std::function<void(std::function<bool(const sim::TimerTarget*)>,
-                       std::function<void(std::size_t)>)>
-        count_timers;
-    /// Non-null on the simulator substrate: enables Theorem-1 checker
-    /// deadlines, fail-fast invariants, and lineage timestamping.
-    const sim::Simulator* sim_clock = nullptr;
-    /// Reactor shard threads driving the run (1 on the simulator). With
-    /// more than one, the engine arms each instance's audit registry and
-    /// invariant checker for concurrent trace events.
-    std::size_t shards = 1;
+    sim::Simulator* simulator = nullptr;
+    runner::UdpMesh* mesh = nullptr;
     /// Live telemetry hub (non-owning; may be null). The engine fills the
     /// service section — launch/complete/fail/defer counts, window
     /// occupancy gauges, the epoch-latency histogram — all on the control
@@ -215,8 +201,9 @@ class ServiceEngine {
 
   /// One live instance: its own world over the shared members.
   struct Instance {
-    Instance(std::uint32_t instance_id, membership::Group g, agg::VoteTable v)
-        : id(instance_id), group(std::move(g)), votes(std::move(v)) {}
+    Instance(std::uint32_t instance_id, const runner::ExperimentConfig& config,
+             const Rng& root)
+        : id(instance_id), world(config, root) {}
 
     std::uint32_t id = 0;
     State state = State::kRunning;
@@ -224,14 +211,11 @@ class ServiceEngine {
     SimTime deadline = SimTime::zero();
     SimTime completed_at = SimTime::zero();
     std::size_t participants = 0;
-    /// The instance's own membership view: participants alive, everyone
-    /// else crashed. Shrinks with shared-group crashes while running;
-    /// frozen from draining on (so measurement is stable).
-    membership::Group group;
-    agg::VoteTable votes;
-    std::unique_ptr<hashing::HashFunction> hash;
-    std::unique_ptr<hierarchy::GridBoxHierarchy> hier;
-    std::unique_ptr<agg::AuditRegistry> audit;
+    /// The instance's world. Its group is the instance's own membership
+    /// view: participants alive, everyone else crashed. Shrinks with
+    /// shared-group crashes while running; frozen from draining on (so
+    /// measurement is stable).
+    runner::World world;
     std::unique_ptr<protocols::StateArena> arena;
     std::unique_ptr<obs::LineageTracker> lineage;
     std::unique_ptr<protocols::InvariantChecker> checker;
@@ -243,13 +227,29 @@ class ServiceEngine {
     bool count_outstanding = false;
   };
 
+  /// A due launch: the instance id and its cohort, the members alive in the
+  /// shared view at the due time.
+  struct Due {
+    std::uint32_t id = 0;
+    std::vector<MemberId> cohort;
+  };
+
   void on_launch_due(std::uint32_t id);
   void try_launches();
-  void launch(std::uint32_t id);
+  void launch(const Due& due);
   void scan();
-  [[nodiscard]] bool instance_done(const Instance& inst) const;
   void complete(Instance& inst, SimTime now);
   void fail(Instance& inst);
+  /// Snapshots the sender's stats, closes the instance in the mux, and
+  /// leaves the in-flight window.
+  void close(Instance& inst, State state);
+  /// The result fields every outcome reports (checker findings as of now).
+  [[nodiscard]] InstanceResult row_of(const Instance& inst) const;
+  /// The scheduler owning member m's timers (its shard reactor on UDP).
+  [[nodiscard]] sim::Scheduler& scheduler_of(MemberId m) const;
+  /// Runs `action` on member m's shard (inline in the simulator).
+  void post(MemberId m, sim::Action action) const;
+  [[nodiscard]] std::size_t shards() const;
   void probe_drain(Instance& inst);
   void on_drain_count(std::uint32_t id, std::size_t pending);
   /// Measures a drained instance into results_. With `teardown`, also
@@ -257,7 +257,6 @@ class ServiceEngine {
   /// or after the event loop stopped).
   void finalize(Instance& inst, bool teardown);
   void fan_crash(MemberId member);
-  void crash_tick();
   void maybe_done();
   /// Mirrors the engine's stream counters into the telemetry hub's service
   /// section (no-op when telemetry is off). Control thread only.
@@ -268,10 +267,10 @@ class ServiceEngine {
   InstanceMux& mux_;
   membership::Group& shared_group_;
   Substrate substrate_;
+  /// Engine bookkeeping runs here: the simulator, or the control shard.
+  sim::Scheduler* control_ = nullptr;
   net::ChaosSpec chaos_;
-  membership::PerRoundCrash crash_model_;
-  Rng crash_rng_;
-  std::uint64_t crash_round_ = 0;
+  runner::CrashClock crash_clock_;
 
   SimTime scan_interval_ = SimTime::zero();
   SimTime instance_deadline_ = SimTime::zero();
@@ -279,7 +278,7 @@ class ServiceEngine {
 
   std::unordered_map<std::uint32_t, std::unique_ptr<Instance>> live_;
   std::vector<std::unique_ptr<Instance>> parked_;  ///< failed, kept to teardown
-  std::deque<std::uint32_t> deferred_;
+  std::deque<Due> deferred_;
   std::vector<std::unique_ptr<protocols::StateArena>> arena_pool_;
   std::vector<InstanceResult> results_;
   std::vector<SimTime> completion_times_;

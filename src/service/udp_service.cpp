@@ -1,212 +1,55 @@
 #include "src/service/udp_service.h"
 
 #include <algorithm>
-#include <exception>
-#include <functional>
-#include <memory>
 #include <sstream>
-#include <thread>
 #include <utility>
 #include <vector>
 
 #include "src/common/ensure.h"
-#include "src/net/chaos.h"
-#include "src/net/reactor.h"
-#include "src/net/telemetry_socket.h"
-#include "src/net/udp_transport.h"
-#include "src/runner/udp_runtime.h"
-#include "src/runner/world_setup.h"
+#include "src/runner/udp_mesh.h"
 
 namespace gridbox::service {
-
-namespace {
-
-/// Self-stopping periodic sampler tick on the control reactor: samples on
-/// the reactor clock and stops rescheduling once the stream resolves, so
-/// the wheel quiesces with the run.
-struct SamplerTick final : sim::TimerTarget {
-  obs::TelemetrySampler* sampler = nullptr;
-  net::Reactor* clock = nullptr;
-  std::function<bool()> keep_going;
-
-  bool on_timer(std::uint32_t /*timer_id*/) override {
-    sampler->sample(clock->now());
-    return keep_going();
-  }
-};
-
-}  // namespace
 
 UdpServiceResult run_udp_service(const UdpServiceConfig& udp_config) {
   const ServiceConfig& service = udp_config.service;
   const runner::ExperimentConfig& config = service.experiment;
   expects(config.group_size >= 2, "need at least two members");
+
   // One socket per member for the whole service — the mux keeps the fd
   // count independent of the instance count.
-  const std::uint64_t fd_need = config.group_size + 64;
-  runner::require_fd_capacity(fd_need);
-
-  const Rng root(config.seed);
   membership::Group shared_group(config.group_size);
-
-  const std::size_t shard_count =
-      udp_config.shards > 0
-          ? udp_config.shards
-          : std::max<std::size_t>(
-                1, std::min<std::size_t>(
-                       {4, std::thread::hardware_concurrency(),
-                        config.group_size}));
-  const auto epoch = std::chrono::steady_clock::now();
-  std::vector<std::unique_ptr<net::Reactor>> reactors;
-  std::vector<std::unique_ptr<net::UdpTransport>> transports;
-  reactors.reserve(shard_count);
-  transports.reserve(shard_count);
-  const net::ChaosSpec chaos = net::ChaosSpec::parse(config.chaos_spec);
-  const bool shim_active = chaos.affects_network() ||
-                           config.ucast_loss > 0.0 ||
-                           config.partition_loss >= 0.0;
-  const Rng chaos_root = root.derive(runner::streams::kChaos);
-  for (std::size_t s = 0; s < shard_count; ++s) {
-    // No dispatch mutex: each shard dispatches its own members lock-free
-    // (DESIGN.md §14); the mux and the engine are built for that.
-    reactors.push_back(std::make_unique<net::Reactor>(net::Reactor::Options{}));
-    reactors.back()->bind_epoch(epoch);
-    net::UdpTransport::Options topt;
-    topt.port_base = udp_config.port_base;
-    auto transport =
-        std::make_unique<net::UdpTransport>(*reactors.back(), topt);
-    transport->set_liveness(
-        [&shared_group](MemberId m) { return shared_group.is_alive(m); });
-    if (shim_active) {
-      auto schedule = std::make_unique<net::ChaosSchedule>(
-          chaos, runner::make_faults(config), config.group_size,
-          chaos_root.derive(s));
-      transport->install_chaos(std::move(schedule));
-    }
-    transports.push_back(std::move(transport));
-  }
+  runner::UdpMesh mesh(config, udp_config.port_base, udp_config.shards,
+                       shared_group);
 
   InstanceMux::Options mopt;
   mopt.group_size = config.group_size;
-  mopt.transport_of = [&transports, shard_count](MemberId m) ->
-      net::Transport* { return transports[m.value() % shard_count].get(); };
-  mopt.max_instances = service.instances;
-  mopt.shard_count = shard_count;
-  mopt.shard_of = [shard_count](MemberId m) -> std::size_t {
-    return m.value() % shard_count;
+  mopt.transport_of = [&mesh](MemberId m) -> net::Transport* {
+    return &mesh.transport_of(m);
   };
+  mopt.max_instances = service.instances;
+  mopt.shard_count = mesh.shard_count();
+  mopt.shard_of = [&mesh](MemberId m) { return mesh.shard_of(m); };
   InstanceMux mux(std::move(mopt));
   mux.attach_all();  // sockets bind here, once, for every epoch to come
 
-  std::vector<net::Reactor*> shard_reactors;
-  shard_reactors.reserve(shard_count);
-  for (const auto& reactor : reactors) shard_reactors.push_back(reactor.get());
-
+  // Engine bookkeeping, its telemetry section and the sampler all live on
+  // the control shard, so the service section is written and read on one
+  // thread.
   ServiceEngine::Substrate substrate;
-  substrate.control = shard_reactors.front();
-  substrate.scheduler_of = [shard_reactors, shard_count](MemberId m) ->
-      sim::Scheduler* { return shard_reactors[m.value() % shard_count]; };
-  substrate.post_to_member = [shard_reactors, shard_count](MemberId m,
-                                                           sim::Action a) {
-    shard_reactors[m.value() % shard_count]->post(std::move(a));
-  };
-  // Drain detection hops every shard in turn (counting is only legal on
-  // the shard's own thread), then lands the total back on the control
-  // reactor. Built back-to-front so each hop knows its successor.
-  substrate.count_timers =
-      [shard_reactors](std::function<bool(const sim::TimerTarget*)> pred,
-                       std::function<void(std::size_t)> done) {
-        auto total = std::make_shared<std::size_t>(0);
-        std::function<void()> next = [r0 = shard_reactors.front(),
-                                      done = std::move(done), total]() {
-          r0->post([done, total]() { done(*total); });
-        };
-        for (std::size_t s = shard_reactors.size(); s-- > 0;) {
-          next = [r = shard_reactors[s], pred, total,
-                  next = std::move(next)]() {
-            r->post([r, pred, total, next]() {
-              *total += r->count_timers_where(pred);
-              next();
-            });
-          };
-        }
-        next();
-      };
-  substrate.sim_clock = nullptr;
-  substrate.shards = shard_count;
+  substrate.mesh = &mesh;
+  substrate.telemetry = mesh.telemetry();
+  if (substrate.telemetry != nullptr) substrate.telemetry->enable_service();
 
-  // Live telemetry: one lane per shard, reactor + transport of a shard
-  // sharing its lane (both write from the shard's own thread).
-  std::unique_ptr<obs::TelemetryHub> tel_hub;
-  std::unique_ptr<obs::TelemetrySampler> tel_sampler;
-  if (config.telemetry.enabled) {
-    tel_hub = std::make_unique<obs::TelemetryHub>(shard_count);
-    tel_hub->enable_service();
-    for (std::size_t s = 0; s < shard_count; ++s) {
-      reactors[s]->set_telemetry(&tel_hub->lane(s));
-      transports[s]->set_telemetry(&tel_hub->lane(s));
-    }
-    substrate.telemetry = tel_hub.get();
-    tel_sampler =
-        std::make_unique<obs::TelemetrySampler>(*tel_hub, config.telemetry);
-  }
-
-  // The engine's whole schedule lands on reactor 0 before its thread
-  // starts; all later rescheduling happens on that thread.
+  // The engine's whole schedule lands on the control shard before the
+  // threads start; all later rescheduling happens on that thread.
   ServiceEngine engine(service, mux, shared_group, substrate);
   engine.begin();
-
-  // Sampler cadence and (optionally) the stats socket live on reactor 0 —
-  // the control shard, the same thread the engine mutates the service
-  // section on, so latest() is served without locks.
-  SamplerTick sampler_tick;
-  std::unique_ptr<net::TelemetrySocket> tel_socket;
-  if (tel_sampler != nullptr) {
-    sampler_tick.sampler = tel_sampler.get();
-    sampler_tick.clock = shard_reactors.front();
-    sampler_tick.keep_going = [&engine]() { return !engine.finished(); };
-    shard_reactors.front()->schedule_periodic(
-        config.telemetry.interval, config.telemetry.interval, sampler_tick);
-    if (config.telemetry.udp_port != 0) {
-      tel_socket = std::make_unique<net::TelemetrySocket>(
-          *shard_reactors.front(), config.telemetry.udp_port,
-          [sampler = tel_sampler.get()]() { return sampler->latest(); });
-    }
-  }
-
-  const auto done = [&engine]() { return engine.finished(); };
-  const SimTime deadline = engine.global_deadline();
-  std::vector<std::thread> threads;
-  std::vector<std::exception_ptr> errors(shard_count);
-  threads.reserve(shard_count);
-  for (std::size_t s = 0; s < shard_count; ++s) {
-    threads.emplace_back([&, s]() {
-      try {
-        (void)reactors[s]->run_until(done, deadline);
-      } catch (...) {
-        errors[s] = std::current_exception();
-      }
-    });
-  }
-  for (auto& thread : threads) thread.join();
-  for (const std::exception_ptr& error : errors) {
-    if (error) std::rethrow_exception(error);
-  }
+  (void)mesh.run([&engine]() { return engine.finished(); },
+                 engine.global_deadline());
 
   UdpServiceResult result;
   result.result = engine.collect();
-  result.shards = shard_count;
-  // Final sample post-join: the joins ordered every shard's lane writes
-  // before this read, so the closing record is exact, not torn.
-  if (tel_sampler != nullptr) {
-    tel_sampler->sample(shard_reactors.front()->now());
-  }
-  for (std::size_t s = 0; s < shard_count; ++s) {
-    result.timers_fired += reactors[s]->timers_fired();
-    result.polls += reactors[s]->polls();
-    result.eintr_retries += reactors[s]->eintr_retries();
-    result.eintr_retries += transports[s]->recv_eintr_retries();
-  }
+  mesh.fold_counters(result);
   mux.detach_all();
   return result;
 }
@@ -218,12 +61,9 @@ namespace {
 void check_side(const char* side, const InstanceResult& row,
                 std::ostringstream& why) {
   if (!row.completed) why << side << " did not complete; ";
-  if (row.measurement.audit_violations != 0) {
-    why << side << " audit violations: " << row.measurement.audit_violations
-        << "; ";
-  }
-  if (row.measurement.reconstruction_failures != 0) {
-    why << side << " reconstruction failures: "
+  if (!protocols::honest(row.measurement)) {
+    why << side << " dishonest: audit violations "
+        << row.measurement.audit_violations << ", reconstruction failures "
         << row.measurement.reconstruction_failures << "; ";
   }
   if (row.invariant_violations != 0) {

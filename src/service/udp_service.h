@@ -1,18 +1,16 @@
 // The service runtime over real UDP sockets, and its differential oracle.
 //
-// run_udp_service drives the same ServiceEngine the simulator uses, wired
-// to net::UdpTransport shards and net::Reactor threads: one socket per
-// member for the WHOLE service (the mux demultiplexes instances above the
-// transport, so the fd count is constant no matter how many epochs stream
-// through). Engine bookkeeping runs on reactor 0; nodes start on their own
-// shard via Reactor::post; drain detection hops the shards with the posted
-// count_timers chain.
+// run_udp_service drives the same ServiceEngine the simulator uses on the
+// UdpMesh the one-shot UDP runner uses (src/runner/udp_mesh.h): one socket
+// per member for the WHOLE service (the mux demultiplexes instances above
+// the transport, so the fd count is constant no matter how many epochs
+// stream through).
 //
 // run_service_differential is the per-instance differential oracle: the
 // identical ServiceConfig runs on both substrates, and every instance of
 // the stream must independently satisfy the one-shot oracle's agreement
-// definition (completed, audit-clean, reconstructing, finished ==
-// survivors) with bit-identical ground truth — both substrates derive
+// definition (completed, honest, finished == survivors) with bit-identical
+// ground truth — both substrates derive
 // instance i's world from the same Rng(seed).derive(kInstanceWorld)
 // .derive(i) root, so true values must match bit for bit.
 #pragma once
@@ -31,7 +29,7 @@ struct UdpServiceConfig {
   /// must pick disjoint port windows.
   std::uint16_t port_base = 39000;
 
-  /// Reactor shard threads; 0 = min(4, hardware_concurrency, N).
+  /// Reactor shard threads; 0 = the UdpMesh default, min(4, cores, N).
   std::size_t shards = 0;
 };
 

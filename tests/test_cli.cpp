@@ -152,5 +152,102 @@ TEST(Cli, UsageMentionsEveryFlag) {
   }
 }
 
+// gridbox_node's parser shares gridbox_sim's flag-value validation.
+
+NodeCliOptions must_parse_node(const std::vector<std::string>& args) {
+  const NodeCliParseResult result = parse_node_cli(args);
+  EXPECT_TRUE(result.options.has_value()) << result.error;
+  return result.options.value_or(NodeCliOptions{});
+}
+
+std::string must_fail_node(const std::vector<std::string>& args) {
+  const NodeCliParseResult result = parse_node_cli(args);
+  EXPECT_FALSE(result.options.has_value());
+  return result.error;
+}
+
+TEST(NodeCli, DefaultsAreCrashFreeAndAudited) {
+  const NodeCliOptions o = must_parse_node({});
+  EXPECT_EQ(o.udp.experiment.group_size, 200u);
+  EXPECT_DOUBLE_EQ(o.udp.experiment.crash_probability, 0.0);
+  EXPECT_TRUE(o.udp.experiment.audit);
+  EXPECT_EQ(o.udp.port_base, 38000u);
+  EXPECT_EQ(o.udp.shards, 0u);
+  EXPECT_EQ(o.instances, 0u);
+  EXPECT_FALSE(o.differential);
+  EXPECT_TRUE(must_parse_node({"--help", "--bogus"}).show_help);
+}
+
+TEST(NodeCli, AcceptsEveryAggregateGridboxSimAccepts) {
+  EXPECT_EQ(must_parse_node({"--aggregate", "stddev"}).udp.experiment.aggregate,
+            agg::AggregateKind::kStdDev);
+  EXPECT_EQ(must_parse_node({"--aggregate", "range"}).udp.experiment.aggregate,
+            agg::AggregateKind::kRange);
+  EXPECT_NE(must_fail_node({"--aggregate", "median"}).find("unknown"),
+            std::string::npos);
+}
+
+TEST(NodeCli, RejectsNegativeCounts) {
+  EXPECT_NE(must_fail_node({"--n", "-1"}).find("non-negative integer"),
+            std::string::npos);
+  EXPECT_NE(must_fail_node({"--threads", "-1"}).find("non-negative integer"),
+            std::string::npos);
+  EXPECT_NE(must_fail_node({"--instances", "-3"}).find("non-negative"),
+            std::string::npos);
+  EXPECT_NE(must_fail_node({"--n", "12x"}).find("integer"), std::string::npos);
+}
+
+TEST(NodeCli, RejectsPortsOutsideTheUdpRange) {
+  EXPECT_NE(must_fail_node({"--port-base", "70000"}).find("65535"),
+            std::string::npos);
+  EXPECT_NE(must_fail_node({"--telemetry-port", "65536"}).find("65535"),
+            std::string::npos);
+  EXPECT_EQ(must_parse_node({"--port-base", "65535"}).udp.port_base, 65535u);
+}
+
+TEST(NodeCli, RejectsZeroWhereAPositiveValueIsRequired) {
+  EXPECT_FALSE(parse_node_cli({"--round-us", "0"}).options.has_value());
+  EXPECT_FALSE(parse_node_cli({"--in-flight", "0"}).options.has_value());
+  EXPECT_FALSE(
+      parse_node_cli({"--epoch-interval-us", "0"}).options.has_value());
+}
+
+TEST(NodeCli, ParsesRunServiceAndHarnessFlags) {
+  const NodeCliOptions o = must_parse_node(
+      {"--n", "64", "--protocol", "committee", "--seed", "9", "--threads",
+       "2", "--loss", "0.1", "--round-us", "5000", "--deadline-factor", "4",
+       "--instances", "3", "--epoch-interval-us", "20000", "--in-flight",
+       "2", "--telemetry-interval-us", "50000", "--differential",
+       "--report-dir", "out"});
+  EXPECT_EQ(o.udp.experiment.group_size, 64u);
+  EXPECT_EQ(o.udp.experiment.protocol, ProtocolKind::kCommittee);
+  EXPECT_EQ(o.udp.experiment.seed, 9u);
+  EXPECT_EQ(o.udp.shards, 2u);
+  EXPECT_DOUBLE_EQ(o.udp.experiment.ucast_loss, 0.1);
+  EXPECT_EQ(o.udp.experiment.gossip.round_duration, SimTime::micros(5000));
+  EXPECT_DOUBLE_EQ(o.udp.deadline_factor, 4.0);
+  EXPECT_EQ(o.instances, 3u);
+  EXPECT_EQ(o.epoch_interval, SimTime::micros(20000));
+  EXPECT_EQ(o.in_flight, 2u);
+  EXPECT_TRUE(o.udp.experiment.telemetry.enabled);
+  EXPECT_TRUE(o.differential);
+  EXPECT_EQ(o.report_dir, "out");
+}
+
+TEST(NodeCli, ValidatesChaosSpecsAtTheCommandLine) {
+  EXPECT_EQ(must_parse_node({"--chaos-spec", "loss 0.05"})
+                .udp.experiment.chaos_spec,
+            "loss 0.05");
+  EXPECT_NE(must_fail_node({"--chaos-spec", "frobnicate 3"}).find("--chaos-spec"),
+            std::string::npos);
+  EXPECT_EQ(must_parse_node({"--chaos", "loss 0.05;crash M3 at=10ms"})
+                .udp.experiment.chaos_spec,
+            "loss 0.05\ncrash M3 at=10ms");
+  EXPECT_NE(must_fail_node({"--chaos", "/nonexistent/spec"}).find("--chaos"),
+            std::string::npos);
+  EXPECT_NE(must_fail_node({"--frobnicate"}).find("unknown flag"),
+            std::string::npos);
+}
+
 }  // namespace
 }  // namespace gridbox::runner

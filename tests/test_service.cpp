@@ -406,6 +406,38 @@ TEST(ServiceEngine, RecoverReentersACrashedMemberAtAnEpochBoundary) {
   EXPECT_EQ(result.instances[3].participants, 16u);
 }
 
+TEST(ServiceEngine, DeferredLaunchesKeepTheirDueTimeCohort) {
+  // Window 1 against a 5 ms cadence: epochs 1 and 2 (due at 5 and 10 ms)
+  // wait behind epoch 0, which runs for tens of ms. M5 joins at 7 ms and M3
+  // crashes at 12 ms while they wait; each keeps the cohort it had when
+  // due — deferral timing, which differs between substrates, must not
+  // change who participates.
+  service::ServiceConfig sc;
+  sc.experiment.group_size = 16;
+  sc.experiment.seed = 9;
+  sc.experiment.ucast_loss = 0.0;
+  sc.experiment.crash_probability = 0.0;
+  sc.experiment.audit = true;
+  sc.experiment.gossip.round_duration = SimTime::millis(2);
+  sc.experiment.chaos_spec = "join M5 at=7ms\ncrash M3 at=12ms\n";
+  sc.instances = 3;
+  sc.epoch_interval = SimTime::millis(5);
+  sc.max_in_flight = 1;
+
+  const service::ServiceResult result = service::run_service_experiment(sc);
+  ASSERT_TRUE(result.clean());
+  ASSERT_EQ(result.instances.size(), 3u);
+  EXPECT_EQ(result.metrics.deferred, 2u);
+  EXPECT_GT(result.instances[1].launched_at, SimTime::millis(12));
+  // Due at 0 and 5 ms: M5 absent. Due at 10 ms: M5 in. M3 is in all three.
+  EXPECT_EQ(result.instances[0].participants, 15u);
+  EXPECT_EQ(result.instances[1].participants, 15u);
+  EXPECT_EQ(result.instances[2].participants, 16u);
+  // M3 crashed before epochs 1 and 2 launched: it never ran in them.
+  EXPECT_EQ(result.instances[1].measurement.survivors, 14u);
+  EXPECT_EQ(result.instances[2].measurement.survivors, 15u);
+}
+
 TEST(ServiceEngine, LineageCollectsOneDocumentPerInstance) {
   service::ServiceConfig sc = small_service();
   sc.instances = 2;

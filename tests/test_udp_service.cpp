@@ -3,13 +3,17 @@
 // scripted churn, cross-checked per instance against the simulator — every
 // instance must be audit-clean, reconstructing, invariant-clean, and
 // bit-equal on ground truth across the two substrates. Also the one-shot
-// UDP runner's churn rejection (validated before any socket binds).
+// UDP runner's churn rejection (validated before any socket binds), and
+// shard-count invariance of the service stream.
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstdint>
+#include <string>
 #include <vector>
 
 #include "src/common/ensure.h"
+#include "src/protocols/protocol_stats.h"
 #include "src/runner/udp_runtime.h"
 #include "src/service/udp_service.h"
 
@@ -74,6 +78,53 @@ TEST(UdpService, SixtyFourInstanceDifferentialUnderLossAndChurn) {
   EXPECT_GT(report.udp.result.metrics.demux.delivered, 0u);
   EXPECT_EQ(report.udp.result.metrics.demux.malformed_envelope, 0u);
   EXPECT_EQ(report.udp.result.metrics.demux.unknown_instance, 0u);
+}
+
+// Sharding is an execution detail of the service too: the same 8-instance
+// stream under loss, run on 1, 2 and 4 reactor shards, must resolve every
+// instance cleanly and derive the bit-identical world per instance at every
+// shard count. Port window 41000–41300.
+TEST(UdpService, ShardSweepKeepsEveryInstanceCleanAndBitEqual) {
+  std::vector<service::UdpServiceResult> runs;
+  std::uint16_t port_base = 41000;
+  for (const std::size_t shards : {1u, 2u, 4u}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    service::UdpServiceConfig config;
+    config.service.experiment.group_size = 32;
+    config.service.experiment.seed = 17;
+    config.service.experiment.ucast_loss = 0.10;
+    config.service.experiment.crash_probability = 0.0;
+    config.service.experiment.gossip.round_duration = SimTime::millis(2);
+    config.service.experiment.audit = true;
+    config.service.experiment.check_invariants = true;
+    config.service.instances = 8;
+    config.service.epoch_interval = SimTime::millis(5);
+    config.port_base = port_base;
+    config.shards = shards;
+    port_base += 100;
+
+    const service::UdpServiceResult run = service::run_udp_service(config);
+    EXPECT_EQ(run.shards, shards);
+    EXPECT_TRUE(run.result.completed);
+    ASSERT_EQ(run.result.instances.size(), 8u);
+    for (const service::InstanceResult& instance : run.result.instances) {
+      SCOPED_TRACE("instance " + std::to_string(instance.id));
+      EXPECT_TRUE(instance.completed);
+      EXPECT_TRUE(protocols::honest(instance.measurement));
+      EXPECT_EQ(instance.invariant_violations, 0u) << instance.first_violation;
+    }
+    runs.push_back(run);
+  }
+  for (std::size_t r = 1; r < runs.size(); ++r) {
+    for (std::size_t i = 0; i < runs[0].result.instances.size(); ++i) {
+      const service::InstanceResult& base = runs[0].result.instances[i];
+      const service::InstanceResult& other = runs[r].result.instances[i];
+      EXPECT_EQ(other.measurement.true_value, base.measurement.true_value)
+          << "instance " << i << " at " << runs[r].shards << " shards";
+      EXPECT_EQ(other.participants, base.participants)
+          << "instance " << i << " at " << runs[r].shards << " shards";
+    }
+  }
 }
 
 }  // namespace

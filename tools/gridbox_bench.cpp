@@ -393,8 +393,7 @@ void run_udp_case(BenchReport& report, const std::string& name,
   BenchEntry entry;
   entry.name = name;
   entry.wall_s = walls[walls.size() / 2];
-  entry.sim_events =
-      last.timers_fired + last.actions_run + last.network.messages_delivered;
+  entry.sim_events = last.timers_fired + last.network.messages_delivered;
   entry.network_messages = last.network.messages_sent;
   if (entry.wall_s > 0.0) {
     entry.events_per_s =

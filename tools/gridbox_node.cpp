@@ -8,17 +8,17 @@
 // status 2 signals divergence, matching `gridbox_sim --differential`.
 //
 // Exit codes: 0 success / agreement, 1 usage or run error, 2 divergence.
-#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
-#include <map>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "src/net/chaos.h"
 #include "src/obs/build_info.h"
 #include "src/obs/manifest.h"
+#include "src/runner/cli.h"
 #include "src/runner/config.h"
 #include "src/runner/udp_differential.h"
 #include "src/runner/udp_runtime.h"
@@ -38,13 +38,15 @@ group
   --protocol NAME        hier-gossip (default) | all-to-all | centralized |
                          leader | committee
   --seed S               root seed (default 1)
-  --aggregate NAME       average (default) | sum | min | max | count | range
+  --aggregate NAME       average (default) | sum | min | max | count |
+                         range | stddev
 
 network
   --port-base P          member m listens on 127.0.0.1:(P + m) (default 38000)
   --threads T            reactor shard threads (default auto)
   --loss P               iid unicast loss, applied via the userspace shim
-  --chaos FILE           chaos spec file (docs/chaos.md grammar)
+  --chaos SPEC           chaos spec file (docs/chaos.md grammar), or
+                         inline directives separated by ';'
   --chaos-spec TEXT      inline chaos spec text
   --round-us U           gossip round duration in µs (default 10000)
   --deadline-factor F    wall-clock deadline multiplier (default 20)
@@ -75,148 +77,7 @@ harness
 )";
 }
 
-struct Options {
-  runner::UdpRunConfig udp;
-  bool differential = false;
-  std::string report_dir;
-  /// Service mode: > 0 streams this many instances (docs/service.md).
-  std::size_t instances = 0;
-  SimTime epoch_interval = SimTime::millis(50);
-  std::size_t in_flight = 8;
-};
-
-[[nodiscard]] bool parse_args(int argc, char** argv, Options& options,
-                              bool& help) {
-  runner::ExperimentConfig& config = options.udp.experiment;
-  config.crash_probability = 0.0;  // real runs default crash-free
-  config.audit = true;
-  auto need_value = [&](int& i, const char* flag, std::string& out) {
-    if (i + 1 >= argc) {
-      std::cerr << flag << ": missing value\n";
-      return false;
-    }
-    out = argv[++i];
-    return true;
-  };
-  for (int i = 1; i < argc; ++i) {
-    const std::string flag = argv[i];
-    std::string value;
-    try {
-      if (flag == "--help") {
-        help = true;
-        return true;
-      } else if (flag == "--n") {
-        if (!need_value(i, "--n", value)) return false;
-        config.group_size = std::stoul(value);
-      } else if (flag == "--protocol") {
-        if (!need_value(i, "--protocol", value)) return false;
-        static const std::map<std::string, runner::ProtocolKind> kNames = {
-            {"hier-gossip", runner::ProtocolKind::kHierGossip},
-            {"all-to-all", runner::ProtocolKind::kFullyDistributed},
-            {"centralized", runner::ProtocolKind::kCentralized},
-            {"leader", runner::ProtocolKind::kLeaderElection},
-            {"committee", runner::ProtocolKind::kCommittee},
-        };
-        const auto it = kNames.find(value);
-        if (it == kNames.end()) {
-          std::cerr << "--protocol: unknown: " << value << "\n";
-          return false;
-        }
-        config.protocol = it->second;
-      } else if (flag == "--seed") {
-        if (!need_value(i, "--seed", value)) return false;
-        config.seed = std::stoull(value);
-      } else if (flag == "--aggregate") {
-        if (!need_value(i, "--aggregate", value)) return false;
-        static const std::map<std::string, agg::AggregateKind> kNames = {
-            {"average", agg::AggregateKind::kAverage},
-            {"sum", agg::AggregateKind::kSum},
-            {"min", agg::AggregateKind::kMin},
-            {"max", agg::AggregateKind::kMax},
-            {"count", agg::AggregateKind::kCount},
-            {"range", agg::AggregateKind::kRange},
-        };
-        const auto it = kNames.find(value);
-        if (it == kNames.end()) {
-          std::cerr << "--aggregate: unknown: " << value << "\n";
-          return false;
-        }
-        config.aggregate = it->second;
-      } else if (flag == "--port-base") {
-        if (!need_value(i, "--port-base", value)) return false;
-        options.udp.port_base = static_cast<std::uint16_t>(std::stoul(value));
-      } else if (flag == "--threads") {
-        if (!need_value(i, "--threads", value)) return false;
-        options.udp.shards = std::stoul(value);
-      } else if (flag == "--loss") {
-        if (!need_value(i, "--loss", value)) return false;
-        config.ucast_loss = std::stod(value);
-      } else if (flag == "--chaos") {
-        if (!need_value(i, "--chaos", value)) return false;
-        std::ifstream in(value);
-        if (!in) {
-          std::cerr << "--chaos: cannot read " << value << "\n";
-          return false;
-        }
-        std::ostringstream text;
-        text << in.rdbuf();
-        config.chaos_spec = text.str();
-      } else if (flag == "--chaos-spec") {
-        if (!need_value(i, "--chaos-spec", value)) return false;
-        config.chaos_spec = value;
-      } else if (flag == "--round-us") {
-        if (!need_value(i, "--round-us", value)) return false;
-        config.gossip.round_duration =
-            SimTime::micros(static_cast<SimTime::underlying>(
-                std::stoll(value)));
-      } else if (flag == "--deadline-factor") {
-        if (!need_value(i, "--deadline-factor", value)) return false;
-        options.udp.deadline_factor = std::stod(value);
-      } else if (flag == "--instances") {
-        if (!need_value(i, "--instances", value)) return false;
-        options.instances = std::stoul(value);
-      } else if (flag == "--epoch-interval-us") {
-        if (!need_value(i, "--epoch-interval-us", value)) return false;
-        options.epoch_interval = SimTime::micros(
-            static_cast<SimTime::underlying>(std::stoll(value)));
-      } else if (flag == "--in-flight") {
-        if (!need_value(i, "--in-flight", value)) return false;
-        options.in_flight = std::stoul(value);
-      } else if (flag == "--telemetry-out") {
-        if (!need_value(i, "--telemetry-out", value)) return false;
-        config.telemetry.out_path = value;
-        config.telemetry.enabled = true;
-      } else if (flag == "--telemetry-interval-us") {
-        if (!need_value(i, "--telemetry-interval-us", value)) return false;
-        config.telemetry.interval = SimTime::micros(
-            static_cast<SimTime::underlying>(std::stoll(value)));
-        config.telemetry.enabled = true;
-      } else if (flag == "--telemetry-port") {
-        if (!need_value(i, "--telemetry-port", value)) return false;
-        config.telemetry.udp_port =
-            static_cast<std::uint16_t>(std::stoul(value));
-        config.telemetry.enabled = true;
-      } else if (flag == "--differential") {
-        options.differential = true;
-      } else if (flag == "--report-dir") {
-        if (!need_value(i, "--report-dir", value)) return false;
-        options.report_dir = value;
-      } else {
-        std::cerr << "unknown flag: " << flag << " (see --help)\n";
-        return false;
-      }
-    } catch (const std::exception&) {
-      std::cerr << flag << ": bad value: " << value << "\n";
-      return false;
-    }
-  }
-  // Validate the chaos spec up front so a typo fails fast with a line
-  // number instead of mid-run.
-  (void)net::ChaosSpec::parse(config.chaos_spec);
-  return true;
-}
-
-void write_report(const Options& options, const std::string& summary) {
+void write_report(const runner::NodeCliOptions& options, const std::string& summary) {
   if (options.report_dir.empty()) return;
   const std::string dir = options.report_dir;
   std::error_code ec;
@@ -238,19 +99,24 @@ void write_report(const Options& options, const std::string& summary) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  Options options;
-  bool help = false;
-  try {
-    if (!parse_args(argc, argv, options, help)) return 1;
-  } catch (const std::exception& e) {
-    std::cerr << "error: " << e.what() << "\n";
+  const runner::NodeCliParseResult parsed =
+      runner::parse_node_cli(std::vector<std::string>(argv + 1, argv + argc));
+  if (!parsed.options.has_value()) {
+    std::cerr << "error: " << parsed.error << "\nrun with --help for usage\n";
     return 1;
   }
-  if (help) {
+  const runner::NodeCliOptions& options = *parsed.options;
+  if (options.show_help) {
     print_help();
     return 0;
   }
 
+  // Prints the summary, writes the report artifacts, returns `code`.
+  const auto finish = [&options](const std::string& summary, int code) {
+    std::cout << summary;
+    write_report(options, summary);
+    return code;
+  };
   try {
     if (options.instances > 0) {
       service::UdpServiceConfig sc;
@@ -265,20 +131,10 @@ int main(int argc, char** argv) {
       if (options.differential) {
         const service::ServiceDifferentialReport report =
             service::run_service_differential(sc);
-        const std::string summary = report.describe();
-        std::cout << summary;
-        write_report(options, summary);
-        return report.ok() ? 0 : 2;
+        return finish(report.describe(), report.ok() ? 0 : 2);
       }
       const service::UdpServiceResult result = service::run_udp_service(sc);
       const service::ServiceMetrics& m = result.result.metrics;
-      bool clean = result.result.completed;
-      for (const service::InstanceResult& inst : result.result.instances) {
-        clean = clean && inst.completed &&
-                inst.measurement.audit_violations == 0 &&
-                inst.measurement.reconstruction_failures == 0 &&
-                inst.invariant_violations == 0;
-      }
       std::ostringstream out;
       out << "service n=" << sc.service.experiment.group_size
           << " shards=" << result.shards << " instances=" << m.completed
@@ -292,18 +148,12 @@ int main(int argc, char** argv) {
           << " demux_retired=" << m.demux.retired_instance
           << " closed_sends=" << m.demux.closed_sends
           << " elapsed_ms=" << result.result.elapsed.ticks() / 1000 << "\n";
-      const std::string summary = out.str();
-      std::cout << summary;
-      write_report(options, summary);
-      return clean ? 0 : 1;
+      return finish(out.str(), result.result.clean() ? 0 : 1);
     }
     if (options.differential) {
       const runner::UdpDifferentialReport report =
           runner::run_udp_differential(options.udp);
-      const std::string summary = report.describe();
-      std::cout << summary;
-      write_report(options, summary);
-      return report.ok() ? 0 : 2;
+      return finish(report.describe(), report.ok() ? 0 : 2);
     }
     const runner::UdpRunResult result =
         runner::run_udp_experiment(options.udp);
@@ -320,13 +170,9 @@ int main(int argc, char** argv) {
         << " delivered=" << result.network.messages_delivered
         << " dropped=" << result.network.messages_dropped
         << " elapsed_ms=" << result.elapsed.ticks() / 1000 << "\n";
-    const std::string summary = out.str();
-    std::cout << summary;
-    write_report(options, summary);
-    const bool clean = result.completed && m.audit_violations == 0 &&
-                       m.reconstruction_failures == 0 &&
+    const bool clean = result.completed && protocols::honest(m) &&
                        result.invariant_violations == 0;
-    return clean ? 0 : 1;
+    return finish(out.str(), clean ? 0 : 1);
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";
     write_report(options, std::string("error: ") + e.what() + "\n");
