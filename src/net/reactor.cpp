@@ -215,14 +215,24 @@ void Reactor::advance_wheel(SimTime now) {
   due_.clear();
 }
 
+void Reactor::flush_handlers() {
+  for (IoHandler* handler : handlers_) handler->flush();
+}
+
 bool Reactor::run_until(const std::function<bool()>& done, SimTime deadline) {
   const int timeout_ms = static_cast<int>(
       std::max<std::int64_t>(1, options_.tick.ticks() / 1000));
   for (;;) {
     drain_posted();
     advance_wheel(now());
-    if (done()) return true;
-    if (now() >= deadline) return false;
+    // Sends made by this iteration's deliveries, posts and timers leave
+    // in one batch per handler.
+    flush_handlers();
+    const bool finished = done();
+    if (finished || now() >= deadline) {
+      flush_handlers();  // anything done() itself sent
+      return finished;
+    }
     ++polls_;
     if (telemetry_ != nullptr) {
       telemetry_->polls.fetch_add(1, std::memory_order_relaxed);

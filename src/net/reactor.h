@@ -50,6 +50,10 @@ class IoHandler {
   virtual ~IoHandler() = default;
   /// `fd` polled readable (possibly spuriously). Drain until EAGAIN.
   virtual void on_readable(int fd) = 0;
+  /// Sends whatever the handler has buffered. The reactor calls it at the
+  /// end of every loop iteration — before done() is probed and before
+  /// poll sleeps — so no datagram waits out a sleep in a userspace queue.
+  virtual void flush() {}
 };
 
 class Reactor final : public sim::Scheduler {
@@ -94,7 +98,7 @@ class Reactor final : public sim::Scheduler {
   /// Runs the poll/timer loop until `done()` returns true (probed once per
   /// iteration on this thread; a multi-shard done() must read only atomics)
   /// or the real clock passes `deadline`. Returns true iff done() turned
-  /// true.
+  /// true. Every handler is flushed before it returns.
   bool run_until(const std::function<bool()>& done, SimTime deadline);
 
   /// Enqueues an action to run on this reactor's thread. The one scheduling
@@ -154,6 +158,8 @@ class Reactor final : public sim::Scheduler {
   /// Collects due entries from slots in (last_tick_, now-tick], fires them
   /// on this thread, re-inserts surviving periodic timers.
   void advance_wheel(SimTime now);
+  /// IoHandler::flush on every registered handler.
+  void flush_handlers();
 
   Options options_;
   std::chrono::steady_clock::time_point epoch_ =

@@ -1,83 +1,131 @@
 #include "src/net/udp_transport.h"
 
 #include <arpa/inet.h>
-#include <fcntl.h>
-#include <sys/socket.h>
+#include <linux/sock_diag.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
-#include <cstring>
 #include <utility>
 
 #include "src/common/ensure.h"
-#include "src/net/datagram.h"
 
 namespace gridbox::net {
 
-UdpTransport::UdpTransport(Reactor& reactor, Options options)
-    : reactor_(reactor), options_(options) {
-  hooks_.recv = [](int fd, void* buf, std::size_t len) {
-    return ::recv(fd, buf, len, 0);
-  };
-  hooks_.send_to = [](int fd, const void* buf, std::size_t len,
-                      const sockaddr_in& to) {
-    return ::sendto(fd, buf, len, 0, reinterpret_cast<const sockaddr*>(&to),
-                    sizeof(to));
-  };
-}
-
-UdpTransport::~UdpTransport() {
-  for (std::size_t i = 0; i < locals_.size(); ++i) {
-    if (locals_[i].fd >= 0) detach(MemberId(static_cast<std::uint32_t>(i)));
-  }
-}
-
-sockaddr_in UdpTransport::address_of(MemberId id) const {
+sockaddr_in loopback_address(std::uint16_t port) {
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(
-      static_cast<std::uint16_t>(options_.port_base + id.value()));
+  addr.sin_port = htons(port);
   return addr;
 }
 
-UdpTransport::LocalMember* UdpTransport::local_of(MemberId id) {
-  if (id.value() >= locals_.size()) return nullptr;
-  LocalMember& local = locals_[id.value()];
-  return local.fd >= 0 ? &local : nullptr;
+namespace {
+
+/// The socket's kernel drop counter: datagrams the kernel discarded on
+/// arrival, in practice because the receive buffer was full.
+std::uint64_t kernel_drops(int fd) {
+  std::uint32_t meminfo[SK_MEMINFO_VARS] = {};
+  socklen_t len = sizeof(meminfo);
+  if (::getsockopt(fd, SOL_SOCKET, SO_MEMINFO, meminfo, &len) != 0 ||
+      len <= SK_MEMINFO_DROPS * sizeof(std::uint32_t)) {
+    return 0;
+  }
+  return meminfo[SK_MEMINFO_DROPS];
+}
+
+bool same_address(const sockaddr_in& a, const sockaddr_in& b) {
+  return a.sin_port == b.sin_port && a.sin_addr.s_addr == b.sin_addr.s_addr;
+}
+
+}  // namespace
+
+UdpTransport::Batch::Batch() : bytes{}, iov{}, to{}, msgs{} {
+  for (std::size_t i = 0; i < kBatch; ++i) {
+    iov[i] = iovec{bytes[i].data(), bytes[i].size()};
+    msgs[i].msg_hdr.msg_iov = &iov[i];
+    msgs[i].msg_hdr.msg_iovlen = 1;
+  }
+}
+
+UdpTransport::UdpTransport(Reactor& reactor, Options options)
+    : reactor_(reactor), options_(options) {
+  hooks_.recv_batch = [](int fd, mmsghdr* msgs, unsigned count) {
+    return ::recvmmsg(fd, msgs, count, 0, nullptr);
+  };
+  hooks_.send_batch = [](int fd, mmsghdr* msgs, unsigned count) {
+    return ::sendmmsg(fd, msgs, count, 0);
+  };
+  for (std::size_t i = 0; i < kBatch; ++i) {
+    tx_.msgs[i].msg_hdr.msg_name = &tx_.to[i];
+    tx_.msgs[i].msg_hdr.msg_namelen = sizeof(sockaddr_in);
+  }
+
+  fd_ = ::socket(AF_INET, SOCK_DGRAM | SOCK_NONBLOCK, 0);
+  expects(fd_ >= 0, "socket(2) failed");
+  (void)::setsockopt(fd_, SOL_SOCKET, SO_RCVBUF, &options_.rcvbuf_bytes,
+                     sizeof(options_.rcvbuf_bytes));
+  for (std::uint32_t port = options_.port_base;; ++port) {
+    const sockaddr_in addr = loopback_address(static_cast<std::uint16_t>(port));
+    if (::bind(fd_, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) ==
+        0) {
+      break;
+    }
+    if (errno != EADDRINUSE || port >= 65535) {
+      ::close(fd_);
+      expects(false, "bind(2) failed: no free loopback port at or above "
+                     "port_base");
+    }
+  }
+  socklen_t len = sizeof(self_);
+  expects(::getsockname(fd_, reinterpret_cast<sockaddr*>(&self_), &len) == 0,
+          "getsockname(2) failed");
+  reactor_.add_fd(fd_, *this);
+}
+
+UdpTransport::~UdpTransport() {
+  reactor_.remove_fd(fd_);
+  ::close(fd_);
+}
+
+std::uint16_t UdpTransport::local_port() const {
+  return ntohs(self_.sin_port);
+}
+
+const sockaddr_in& UdpTransport::address_of(MemberId id) const {
+  if (addresses_ == nullptr || id.value() >= addresses_->size()) return self_;
+  return (*addresses_)[id.value()];
+}
+
+Endpoint* UdpTransport::endpoint_of(MemberId id) const {
+  return id.value() < endpoints_.size() ? endpoints_[id.value()] : nullptr;
 }
 
 void UdpTransport::attach(MemberId id, Endpoint& endpoint) {
   expects(id.is_valid(), "cannot attach the invalid member id");
-  expects(options_.port_base + id.value() <= 65535,
-          "member id exceeds the port space above port_base");
-  const int fd = ::socket(AF_INET, SOCK_DGRAM | SOCK_NONBLOCK, 0);
-  expects(fd >= 0, "socket(2) failed");
-  (void)::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &options_.rcvbuf_bytes,
-                     sizeof(options_.rcvbuf_bytes));
-  const sockaddr_in addr = address_of(id);
-  if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) !=
-      0) {
-    ::close(fd);
-    expects(false, "bind(2) failed: port in use or out of fds");
-  }
-  if (id.value() >= locals_.size()) locals_.resize(id.value() + 1);
-  locals_[id.value()] = LocalMember{fd, &endpoint};
-  if (static_cast<std::size_t>(fd) >= fd_owner_.size()) {
-    fd_owner_.resize(static_cast<std::size_t>(fd) + 1, MemberId::invalid());
-  }
-  fd_owner_[static_cast<std::size_t>(fd)] = id;
-  reactor_.add_fd(fd, *this);
+  expects(same_address(address_of(id), self_),
+          "attached a member the address table places on another socket");
+  if (id.value() >= endpoints_.size()) endpoints_.resize(id.value() + 1);
+  if (endpoints_[id.value()] == nullptr) ++attached_;
+  endpoints_[id.value()] = &endpoint;
 }
 
 void UdpTransport::detach(MemberId id) {
-  LocalMember* local = local_of(id);
-  if (local == nullptr) return;
-  reactor_.remove_fd(local->fd);
-  fd_owner_[static_cast<std::size_t>(local->fd)] = MemberId::invalid();
-  ::close(local->fd);
-  local->fd = -1;
-  local->endpoint = nullptr;
+  if (endpoint_of(id) == nullptr) return;
+  endpoints_[id.value()] = nullptr;
+  --attached_;
+}
+
+const NetworkStats& UdpTransport::stats() const {
+  const std::uint64_t drops = kernel_drops(fd_);
+  stats_.messages_dropped += drops - kernel_drops_seen_;
+  kernel_drops_seen_ = drops;
+  return stats_;
+}
+
+void UdpTransport::set_addresses(std::shared_ptr<const AddressTable> addresses) {
+  expects(stats_.messages_sent == 0, "install addresses before any send");
+  addresses_ = std::move(addresses);
 }
 
 void UdpTransport::set_liveness(std::function<bool(MemberId)> is_alive) {
@@ -92,37 +140,36 @@ void UdpTransport::install_chaos(std::unique_ptr<ChaosSchedule> chaos) {
 }
 
 void UdpTransport::set_hooks(Hooks hooks) {
-  if (hooks.recv) hooks_.recv = std::move(hooks.recv);
-  if (hooks.send_to) hooks_.send_to = std::move(hooks.send_to);
+  if (hooks.recv_batch) hooks_.recv_batch = std::move(hooks.recv_batch);
+  if (hooks.send_batch) hooks_.send_batch = std::move(hooks.send_batch);
 }
 
 void UdpTransport::transmit(const Message& message) {
-  const LocalMember* local = local_of(message.source);
-  // Send from the source member's own socket when it is local (the normal
-  // case); a transport asked to forward for a foreign source uses any open
-  // socket — the header, not the kernel address, carries identity.
-  int fd = local != nullptr ? local->fd : -1;
-  if (fd < 0) {
-    for (const LocalMember& candidate : locals_) {
-      if (candidate.fd >= 0) {
-        fd = candidate.fd;
-        break;
-      }
+  // The header, not the kernel address, carries identity: every member of
+  // this shard sends from the one shard socket.
+  tx_.iov[tx_count_].iov_len =
+      encode_datagram(message, tx_.bytes[tx_count_].data());
+  tx_.to[tx_count_] = address_of(message.destination);
+  if (++tx_count_ == kBatch) flush();
+}
+
+void UdpTransport::flush() {
+  std::size_t next = 0;
+  while (next < tx_count_) {
+    const int n = hooks_.send_batch(fd_, &tx_.msgs[next],
+                                    static_cast<unsigned>(tx_count_ - next));
+    if (n > 0) {
+      next += static_cast<std::size_t>(n);
+      continue;
     }
-  }
-  expects(fd >= 0, "transmit with no open socket");
-  std::uint8_t buffer[kMaxDatagramBytes];
-  const std::size_t size = encode_datagram(message, buffer);
-  const sockaddr_in to = address_of(message.destination);
-  for (;;) {
-    const ssize_t n = hooks_.send_to(fd, buffer, size, to);
-    if (n >= 0) return;
-    if (errno == EINTR) continue;
+    if (n < 0 && errno == EINTR) continue;
     // EAGAIN/ENOBUFS: the kernel's queues are full. That is network loss,
-    // which is precisely what these protocols are designed to survive.
+    // which is precisely what these protocols are designed to survive —
+    // the first unsent datagram is dropped, the rest are retried.
     ++stats_.messages_dropped;
-    return;
+    ++next;
   }
+  tx_count_ = 0;
 }
 
 void UdpTransport::send(Message message) {
@@ -153,75 +200,68 @@ void UdpTransport::send(Message message) {
   transmit(message);
 }
 
+void UdpTransport::consume(const std::uint8_t* bytes, std::size_t size) {
+  Message message;
+  if (decode_datagram(bytes, size, message) != DecodeError::kOk ||
+      !same_address(address_of(message.destination), self_)) {
+    // Byte soup, or a datagram for a member another socket serves: count
+    // it and keep the socket draining — never deliver, never crash.
+    ++stats_.messages_malformed;
+    return;
+  }
+  Endpoint* endpoint = endpoint_of(message.destination);
+  if (endpoint == nullptr ||
+      (is_alive_ && !is_alive_(message.destination))) {
+    ++stats_.messages_dead_dest;
+    return;
+  }
+  ++stats_.messages_delivered;
+  if (telemetry_ != nullptr) {
+    telemetry_->frames_delivered.fetch_add(1, std::memory_order_relaxed);
+  }
+  try {
+    endpoint->on_message(message);
+  } catch (const PreconditionError&) {
+    // Well-framed datagram, undecodable payload: same contract as the
+    // simulated network — count malformed, keep the node running.
+    ++stats_.messages_malformed;
+  }
+}
+
 void UdpTransport::on_readable(int fd) {
-  const MemberId owner = static_cast<std::size_t>(fd) < fd_owner_.size()
-                             ? fd_owner_[static_cast<std::size_t>(fd)]
-                             : MemberId::invalid();
-  // Oversized datagrams must be *seen* to be rejected: the buffer holds
-  // one byte more than the maximum legal datagram, so anything longer
-  // reads as > kMaxDatagramBytes and fails strict decoding instead of
-  // being silently truncated into a plausible prefix.
-  std::uint8_t buffer[kMaxDatagramBytes + 1];
+  // The budget scales with the members this socket serves, so one wake
+  // clears a phase's worth of deliveries at any N: a flat per-socket cap
+  // lets deliveries at N = 10^4 queue past their phases.
+  const std::size_t budget =
+      options_.max_drain * std::max<std::size_t>(1, attached_);
+  std::size_t spent = 0;
   std::size_t received = 0;
-  for (std::size_t drained = 0; drained < options_.max_drain; ++drained) {
-    const ssize_t n = hooks_.recv(fd, buffer, sizeof(buffer));
+  while (spent < budget) {
+    const unsigned want =
+        static_cast<unsigned>(std::min(kBatch, budget - spent));
+    const int n = hooks_.recv_batch(fd, rx_.msgs.data(), want);
     if (n < 0) {
       if (errno == EINTR) {
-        // Interrupted before a datagram was read: retry, but bounded by
-        // max_drain like every other iteration — never a spin.
+        // Interrupted before a datagram was read: retry, but charged to
+        // the budget like every other call — never a spin.
         ++recv_eintr_retries_;
+        ++spent;
         continue;
       }
       // EAGAIN/EWOULDBLOCK: drained (or the wakeup was spurious). Any
       // other errno on a datagram socket is also just "nothing to read".
-      if (telemetry_ != nullptr) telemetry_->drain_per_wake.observe(received);
-      return;
+      break;
     }
-    ++received;
-    Message message;
-    const DecodeError error =
-        decode_datagram(buffer, static_cast<std::size_t>(n), message);
-    if (error != DecodeError::kOk ||
-        (owner.is_valid() && message.destination != owner)) {
-      // Byte soup, or a datagram mis-addressed to this port: count it and
-      // keep the socket draining — never deliver, never crash.
-      ++stats_.messages_malformed;
-      continue;
+    if (n == 0) break;
+    for (std::size_t i = 0; i < static_cast<std::size_t>(n); ++i) {
+      consume(rx_.bytes[i].data(), rx_.msgs[i].msg_len);
     }
-    const LocalMember* local = local_of(message.destination);
-    const bool alive = !is_alive_ || is_alive_(message.destination);
-    if (local == nullptr || local->endpoint == nullptr || !alive) {
-      ++stats_.messages_dead_dest;
-      continue;
-    }
-    ++stats_.messages_delivered;
-    if (telemetry_ != nullptr) {
-      telemetry_->frames_delivered.fetch_add(1, std::memory_order_relaxed);
-    }
-    try {
-      local->endpoint->on_message(message);
-    } catch (const PreconditionError&) {
-      // Well-framed datagram, undecodable payload: same contract as the
-      // simulated network — count malformed, keep the node running.
-      ++stats_.messages_malformed;
-    }
+    spent += static_cast<std::size_t>(n);
+    received += static_cast<std::size_t>(n);
   }
-  // max_drain exhausted with the socket still hot: the reactor will wake
-  // again immediately; the histogram records a full-bucket drain.
+  // A budget exhausted with the socket still hot: the reactor will wake
+  // again immediately; the histogram records the whole wake's drain.
   if (telemetry_ != nullptr) telemetry_->drain_per_wake.observe(received);
-}
-
-int UdpTransport::fd_of(MemberId id) const {
-  if (!id.is_valid() || id.value() >= locals_.size()) return -1;
-  return locals_[id.value()].fd;
-}
-
-std::size_t UdpTransport::attached_count() const {
-  std::size_t count = 0;
-  for (const LocalMember& local : locals_) {
-    if (local.fd >= 0) ++count;
-  }
-  return count;
 }
 
 }  // namespace gridbox::net

@@ -1,35 +1,48 @@
-// net::Transport over real nonblocking UDP sockets on loopback.
+// net::Transport over one real nonblocking UDP socket on loopback.
 //
 // One UdpTransport serves one shard of a run's members on one Reactor
-// (thread). Each attached member gets its own nonblocking datagram socket
-// bound to a well-known port (port_base + member id) — addressing is pure
-// arithmetic, so there is no discovery protocol and any member can unicast
-// to any other, which is exactly the routing substrate the paper assumes.
-// Frames travel as the strict 16-byte-header datagrams of datagram.h; a
-// receiver either delivers the frame bytes unchanged or counts the
-// datagram malformed.
+// (thread), through ONE socket bound at construction to the lowest free
+// loopback port >= Options::port_base. Members are not kernel objects:
+// attach/detach only write the member -> endpoint table. The 16-byte
+// datagram header (datagram.h) names the destination member, so a
+// receiving shard demultiplexes by header, not by port; a receiver either
+// delivers the frame bytes unchanged or counts the datagram malformed.
+//
+// Addressing is a member -> sockaddr table shared by every shard of a run
+// (runner::UdpMesh fills it from each shard's bound address). A transport
+// with no table sends every datagram to its own socket. Any member can
+// unicast to any other, which is exactly the routing substrate the paper
+// assumes.
+//
+// Batching: receives drain with recvmmsg(2), up to max_drain datagrams per
+// attached member per wake. Sends encode into a 64-datagram outbox flushed
+// by sendmmsg(2) when full, and by the reactor at the end of every loop
+// iteration (IoHandler::flush). Every datagram counted sent is on the wire
+// or counted dropped; the socket's kernel receive-queue drop counter is
+// folded into messages_dropped whenever stats() is read.
 //
 // Chaos shim: the same ChaosSchedule grammar the simulator uses is applied
 // in userspace on the send path — a send may be dropped, delayed (the
 // datagram is re-scheduled on the reactor's timer wheel), or duplicated
-// before it ever reaches sendto(2). Loss/burst/jitter/dup specs therefore
+// before it ever reaches the outbox. Loss/burst/jitter/dup specs therefore
 // mean the same thing over real sockets as in simulation, on top of
 // whatever the kernel itself drops (full socket buffers under load are
 // counted as drops too — the protocols are built for exactly that).
 //
 // Threading: one UdpTransport is owned by one reactor shard, and every
-// call on it (send from a protocol callback, on_readable from the
+// call on it (send from a protocol callback, on_readable/flush from the
 // reactor, attach/detach during setup and teardown) happens on that
 // shard's thread — the shard-ownership model of DESIGN.md §14. The
 // transport itself takes no locks and holds no atomics; cross-shard
 // traffic goes through the kernel (a send lands in the *destination*
-// member's socket, drained by the destination's shard). Stats reads at
-// measurement time happen after the reactor threads have joined.
+// shard's socket, drained by that shard). Stats reads at measurement time
+// happen after the reactor threads have joined.
 #pragma once
 
 #include <netinet/in.h>
-#include <sys/types.h>
+#include <sys/socket.h>
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -37,52 +50,69 @@
 
 #include "src/common/types.h"
 #include "src/net/chaos.h"
+#include "src/net/datagram.h"
 #include "src/net/reactor.h"
 #include "src/net/stats.h"
 #include "src/net/transport.h"
 
 namespace gridbox::net {
 
+/// 127.0.0.1:port.
+[[nodiscard]] sockaddr_in loopback_address(std::uint16_t port);
+
+/// Where each member's shard socket listens, indexed by member id.
+using AddressTable = std::vector<sockaddr_in>;
+
 class UdpTransport final : public Transport, public IoHandler {
  public:
+  /// Datagrams per recvmmsg/sendmmsg call; also the outbox capacity.
+  static constexpr std::size_t kBatch = 64;
+
   struct Options {
-    /// Member m is addressed at 127.0.0.1:(port_base + m.value()).
+    /// The socket binds the lowest free loopback port >= port_base
+    /// (0 = any port the kernel picks).
     std::uint16_t port_base = 0;
-    /// Receive buffer request per socket (the kernel clamps to rmem_max);
-    /// large because hundreds of peers may burst at one socket.
+    /// Receive buffer request (the kernel clamps to rmem_max); large
+    /// because every peer of the shard's members bursts at this socket.
     int rcvbuf_bytes = 4 << 20;
-    /// Datagrams drained per on_readable call before yielding back to the
-    /// reactor, so one flooded socket cannot starve timers forever.
+    /// Datagrams drained per attached member per on_readable call before
+    /// yielding back to the reactor, so a flood cannot starve timers.
     std::size_t max_drain = 256;
   };
 
-  /// Injectable syscalls, for unit tests that script EINTR/EAGAIN and
-  /// short reads without a kernel in the loop.
+  /// Injectable batch syscalls, shaped like recvmmsg(2)/sendmmsg(2), for
+  /// unit tests that script EINTR/EAGAIN and short reads without a kernel
+  /// in the loop. Each returns the number of messages moved, or -1 with
+  /// errno set.
   struct Hooks {
-    std::function<ssize_t(int fd, void* buf, std::size_t len)> recv;
-    std::function<ssize_t(int fd, const void* buf, std::size_t len,
-                          const sockaddr_in& to)>
-        send_to;
+    std::function<int(int fd, mmsghdr* msgs, unsigned count)> recv_batch;
+    std::function<int(int fd, mmsghdr* msgs, unsigned count)> send_batch;
   };
 
-  /// The reactor must outlive the transport.
+  /// Binds the socket and registers it with the reactor, which must
+  /// outlive the transport. Throws PreconditionError if no port
+  /// >= port_base can be bound.
   UdpTransport(Reactor& reactor, Options options);
   ~UdpTransport() override;
 
   UdpTransport(const UdpTransport&) = delete;
   UdpTransport& operator=(const UdpTransport&) = delete;
 
-  /// Binds a nonblocking socket for `id` and registers it with the
-  /// reactor. Throws PreconditionError if the bind fails.
+  /// Routes datagrams for `id` to `endpoint`. No syscalls.
   void attach(MemberId id, Endpoint& endpoint) override;
 
-  /// Closes the member's socket; datagrams already queued for it vanish
-  /// with the socket (the kernel's version of dropped-on-arrival).
+  /// Stops routing to `id`; its later datagrams count dead-destination.
   void detach(MemberId id) override;
 
   void send(Message message) override;
 
-  [[nodiscard]] const NetworkStats& stats() const override { return stats_; }
+  /// The tallies, with the kernel's receive-queue drops folded in.
+  [[nodiscard]] const NetworkStats& stats() const override;
+
+  /// Installs the member -> address table (shared by every shard of a
+  /// run). Install before any send. A datagram arriving here for a member
+  /// the table places on another socket counts malformed (mis-addressed).
+  void set_addresses(std::shared_ptr<const AddressTable> addresses);
 
   /// Liveness oracle consulted at delivery, mirroring SimNetwork: a
   /// datagram for a dead member counts dead-destination, not delivered.
@@ -99,16 +129,21 @@ class UdpTransport final : public Transport, public IoHandler {
   /// the same lane as the shard's reactor; shard-thread writes only.
   void set_telemetry(obs::TelemetryLane* lane) { telemetry_ = lane; }
 
-  /// IoHandler: drains the readable socket; tolerates EINTR (retries) and
-  /// EAGAIN/spurious wakeups (returns) without spinning.
+  /// IoHandler: drains the readable socket in recvmmsg batches; tolerates
+  /// EINTR (retries) and EAGAIN/spurious wakeups (returns) without
+  /// spinning.
   void on_readable(int fd) override;
 
-  /// Number of local members with an open socket.
-  [[nodiscard]] std::size_t attached_count() const;
+  /// IoHandler: sendmmsg()s the outbox.
+  void flush() override;
 
-  /// The attached member's socket fd, or -1. Lets mocked-reactor tests
-  /// drive on_readable with the fd the real dispatch would pass.
-  [[nodiscard]] int fd_of(MemberId id) const;
+  /// Number of attached members.
+  [[nodiscard]] std::size_t attached_count() const { return attached_; }
+
+  /// The shard socket; lets mocked-reactor tests drive on_readable with
+  /// the fd the real dispatch would pass.
+  [[nodiscard]] int fd() const { return fd_; }
+  [[nodiscard]] std::uint16_t local_port() const;
 
   /// EINTR retries observed inside recv loops (test observability).
   [[nodiscard]] std::uint64_t recv_eintr_retries() const {
@@ -116,26 +151,44 @@ class UdpTransport final : public Transport, public IoHandler {
   }
 
  private:
-  struct LocalMember {
-    int fd = -1;
-    Endpoint* endpoint = nullptr;
-  };
-
-  /// Encodes and sendto()s one already-chaos-approved message.
+  /// Queues one already-chaos-approved message in the outbox.
   void transmit(const Message& message);
-  [[nodiscard]] sockaddr_in address_of(MemberId id) const;
-  [[nodiscard]] LocalMember* local_of(MemberId id);
+  /// Decodes, classifies and delivers one received datagram.
+  void consume(const std::uint8_t* bytes, std::size_t size);
+  [[nodiscard]] const sockaddr_in& address_of(MemberId id) const;
+  [[nodiscard]] Endpoint* endpoint_of(MemberId id) const;
 
   Reactor& reactor_;
   Options options_;
   Hooks hooks_;
-  std::vector<LocalMember> locals_;    ///< dense by member id value
-  std::vector<MemberId> fd_owner_;     ///< dense by fd (loopback fds are small)
+  int fd_ = -1;
+  sockaddr_in self_{};
+  std::shared_ptr<const AddressTable> addresses_;
+  std::vector<Endpoint*> endpoints_;  ///< dense by member id value
+  std::size_t attached_ = 0;
   std::function<bool(MemberId)> is_alive_;
   std::unique_ptr<ChaosSchedule> chaos_;
-  NetworkStats stats_;
+  mutable NetworkStats stats_;
+  mutable std::uint64_t kernel_drops_seen_ = 0;
   std::uint64_t recv_eintr_retries_ = 0;
   obs::TelemetryLane* telemetry_ = nullptr;
+
+  /// One recvmmsg/sendmmsg batch: buffers, their iovecs, destination
+  /// addresses (send side only) and message headers. Each buffer holds one
+  /// byte more than the largest legal datagram, so an oversize datagram is
+  /// seen (and rejected), not silently truncated into a plausible prefix.
+  struct Batch {
+    Batch();
+    Batch(const Batch&) = delete;
+    Batch& operator=(const Batch&) = delete;
+    std::array<std::array<std::uint8_t, kMaxDatagramBytes + 1>, kBatch> bytes;
+    std::array<iovec, kBatch> iov;
+    std::array<sockaddr_in, kBatch> to;
+    std::array<mmsghdr, kBatch> msgs;
+  };
+  Batch rx_;
+  Batch tx_;                  ///< the outbox
+  std::size_t tx_count_ = 0;  ///< datagrams waiting in the outbox
 };
 
 }  // namespace gridbox::net

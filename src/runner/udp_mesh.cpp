@@ -30,15 +30,15 @@ struct UdpMesh::SamplerTick final : sim::TimerTarget {
 
 UdpMesh::UdpMesh(const ExperimentConfig& config, std::uint16_t port_base,
                  std::size_t shards, const membership::Group& group) {
-  // Sockets + stdio + test-framework slack; fail early with the numbers if
-  // the hard limit cannot cover the run instead of mid-setup on bind().
-  require_fd_capacity(config.group_size + 64);
   const std::size_t count =
       shards > 0 ? shards
                  : std::max<std::size_t>(
                        1, std::min<std::size_t>(
                               {4, std::thread::hardware_concurrency(),
                                config.group_size}));
+  // One socket per shard + the telemetry socket + stdio + test-framework
+  // slack; fail early with the numbers instead of mid-setup on socket().
+  require_fd_capacity(count + 64);
 
   const net::ChaosSpec chaos = net::ChaosSpec::parse(config.chaos_spec);
   const bool shim_active = chaos.affects_network() ||
@@ -63,6 +63,14 @@ UdpMesh::UdpMesh(const ExperimentConfig& config, std::uint16_t port_base,
     }
     transports_.push_back(std::move(transport));
   }
+  // Member m is addressed at its shard's socket; every shard shares the
+  // table, installed before any send.
+  auto addresses = std::make_shared<net::AddressTable>(config.group_size);
+  for (std::uint32_t m = 0; m < config.group_size; ++m) {
+    (*addresses)[m] =
+        net::loopback_address(transport_of(MemberId(m)).local_port());
+  }
+  for (const auto& transport : transports_) transport->set_addresses(addresses);
 
   if (!config.telemetry.enabled) return;
   // One lane per shard: a shard's reactor and transport share it (both

@@ -5,8 +5,10 @@
 // threads run, join and report errors, and how per-shard counters fold.
 //
 // Shard s owns the members with id % shards == s end to end (DESIGN.md
-// §14): their sockets, timers and deliveries, dispatched lock-free on its
-// thread. Shard 0 is the control shard: driver bookkeeping (crash clock,
+// §14): their timers and deliveries, dispatched lock-free on its thread,
+// through the shard's one socket. The mesh fills the member -> address
+// table every transport shares, so no code computes a port from a member
+// id. Shard 0 is the control shard: driver bookkeeping (crash clock,
 // service engine) and the telemetry sampler run on its reactor.
 #pragma once
 
@@ -32,11 +34,12 @@ namespace gridbox::runner {
 class UdpMesh {
  public:
   /// Checks the fd budget, then builds `shards` reactors (0 = min(4, cores,
-  /// N)) on one epoch, each with a transport on `port_base` reading
-  /// liveness from `group` (which must outlive the mesh). Under loss, a
-  /// partition or a network chaos directive, transport s gets its own
-  /// chaos shim on stream kChaos.derive(s): real sockets have no global
-  /// send order, so parity with the simulator is statistical, not
+  /// N)) on one epoch, each with a transport whose socket binds the lowest
+  /// free port >= `port_base`, reading liveness from `group` (which must
+  /// outlive the mesh), and installs the shared member -> address table.
+  /// Under loss, a partition or a network chaos directive, transport s gets
+  /// its own chaos shim on stream kChaos.derive(s): real sockets have no
+  /// global send order, so parity with the simulator is statistical, not
   /// per-message. With telemetry on, each shard gets a lane.
   UdpMesh(const ExperimentConfig& config, std::uint16_t port_base,
           std::size_t shards, const membership::Group& group);

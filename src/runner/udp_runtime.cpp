@@ -90,11 +90,11 @@ void require_fd_capacity(std::uint64_t need) {
                         : std::to_string(limit.rlim_max);
   throw PreconditionError(
       "this run needs " + std::to_string(need) +
-      " file descriptors (one UDP socket per member plus slack) but "
-      "RLIMIT_NOFILE allows only " + std::to_string(got) +
+      " file descriptors (one UDP socket per reactor shard plus slack) "
+      "but RLIMIT_NOFILE allows only " + std::to_string(got) +
       " (hard limit " + hard +
       "); raise it (e.g. `ulimit -n " + std::to_string(need) +
-      "`) or run with a smaller --n");
+      "`) or run with fewer --threads");
 }
 
 UdpRunResult run_udp_experiment(const UdpRunConfig& udp_config) {

@@ -34,8 +34,8 @@ struct UdpRunConfig {
   /// apply through the userspace send shim.
   ExperimentConfig experiment;
 
-  /// Member m listens on 127.0.0.1:(port_base + m). Parallel test runs
-  /// must pick disjoint port windows.
+  /// Each reactor shard's socket binds the lowest free loopback port
+  /// >= port_base; members are reached through the shard address table.
   std::uint16_t port_base = 38000;
 
   /// Reactor shard threads; 0 = the UdpMesh default, min(4, cores, N).
@@ -66,11 +66,11 @@ struct UdpRunResult {
 };
 
 /// Runs the experiment over real sockets. Throws PreconditionError on
-/// setup failures (ports in use, fd limits that cannot be raised).
+/// setup failures (no free port, fd limits that cannot be raised).
 [[nodiscard]] UdpRunResult run_udp_experiment(const UdpRunConfig& config);
 
 /// Raises RLIMIT_NOFILE's soft limit toward the hard limit until at least
-/// `need` descriptors fit (sockets + epsilon). Returns the resulting soft
+/// `need` descriptors fit (shard sockets + slack). Returns the resulting soft
 /// limit. Idempotent; never lowers the limit. When the limit actually
 /// moves, logs the old -> new values to stderr once.
 std::uint64_t raise_fd_limit(std::uint64_t need);

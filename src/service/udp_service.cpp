@@ -15,7 +15,7 @@ UdpServiceResult run_udp_service(const UdpServiceConfig& udp_config) {
   const runner::ExperimentConfig& config = service.experiment;
   expects(config.group_size >= 2, "need at least two members");
 
-  // One socket per member for the whole service — the mux keeps the fd
+  // One socket per shard for the whole service — the mux keeps the fd
   // count independent of the instance count.
   membership::Group shared_group(config.group_size);
   runner::UdpMesh mesh(config, udp_config.port_base, udp_config.shards,
@@ -30,7 +30,7 @@ UdpServiceResult run_udp_service(const UdpServiceConfig& udp_config) {
   mopt.shard_count = mesh.shard_count();
   mopt.shard_of = [&mesh](MemberId m) { return mesh.shard_of(m); };
   InstanceMux mux(std::move(mopt));
-  mux.attach_all();  // sockets bind here, once, for every epoch to come
+  mux.attach_all();  // members route here, once, for every epoch to come
 
   // Engine bookkeeping, its telemetry section and the sampler all live on
   // the control shard, so the service section is written and read on one

@@ -2,8 +2,9 @@
 //
 // run_udp_service drives the same ServiceEngine the simulator uses on the
 // UdpMesh the one-shot UDP runner uses (src/runner/udp_mesh.h): one socket
-// per member for the WHOLE service (the mux demultiplexes instances above
-// the transport, so the fd count is constant no matter how many epochs
+// per reactor shard for the WHOLE service (the transport demultiplexes
+// members by datagram header and the mux demultiplexes instances above
+// it, so the fd count is constant no matter how many members or epochs
 // stream through).
 //
 // run_service_differential is the per-instance differential oracle: the
@@ -25,8 +26,8 @@ namespace gridbox::service {
 struct UdpServiceConfig {
   ServiceConfig service;
 
-  /// Member m listens on 127.0.0.1:(port_base + m). Parallel test runs
-  /// must pick disjoint port windows.
+  /// Each reactor shard's socket binds the lowest free loopback port
+  /// >= port_base; members are reached through the shard address table.
   std::uint16_t port_base = 39000;
 
   /// Reactor shard threads; 0 = the UdpMesh default, min(4, cores, N).
@@ -42,7 +43,7 @@ struct UdpServiceResult {
 };
 
 /// Runs the service over real sockets. Throws PreconditionError on setup
-/// failures (ports in use, fd limits that cannot be raised).
+/// failures (no free port, fd limits that cannot be raised).
 [[nodiscard]] UdpServiceResult run_udp_service(const UdpServiceConfig& config);
 
 /// One instance's verdict in the service differential.

@@ -7,7 +7,7 @@
 //      inputs concentrate on the accept/reject boundary instead of dying
 //      at the first header field,
 //   3. the same corpus pushed through UdpTransport::on_readable via a
-//      scripted recv hook, asserting the malformed counter accounts for
+//      scripted recvmmsg hook, asserting the malformed counter accounts for
 //      every rejected buffer and nothing crashes.
 //
 // The binary runs under whatever sanitizers the build enables (the chaos
@@ -150,15 +150,17 @@ TEST(DatagramFuzz, ReceivePathAccountsForEveryFuzzedBuffer) {
   net::UdpTransport transport(reactor, topt);
   NullEndpoint endpoint;
   transport.attach(MemberId{0}, endpoint);
-  const int fd = transport.fd_of(MemberId{0});
+  const int fd = transport.fd();
 
   Rng rng{0xF022003};
   std::vector<std::uint8_t> pending;
   net::UdpTransport::Hooks hooks;
-  hooks.recv = [&pending](int, void* buf, std::size_t len) -> ssize_t {
-    const std::size_t n = std::min(len, pending.size());
-    std::memcpy(buf, pending.data(), n);
-    return static_cast<ssize_t>(n);
+  hooks.recv_batch = [&pending](int, mmsghdr* msgs, unsigned) -> int {
+    const iovec& iov = msgs[0].msg_hdr.msg_iov[0];
+    const std::size_t n = std::min(iov.iov_len, pending.size());
+    if (n > 0) std::memcpy(iov.iov_base, pending.data(), n);
+    msgs[0].msg_len = static_cast<unsigned>(n);
+    return 1;
   };
   transport.set_hooks(std::move(hooks));
 

@@ -1,15 +1,28 @@
-// The ISSUE acceptance gate, as a test: N = 1000 members as threads on
-// loopback running real hier-gossip rounds over UDP, audit-clean, and in
-// agreement with the simulator run of the identical world — plus the same
-// under a chaos spec. Lives in its own binary (gridbox_udp_tests, ctest
-// label `udp`) because a thousand sockets and real round timers are beyond
-// the tier-1 wall-clock budget.
+// The real-socket scale gates: N = 1000 members as threads on loopback
+// running real hier-gossip rounds over UDP, audit-clean, and in agreement
+// with the simulator run of the identical world — plus the same under a
+// chaos spec, and one N = 10^4 run that must stay complete. Lives in its
+// own binary (gridbox_udp_tests, ctest label `udp`, run serially) because
+// thousands of members and real round timers are beyond the tier-1
+// wall-clock budget.
 //
-// Port discipline: this binary owns the 45xxx window.
+// Port discipline: this binary's shard sockets start in the 45xxx window.
 #include <gtest/gtest.h>
 
 #include "src/runner/udp_differential.h"
 #include "src/runner/udp_runtime.h"
+
+// ThreadSanitizer slows every shard several-fold; the N = 10^4 gate is about
+// keeping up with the round clock in real time, which an instrumented build
+// cannot, so it skips there (the N = 1000 gates still run the same paths
+// under TSan).
+#if defined(__SANITIZE_THREAD__)
+#define GRIDBOX_UNDER_TSAN 1
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+#define GRIDBOX_UNDER_TSAN 1
+#endif
+#endif
 
 namespace gridbox {
 namespace {
@@ -59,6 +72,31 @@ TEST(UdpScale, ThousandMemberDifferentialSurvivesChaos) {
       "dup p=0.02 extra=1 spread=1000us\n";
   const auto report = runner::run_udp_differential(config);
   EXPECT_TRUE(report.ok()) << report.describe();
+}
+
+// Ten thousand members on one socket per shard: every wake must drain a
+// phase's worth of deliveries (max_drain per attached member), or they
+// queue past their phases and completeness collapses (a flat per-socket
+// cap of max_drain scores 0.004-0.27 here). 20 ms rounds leave a 4-CPU host
+// headroom at this N; at 5 ms every shard runs behind its round clock and
+// completeness swings with host noise.
+TEST(UdpScale, TenThousandMembersStayCompleteUnderLoss) {
+#ifdef GRIDBOX_UNDER_TSAN
+  GTEST_SKIP() << "real-time scale gate; ThreadSanitizer cannot keep pace";
+#endif
+  runner::UdpRunConfig config = scale_config(45100, 24);
+  config.experiment.group_size = 10'000;
+  config.experiment.gossip.round_duration = SimTime::millis(20);
+  config.experiment.audit = true;
+  config.experiment.check_invariants = true;
+  const auto result = runner::run_udp_experiment(config);
+
+  EXPECT_TRUE(result.completed) << "did not finish before the wall deadline";
+  EXPECT_EQ(result.invariant_violations, 0u) << result.first_violation;
+  EXPECT_EQ(result.measurement.audit_violations, 0u);
+  EXPECT_EQ(result.measurement.reconstruction_failures, 0u);
+  EXPECT_EQ(result.measurement.finished_nodes, result.measurement.survivors);
+  EXPECT_GE(result.measurement.mean_completeness, 0.99);
 }
 
 }  // namespace

@@ -1,11 +1,13 @@
 // UdpTransport + Reactor over real loopback sockets, plus mocked-syscall
-// unit tests for the receive path's EINTR/EAGAIN/spurious-wakeup behavior.
+// unit tests for the batched receive path's EINTR/EAGAIN/spurious-wakeup
+// behavior and drain budget.
 //
-// Port discipline: every test binds its own disjoint port window (ctest
-// runs tests of this binary as separate parallel processes). Windows here
-// live in 43xxx; the differential/scale/soak suites use 44xxx-46xxx.
+// Port discipline: a transport binds the lowest free port at or above its
+// port_base, so a taken port only moves it up; tests here start from 43xxx
+// and aim raw datagrams at local_port(), never at a computed port.
 #include <gtest/gtest.h>
 
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -86,7 +88,7 @@ TEST(UdpTransport, CountsRawGarbageAsMalformed) {
   sockaddr_in to{};
   to.sin_family = AF_INET;
   to.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  to.sin_port = htons(43050);
+  to.sin_port = htons(transport.local_port());
   const std::uint8_t junk[5] = {1, 2, 3, 4, 5};
   ASSERT_GT(::sendto(fd, junk, sizeof(junk), 0,
                      reinterpret_cast<sockaddr*>(&to), sizeof(to)), 0);
@@ -161,9 +163,10 @@ TEST(UdpTransport, ChaosShimDuplicatesViaTheTimerWheel) {
 
 // === Mocked-syscall receive-path tests (satellite: EINTR/EAGAIN). ===
 
-/// Scripted recv(2): returns each queued result in order, then EAGAIN
-/// forever. A result with bytes installs those bytes; one with err sets
-/// errno and returns -1.
+/// Scripted recvmmsg(2): each call hands out the queued datagram steps in
+/// order, as many as fit the batch, stopping before the next error step;
+/// an error step at the head fails the call with its errno. Once the
+/// script is spent, every call fails with EAGAIN.
 struct ScriptedRecv {
   struct Step {
     std::vector<std::uint8_t> bytes;
@@ -173,22 +176,41 @@ struct ScriptedRecv {
   std::size_t next = 0;
   std::uint64_t calls = 0;
 
-  ssize_t operator()(int, void* buf, std::size_t len) {
+  int operator()(int, mmsghdr* msgs, unsigned count) {
     ++calls;
     if (next >= steps.size()) {
       errno = EAGAIN;
       return -1;
     }
-    const Step& step = steps[next++];
-    if (step.err != 0) {
-      errno = step.err;
+    if (steps[next].err != 0) {
+      errno = steps[next++].err;
       return -1;
     }
-    const std::size_t n = std::min(len, step.bytes.size());
-    std::memcpy(buf, step.bytes.data(), n);
-    return static_cast<ssize_t>(n);
+    unsigned n = 0;
+    while (n < count && next < steps.size() && steps[next].err == 0) {
+      fill(msgs[n++], steps[next++].bytes);
+    }
+    return static_cast<int>(n);
+  }
+
+  /// Copies `bytes` into one message slot, truncating to its buffer as a
+  /// kernel receive would.
+  static void fill(mmsghdr& msg, const std::vector<std::uint8_t>& bytes) {
+    const iovec& iov = msg.msg_hdr.msg_iov[0];
+    const std::size_t n = std::min(iov.iov_len, bytes.size());
+    if (n > 0) std::memcpy(iov.iov_base, bytes.data(), n);
+    msg.msg_len = static_cast<unsigned>(n);
   }
 };
+
+void script_receives(net::UdpTransport& transport,
+                     std::shared_ptr<ScriptedRecv> script) {
+  net::UdpTransport::Hooks hooks;
+  hooks.recv_batch = [script](int fd, mmsghdr* msgs, unsigned count) {
+    return (*script)(fd, msgs, count);
+  };
+  transport.set_hooks(std::move(hooks));
+}
 
 [[nodiscard]] std::vector<std::uint8_t> encoded(MemberId from, MemberId to,
                                                 std::uint8_t payload) {
@@ -210,18 +232,14 @@ TEST(UdpTransport, ReceivePathRetriesEintrWithoutSpinning) {
   script->steps.push_back({{}, EINTR});
   script->steps.push_back({{}, EINTR});
   script->steps.push_back({encoded(MemberId{1}, MemberId{0}, 0x7E), 0});
-  net::UdpTransport::Hooks hooks;
-  hooks.recv = [script](int fd, void* buf, std::size_t len) {
-    return (*script)(fd, buf, len);
-  };
-  transport.set_hooks(std::move(hooks));
+  script_receives(transport, script);
 
   // Drive the handler directly — a mocked reactor turn with the fd the
-  // real dispatch would pass, so the owner lookup behaves as in production.
-  transport.on_readable(transport.fd_of(MemberId{0}));
+  // real dispatch would pass.
+  transport.on_readable(transport.fd());
 
-  // Two EINTR retries, one datagram, one EAGAIN that ends the drain: four
-  // calls total — bounded, not a spin.
+  // Two EINTR retries, one batch holding the datagram, one EAGAIN that
+  // ends the drain: four calls total — bounded, not a spin.
   EXPECT_EQ(script->calls, 4u);
   EXPECT_EQ(transport.recv_eintr_retries(), 2u);
   ASSERT_EQ(a.messages_.size(), 1u);
@@ -237,13 +255,9 @@ TEST(UdpTransport, SpuriousWakeupReadsOnceAndReturns) {
   transport.attach(MemberId{0}, a);
 
   auto script = std::make_shared<ScriptedRecv>();  // EAGAIN immediately
-  net::UdpTransport::Hooks hooks;
-  hooks.recv = [script](int fd, void* buf, std::size_t len) {
-    return (*script)(fd, buf, len);
-  };
-  transport.set_hooks(std::move(hooks));
+  script_receives(transport, script);
 
-  transport.on_readable(transport.fd_of(MemberId{0}));
+  transport.on_readable(transport.fd());
   EXPECT_EQ(script->calls, 1u);
   EXPECT_TRUE(a.messages_.empty());
   EXPECT_EQ(transport.stats().messages_malformed, 0u);
@@ -260,15 +274,11 @@ TEST(UdpTransport, EndlessEintrIsBoundedByMaxDrain) {
 
   auto script = std::make_shared<ScriptedRecv>();
   for (int i = 0; i < 1000; ++i) script->steps.push_back({{}, EINTR});
-  net::UdpTransport::Hooks hooks;
-  hooks.recv = [script](int fd, void* buf, std::size_t len) {
-    return (*script)(fd, buf, len);
-  };
-  transport.set_hooks(std::move(hooks));
+  script_receives(transport, script);
 
   // A pathological signal storm must yield back to the reactor after
   // max_drain iterations, not spin through the whole storm.
-  transport.on_readable(transport.fd_of(MemberId{0}));
+  transport.on_readable(transport.fd());
   EXPECT_EQ(script->calls, 16u);
 }
 
@@ -277,6 +287,12 @@ TEST(UdpTransport, MockedDrainCountsMalformedAndDeliversValid) {
   net::UdpTransport::Options topt;
   topt.port_base = 43350;
   net::UdpTransport transport(reactor, topt);
+  // Members 0..8 live on this socket; member 9 on another shard's.
+  auto addresses = std::make_shared<net::AddressTable>(
+      10, net::loopback_address(transport.local_port()));
+  (*addresses)[9] = net::loopback_address(
+      static_cast<std::uint16_t>(transport.local_port() + 1));
+  transport.set_addresses(addresses);
   CollectingEndpoint a;
   transport.attach(MemberId{0}, a);
 
@@ -286,18 +302,178 @@ TEST(UdpTransport, MockedDrainCountsMalformedAndDeliversValid) {
   script->steps.push_back({encoded(MemberId{4}, MemberId{9}, 2), 0});  // mis-addressed
   script->steps.push_back({{}, EINTR});
   script->steps.push_back({encoded(MemberId{5}, MemberId{0}, 3), 0});
-  net::UdpTransport::Hooks hooks;
-  hooks.recv = [script](int fd, void* buf, std::size_t len) {
-    return (*script)(fd, buf, len);
-  };
-  transport.set_hooks(std::move(hooks));
+  script_receives(transport, script);
 
-  transport.on_readable(transport.fd_of(MemberId{0}));
+  transport.on_readable(transport.fd());
   EXPECT_EQ(transport.stats().messages_malformed, 2u);
   EXPECT_EQ(transport.stats().messages_delivered, 2u);
   ASSERT_EQ(a.messages_.size(), 2u);
   EXPECT_EQ(a.messages_[0].frame[0], 1);
   EXPECT_EQ(a.messages_[1].frame[0], 3);
+}
+
+TEST(UdpTransport, DrainBudgetIsMaxDrainPerAttachedMember) {
+  net::Reactor reactor(reactor_options());
+  net::UdpTransport::Options topt;
+  topt.port_base = 43400;
+  topt.max_drain = 10;
+  net::UdpTransport transport(reactor, topt);
+  CollectingEndpoint members[3];
+  for (std::uint32_t m = 0; m < 3; ++m) {
+    transport.attach(MemberId{m}, members[m]);
+  }
+
+  // An endless queue: every call fills the whole batch, round-robin over
+  // the three members.
+  std::uint64_t handed = 0;
+  std::uint64_t calls = 0;
+  net::UdpTransport::Hooks hooks;
+  hooks.recv_batch = [&](int, mmsghdr* msgs, unsigned count) {
+    ++calls;
+    for (unsigned i = 0; i < count; ++i) {
+      const MemberId to{static_cast<std::uint32_t>(handed++ % 3)};
+      ScriptedRecv::fill(msgs[i], encoded(MemberId{7}, to, 1));
+    }
+    return static_cast<int>(count);
+  };
+  transport.set_hooks(std::move(hooks));
+
+  // One wake reads exactly max_drain x 3 datagrams and yields.
+  transport.on_readable(transport.fd());
+  EXPECT_EQ(handed, 30u);
+  EXPECT_EQ(calls, 1u);
+  EXPECT_EQ(transport.stats().messages_delivered, 30u);
+  for (const CollectingEndpoint& member : members) {
+    EXPECT_EQ(member.messages_.size(), 10u);
+  }
+}
+
+TEST(UdpTransport, RoutesByAddressTableAndRejectsMisaddressedDatagrams) {
+  net::Reactor reactor(reactor_options());
+  net::UdpTransport::Options topt;
+  topt.port_base = 43450;
+  net::UdpTransport shard0(reactor, topt);
+  net::UdpTransport shard1(reactor, topt);
+  ASSERT_NE(shard0.local_port(), shard1.local_port());
+  auto addresses = std::make_shared<net::AddressTable>(
+      std::initializer_list<sockaddr_in>{
+          net::loopback_address(shard0.local_port()),
+          net::loopback_address(shard1.local_port())});
+  shard0.set_addresses(addresses);
+  shard1.set_addresses(addresses);
+  CollectingEndpoint a;
+  CollectingEndpoint b;
+  shard0.attach(MemberId{0}, a);
+  shard1.attach(MemberId{1}, b);
+
+  // Through the table, member 0's send lands on shard 1's socket.
+  shard0.send(net::Message{MemberId{0}, MemberId{1}, net::Frame{5}});
+  // A raw datagram for member 1 aimed at shard 0's socket is mis-addressed.
+  const int fd = ::socket(AF_INET, SOCK_DGRAM, 0);
+  ASSERT_GE(fd, 0);
+  const sockaddr_in to = net::loopback_address(shard0.local_port());
+  const auto stray = encoded(MemberId{0}, MemberId{1}, 6);
+  ASSERT_GT(::sendto(fd, stray.data(), stray.size(), 0,
+                     reinterpret_cast<const sockaddr*>(&to), sizeof(to)), 0);
+  ::close(fd);
+
+  const bool done = reactor.run_until(
+      [&]() {
+        return b.messages_.size() == 1 &&
+               shard0.stats().messages_malformed == 1;
+      },
+      SimTime::seconds(5));
+  ASSERT_TRUE(done) << "routed or stray datagram was not accounted";
+  EXPECT_EQ(b.messages_[0].frame[0], 5);
+  EXPECT_TRUE(a.messages_.empty());
+  EXPECT_EQ(shard0.stats().messages_delivered, 0u);
+  EXPECT_EQ(shard1.stats().messages_malformed, 0u);
+}
+
+TEST(UdpTransport, KernelReceiveDropsCloseTheAccounting) {
+  net::Reactor reactor(reactor_options());
+  net::UdpTransport::Options topt;
+  topt.port_base = 43500;
+  topt.rcvbuf_bytes = 1;  // the kernel rounds up to its minimum buffer
+  net::UdpTransport transport(reactor, topt);
+  CollectingEndpoint a;
+  CollectingEndpoint b;
+  transport.attach(MemberId{0}, a);
+  transport.attach(MemberId{1}, b);
+
+  // Flood the socket before any drain: most datagrams cannot fit.
+  for (int i = 0; i < 2000; ++i) {
+    transport.send(net::Message{MemberId{0}, MemberId{1}, net::Frame{9}});
+  }
+  transport.flush();
+
+  (void)reactor.run_until(
+      [&]() {
+        const net::NetworkStats& stats = transport.stats();
+        return stats.messages_delivered + stats.messages_dropped == 2000;
+      },
+      SimTime::seconds(5));
+  EXPECT_EQ(transport.stats().messages_sent, 2000u);
+  EXPECT_EQ(transport.stats().messages_sent,
+            transport.stats().messages_delivered +
+                transport.stats().messages_dropped);
+  EXPECT_GT(transport.stats().messages_dropped, 0u)
+      << "the flood should overflow a minimum-size receive buffer";
+  EXPECT_GT(transport.stats().messages_delivered, 0u);
+  EXPECT_EQ(b.messages_.size(), transport.stats().messages_delivered);
+}
+
+TEST(UdpTransport, OutboxFlushesBeforeRunUntilReturns) {
+  net::Reactor reactor(reactor_options());
+  net::UdpTransport::Options topt;
+  topt.port_base = 43550;
+  net::UdpTransport transport(reactor, topt);
+
+  // A plain peer socket stands in for member 1's shard.
+  const int peer = ::socket(AF_INET, SOCK_DGRAM | SOCK_NONBLOCK, 0);
+  ASSERT_GE(peer, 0);
+  sockaddr_in peer_addr = net::loopback_address(0);
+  ASSERT_EQ(::bind(peer, reinterpret_cast<const sockaddr*>(&peer_addr),
+                   sizeof(peer_addr)), 0);
+  socklen_t len = sizeof(peer_addr);
+  ASSERT_EQ(::getsockname(peer, reinterpret_cast<sockaddr*>(&peer_addr), &len),
+            0);
+  transport.set_addresses(std::make_shared<net::AddressTable>(
+      std::initializer_list<sockaddr_in>{
+          net::loopback_address(transport.local_port()), peer_addr}));
+  CollectingEndpoint a;
+  transport.attach(MemberId{0}, a);
+
+  bool sent = false;
+  reactor.schedule_after(SimTime::millis(1), [&]() {
+    for (std::uint8_t i = 0; i < 3; ++i) {
+      transport.send(net::Message{MemberId{0}, MemberId{1}, net::Frame{i}});
+    }
+    sent = true;
+  });
+  ASSERT_TRUE(reactor.run_until([&]() { return sent; }, SimTime::seconds(5)));
+
+  // Fewer than a batch, yet all three left before run_until returned:
+  // nothing flushes the outbox after it, so every datagram that reaches
+  // the peer (allowing for deferred loopback delivery) was on the wire.
+  std::uint64_t on_wire = 0;
+  std::uint8_t buffer[net::kMaxDatagramBytes];
+  while (on_wire < 3) {
+    pollfd ready{peer, POLLIN, 0};
+    if (::poll(&ready, 1, 1000) <= 0) break;
+    const ssize_t n = ::recv(peer, buffer, sizeof(buffer), 0);
+    if (n < 0) break;
+    net::Message message;
+    ASSERT_EQ(net::decode_datagram(buffer, static_cast<std::size_t>(n), message),
+              net::DecodeError::kOk);
+    EXPECT_EQ(message.destination, MemberId{1});
+    EXPECT_EQ(message.frame[0], on_wire);
+    ++on_wire;
+  }
+  ::close(peer);
+  EXPECT_EQ(on_wire, 3u);
+  EXPECT_EQ(transport.stats().messages_sent, on_wire);
+  EXPECT_EQ(transport.stats().messages_dropped, 0u);
 }
 
 TEST(Reactor, PollEintrIsRetriedNotFatal) {

@@ -1,8 +1,8 @@
 // gridbox_node: run an aggregation group over real UDP sockets on loopback.
 //
 // Every member of the group runs as a protocol node inside this process,
-// sharded over a few reactor threads, each member with its own nonblocking
-// UDP socket bound to port_base + member id — the deployable counterpart of
+// sharded over a few reactor threads, each shard with one nonblocking UDP
+// socket that serves all of its members — the deployable counterpart of
 // gridbox_sim (docs/udp_runtime.md). With --differential the same config
 // also runs in the simulator and the two results are cross-checked; exit
 // status 2 signals divergence, matching `gridbox_sim --differential`.
@@ -42,7 +42,8 @@ group
                          range | stddev
 
 network
-  --port-base P          member m listens on 127.0.0.1:(P + m) (default 38000)
+  --port-base P          each shard's socket binds the lowest free port >= P
+                         on 127.0.0.1 (default 38000)
   --threads T            reactor shard threads (default auto)
   --loss P               iid unicast loss, applied via the userspace shim
   --chaos SPEC           chaos spec file (docs/chaos.md grammar), or
