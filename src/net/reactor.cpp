@@ -101,7 +101,7 @@ void Reactor::post(sim::Action action) {
   posted_.push_back(std::move(action));
   // The one multi-writer telemetry site: any thread may post, so the
   // high-water update is a fetch-max race, not a single-writer add.
-  if (telemetry_ != nullptr) telemetry_->note_queue_depth(posted_.size());
+  telemetry_.note_queue_depth(posted_.size());
 }
 
 void Reactor::drain_posted() {
@@ -117,10 +117,7 @@ void Reactor::drain_posted() {
     batch.swap(posted_);
   }
   for (sim::Action& action : batch) {
-    ++actions_run_;
-    if (telemetry_ != nullptr) {
-      telemetry_->actions_run.fetch_add(1, std::memory_order_relaxed);
-    }
+    telemetry_.actions_run.fetch_add(1, std::memory_order_relaxed);
     action();
   }
 }
@@ -184,18 +181,13 @@ void Reactor::advance_wheel(SimTime now) {
                    [](const Entry& a, const Entry& b) {
                      return a.deadline < b.deadline;
                    });
-  if (telemetry_ != nullptr) {
-    telemetry_->dispatch_per_tick.observe(due_.size());
-  }
+  telemetry_.dispatch_per_tick.observe(due_.size());
   for (Entry& entry : due_) {
     if (entry.target != nullptr) {
-      ++timers_fired_;
-      if (telemetry_ != nullptr) {
-        // Lateness vs the scheduled deadline — the wheel's quantum plus
-        // any poll stall, the primary "is the loop keeping up" signal.
-        telemetry_->note_timer_fired(
-            static_cast<std::uint64_t>((now - entry.deadline).ticks()));
-      }
+      // Lateness vs the scheduled deadline — the wheel's quantum plus any
+      // poll stall, the primary "is the loop keeping up" signal.
+      telemetry_.note_timer_fired(
+          static_cast<std::uint64_t>((now - entry.deadline).ticks()));
       const bool again = entry.target->on_timer(entry.timer_id);
       if (again && entry.interval > SimTime::zero()) {
         // Re-arm one interval after the *scheduled* deadline, not after
@@ -205,10 +197,7 @@ void Reactor::advance_wheel(SimTime now) {
         insert(std::move(entry));
       }
     } else {
-      ++actions_run_;
-      if (telemetry_ != nullptr) {
-        telemetry_->actions_run.fetch_add(1, std::memory_order_relaxed);
-      }
+      telemetry_.actions_run.fetch_add(1, std::memory_order_relaxed);
       entry.action();
     }
   }
@@ -233,26 +222,18 @@ bool Reactor::run_until(const std::function<bool()>& done, SimTime deadline) {
       flush_handlers();  // anything done() itself sent
       return finished;
     }
-    ++polls_;
-    if (telemetry_ != nullptr) {
-      telemetry_->polls.fetch_add(1, std::memory_order_relaxed);
-    }
+    telemetry_.polls.fetch_add(1, std::memory_order_relaxed);
     const int n = poll_fn_(pollfds_.empty() ? nullptr : pollfds_.data(),
                            static_cast<nfds_t>(pollfds_.size()), timeout_ms);
     if (n < 0) {
       // A signal interrupting poll is routine (profilers, timers): retry.
       // Anything else is a programming error worth failing loudly on.
       expects(errno == EINTR, "poll failed");
-      ++eintr_retries_;
-      if (telemetry_ != nullptr) {
-        telemetry_->eintr_retries.fetch_add(1, std::memory_order_relaxed);
-      }
+      telemetry_.eintr_retries.fetch_add(1, std::memory_order_relaxed);
       continue;
     }
-    if (telemetry_ != nullptr) {
-      auto& cause = n == 0 ? telemetry_->wakes_timeout : telemetry_->wakes_io;
-      cause.fetch_add(1, std::memory_order_relaxed);
-    }
+    auto& cause = n == 0 ? telemetry_.wakes_timeout : telemetry_.wakes_io;
+    cause.fetch_add(1, std::memory_order_relaxed);
     if (n == 0) continue;  // quantum elapsed, or a spurious wakeup
     for (std::size_t i = 0; i < pollfds_.size(); ++i) {
       if ((pollfds_[i].revents & (POLLIN | POLLERR | POLLHUP)) == 0) continue;

@@ -24,6 +24,11 @@
 // starts, or from inside a callback this reactor is running — never from
 // another thread (cross-shard work goes through post()).
 //
+// Every loop count (timer fires, posted actions, polls, wake causes, EINTR
+// retries, drain/dispatch histograms, post-queue high-water) lives in the
+// reactor's own always-armed TelemetryLane, the only copy; the transport on
+// this reactor writes its receive-side counts into the same lane.
+//
 // The loop tolerates EINTR (poll retried, counted), EAGAIN (drain loops
 // simply end), and spurious wakeups (a poll return with nothing readable
 // costs one bounded iteration) without busy-spinning: every iteration
@@ -132,14 +137,12 @@ class Reactor final : public sim::Scheduler {
   using ClockFn = std::function<SimTime()>;
   void set_clock_fn(ClockFn fn) { clock_fn_ = std::move(fn); }
 
-  /// Arms live telemetry into `lane` (nullptr disarms). Set before the
-  /// loop starts; when null the hooks cost one pointer test each.
-  void set_telemetry(obs::TelemetryLane* lane) { telemetry_ = lane; }
-
-  [[nodiscard]] std::uint64_t timers_fired() const { return timers_fired_; }
-  [[nodiscard]] std::uint64_t actions_run() const { return actions_run_; }
-  [[nodiscard]] std::uint64_t polls() const { return polls_; }
-  [[nodiscard]] std::uint64_t eintr_retries() const { return eintr_retries_; }
+  /// This shard's telemetry lane. Written only on this reactor's thread
+  /// (post()'s queue high-water aside); other threads may read it live.
+  [[nodiscard]] obs::TelemetryLane& telemetry() { return telemetry_; }
+  [[nodiscard]] const obs::TelemetryLane& telemetry() const {
+    return telemetry_;
+  }
 
  private:
   /// One wheel entry: either a typed timer (target != null) or an action.
@@ -173,15 +176,10 @@ class Reactor final : public sim::Scheduler {
   std::vector<IoHandler*> handlers_;  ///< parallel to pollfds_
   PollFn poll_fn_;
   ClockFn clock_fn_;
-  obs::TelemetryLane* telemetry_ = nullptr;
+  obs::TelemetryLane telemetry_;
 
   std::mutex post_mutex_;            ///< guards posted_ only
   std::vector<sim::Action> posted_;  ///< cross-thread inbox (post())
-
-  std::uint64_t timers_fired_ = 0;
-  std::uint64_t actions_run_ = 0;
-  std::uint64_t polls_ = 0;
-  std::uint64_t eintr_retries_ = 0;
 };
 
 }  // namespace gridbox::net

@@ -216,9 +216,8 @@ void UdpTransport::consume(const std::uint8_t* bytes, std::size_t size) {
     return;
   }
   ++stats_.messages_delivered;
-  if (telemetry_ != nullptr) {
-    telemetry_->frames_delivered.fetch_add(1, std::memory_order_relaxed);
-  }
+  reactor_.telemetry().frames_delivered.fetch_add(1,
+                                                 std::memory_order_relaxed);
   try {
     endpoint->on_message(message);
   } catch (const PreconditionError&) {
@@ -244,7 +243,8 @@ void UdpTransport::on_readable(int fd) {
       if (errno == EINTR) {
         // Interrupted before a datagram was read: retry, but charged to
         // the budget like every other call — never a spin.
-        ++recv_eintr_retries_;
+        reactor_.telemetry().eintr_retries.fetch_add(
+            1, std::memory_order_relaxed);
         ++spent;
         continue;
       }
@@ -261,7 +261,7 @@ void UdpTransport::on_readable(int fd) {
   }
   // A budget exhausted with the socket still hot: the reactor will wake
   // again immediately; the histogram records the whole wake's drain.
-  if (telemetry_ != nullptr) telemetry_->drain_per_wake.observe(received);
+  reactor_.telemetry().drain_per_wake.observe(received);
 }
 
 }  // namespace gridbox::net

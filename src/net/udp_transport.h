@@ -33,7 +33,9 @@
 // call on it (send from a protocol callback, on_readable/flush from the
 // reactor, attach/detach during setup and teardown) happens on that
 // shard's thread — the shard-ownership model of DESIGN.md §14. The
-// transport itself takes no locks and holds no atomics; cross-shard
+// transport itself takes no locks. Its message totals live in
+// NetworkStats; its live counts (deliveries, receive EINTR retries,
+// datagrams per wake) go to its reactor's telemetry lane. Cross-shard
 // traffic goes through the kernel (a send lands in the *destination*
 // shard's socket, drained by that shard). Stats reads at measurement time
 // happen after the reactor threads have joined.
@@ -125,10 +127,6 @@ class UdpTransport final : public Transport, public IoHandler {
 
   void set_hooks(Hooks hooks);
 
-  /// Arms live telemetry into the owning shard's lane (nullptr disarms) —
-  /// the same lane as the shard's reactor; shard-thread writes only.
-  void set_telemetry(obs::TelemetryLane* lane) { telemetry_ = lane; }
-
   /// IoHandler: drains the readable socket in recvmmsg batches; tolerates
   /// EINTR (retries) and EAGAIN/spurious wakeups (returns) without
   /// spinning.
@@ -144,11 +142,6 @@ class UdpTransport final : public Transport, public IoHandler {
   /// the fd the real dispatch would pass.
   [[nodiscard]] int fd() const { return fd_; }
   [[nodiscard]] std::uint16_t local_port() const;
-
-  /// EINTR retries observed inside recv loops (test observability).
-  [[nodiscard]] std::uint64_t recv_eintr_retries() const {
-    return recv_eintr_retries_;
-  }
 
  private:
   /// Queues one already-chaos-approved message in the outbox.
@@ -170,8 +163,6 @@ class UdpTransport final : public Transport, public IoHandler {
   std::unique_ptr<ChaosSchedule> chaos_;
   mutable NetworkStats stats_;
   mutable std::uint64_t kernel_drops_seen_ = 0;
-  std::uint64_t recv_eintr_retries_ = 0;
-  obs::TelemetryLane* telemetry_ = nullptr;
 
   /// One recvmmsg/sendmmsg batch: buffers, their iovecs, destination
   /// addresses (send side only) and message headers. Each buffer holds one

@@ -9,8 +9,8 @@
 // first-received-wins / merge bookkeeping the protocols perform, the vote
 // count it derives for every member — and hence the run's mean completeness
 // — must equal the protocol's own `completeness_bp` *exactly*. That makes
-// lineage a third, independent accounting next to the metrics registry and
-// NetworkStats, and any divergence is recorded in errors().
+// lineage an independent accounting next to the protocol's own
+// measurement, and any divergence is recorded in errors().
 //
 // The tracker is pull-fed by RunObserver (never chained as `next`), costs
 // nothing when not constructed, and is queryable offline via to_json()

@@ -1,32 +1,15 @@
 #include "src/obs/metrics.h"
 
 #include <algorithm>
-#include <numeric>
-#include <utility>
 
 #include "src/common/ensure.h"
 #include "src/obs/json.h"
 
 namespace gridbox::obs {
 
-Histogram::Histogram(std::vector<std::uint64_t> bounds)
-    : bounds_(std::move(bounds)), counts_(bounds_.size() + 1, 0) {
-  expects(std::is_sorted(bounds_.begin(), bounds_.end()),
-          "histogram bounds must be ascending");
-}
-
-void Histogram::observe(std::uint64_t v) {
-  const auto it = std::lower_bound(bounds_.begin(), bounds_.end(), v);
-  ++counts_[static_cast<std::size_t>(it - bounds_.begin())];
-}
-
-void Histogram::add_to_bucket(std::size_t bucket, std::uint64_t n) {
-  expects(bucket < counts_.size(), "histogram add_to_bucket: bucket range");
-  counts_[bucket] += n;
-}
-
-std::uint64_t Histogram::total() const {
-  return std::accumulate(counts_.begin(), counts_.end(), std::uint64_t{0});
+void MetricsSnapshot::HistogramData::observe(std::uint64_t v) {
+  const auto it = std::lower_bound(bounds.begin(), bounds.end(), v);
+  ++counts[static_cast<std::size_t>(it - bounds.begin())];
 }
 
 void MetricsSnapshot::merge(const MetricsSnapshot& other) {
@@ -74,51 +57,6 @@ std::string MetricsSnapshot::to_json() const {
   w.end_object();
   w.end_object();
   return w.take();
-}
-
-Counter& MetricsRegistry::counter(const std::string& name) {
-  const auto it = counter_index_.find(name);
-  if (it != counter_index_.end()) return *it->second;
-  counters_.emplace_back();
-  counter_index_.emplace(name, &counters_.back());
-  return counters_.back();
-}
-
-Gauge& MetricsRegistry::gauge(const std::string& name) {
-  const auto it = gauge_index_.find(name);
-  if (it != gauge_index_.end()) return *it->second;
-  gauges_.emplace_back();
-  gauge_index_.emplace(name, &gauges_.back());
-  return gauges_.back();
-}
-
-Histogram& MetricsRegistry::histogram(const std::string& name,
-                                      std::vector<std::uint64_t> bounds) {
-  const auto it = histogram_index_.find(name);
-  if (it != histogram_index_.end()) {
-    expects(bounds.empty() || bounds == it->second->bounds(),
-            "histogram re-registered with different bounds: " + name);
-    return *it->second;
-  }
-  expects(!bounds.empty(), "histogram needs bounds at first registration");
-  histograms_.emplace_back(std::move(bounds));
-  histogram_index_.emplace(name, &histograms_.back());
-  return histograms_.back();
-}
-
-MetricsSnapshot MetricsRegistry::snapshot() const {
-  MetricsSnapshot snap;
-  for (const auto& [name, c] : counter_index_) {
-    snap.counters.emplace(name, c->value());
-  }
-  for (const auto& [name, g] : gauge_index_) {
-    snap.gauges.emplace(name, g->value());
-  }
-  for (const auto& [name, h] : histogram_index_) {
-    snap.histograms.emplace(
-        name, MetricsSnapshot::HistogramData{h->bounds(), h->counts()});
-  }
-  return snap;
 }
 
 }  // namespace gridbox::obs

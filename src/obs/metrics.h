@@ -1,87 +1,34 @@
-// Metrics registry: counters, gauges, and fixed-bucket histograms.
+// A run's metrics snapshot: counters, gauges and fixed-bucket histograms,
+// built once at the end of a run from the counters that own each count
+// (run_experiment: NetworkStats, PhaseTimeline, the RunObserver's own
+// tallies and the simulator's gauges).
 //
-// Design constraints, in order:
-//   1. Zero overhead when disabled — instrumentation sites hold a nullable
-//      handle and do nothing but one pointer test when metrics are off.
-//   2. Deterministic — a snapshot is a pure function of the run (no wall
-//      clock, no addresses, no hash-map iteration order), and snapshot merge
-//      is associative and order-independent for counters/histograms, so the
-//      sweep reducer can fold per-run snapshots in slot order and get the
-//      same bytes at any --jobs value.
-//   3. Cheap when enabled — handles are registered once (string lookup) and
-//      updated as plain integer arithmetic on stable addresses.
-//
-// A registry instance belongs to one run (one thread); cross-run aggregation
-// happens by merging snapshots, never by sharing a registry.
+// Deterministic: a snapshot is a pure function of the run (no wall clock,
+// no addresses, no hash-map iteration order), and merge is associative and
+// order-independent for counters/histograms, so the sweep reducer can fold
+// per-run snapshots in slot order and get the same bytes at any --jobs
+// value.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <string>
 #include <vector>
 
 namespace gridbox::obs {
 
-/// Monotone event count.
-class Counter {
- public:
-  void inc(std::uint64_t by = 1) { value_ += by; }
-  [[nodiscard]] std::uint64_t value() const { return value_; }
-
- private:
-  std::uint64_t value_ = 0;
-};
-
-/// Last-set / high-watermark value. Merge semantics: maximum (snapshots of
-/// parallel runs keep the worst case, which is what capacity questions ask).
-class Gauge {
- public:
-  void set(std::uint64_t v) { value_ = v; }
-  void set_max(std::uint64_t v) {
-    if (v > value_) value_ = v;
-  }
-  [[nodiscard]] std::uint64_t value() const { return value_; }
-
- private:
-  std::uint64_t value_ = 0;
-};
-
-/// Fixed-bucket histogram: counts per bucket, where bucket i holds samples
-/// v <= bounds[i] (first matching bound) and one overflow bucket holds
-/// samples above the last bound. Fixed bounds keep merges exact: two
-/// histograms with the same bounds merge by bucket-wise addition.
-class Histogram {
- public:
-  explicit Histogram(std::vector<std::uint64_t> bounds);
-
-  void observe(std::uint64_t v);
-
-  /// Bucket-wise addition (bucket `bounds().size()` = overflow), mirroring
-  /// snapshot merge. For writers that tally buckets locally and flush once.
-  void add_to_bucket(std::size_t bucket, std::uint64_t n);
-
-  [[nodiscard]] const std::vector<std::uint64_t>& bounds() const {
-    return bounds_;
-  }
-  [[nodiscard]] const std::vector<std::uint64_t>& counts() const {
-    return counts_;
-  }
-  [[nodiscard]] std::uint64_t total() const;
-
- private:
-  std::vector<std::uint64_t> bounds_;  ///< ascending upper bounds
-  std::vector<std::uint64_t> counts_;  ///< bounds_.size() + 1 buckets
-};
-
-/// Point-in-time copy of a registry, detached from the run that produced it.
 /// Maps are ordered by metric name, so serialization is deterministic.
 struct MetricsSnapshot {
   std::map<std::string, std::uint64_t> counters;
   std::map<std::string, std::uint64_t> gauges;
+  /// Fixed-bucket histogram: bucket i holds samples v <= bounds[i] (first
+  /// matching bound) and one overflow bucket holds samples above the last
+  /// bound. Fixed bounds keep merges exact: bucket-wise addition.
   struct HistogramData {
-    std::vector<std::uint64_t> bounds;
-    std::vector<std::uint64_t> counts;
+    std::vector<std::uint64_t> bounds;  ///< ascending upper bounds
+    std::vector<std::uint64_t> counts;  ///< bounds.size() + 1 buckets
+
+    void observe(std::uint64_t v);
   };
   std::map<std::string, HistogramData> histograms;
 
@@ -103,32 +50,6 @@ struct MetricsSnapshot {
   /// "histograms":{name:{"bounds":[...],"counts":[...]}}}. Deterministic
   /// (name-ordered, integer-only).
   [[nodiscard]] std::string to_json() const;
-};
-
-class MetricsRegistry {
- public:
-  MetricsRegistry() = default;
-  MetricsRegistry(const MetricsRegistry&) = delete;
-  MetricsRegistry& operator=(const MetricsRegistry&) = delete;
-
-  /// Returns the counter registered under `name`, creating it on first use.
-  /// The reference stays valid for the registry's lifetime.
-  Counter& counter(const std::string& name);
-  Gauge& gauge(const std::string& name);
-  /// Creating call fixes the bounds; later calls with the same name must
-  /// pass identical bounds (or empty to mean "whatever was registered").
-  Histogram& histogram(const std::string& name,
-                       std::vector<std::uint64_t> bounds);
-
-  [[nodiscard]] MetricsSnapshot snapshot() const;
-
- private:
-  std::map<std::string, Counter*> counter_index_;
-  std::map<std::string, Gauge*> gauge_index_;
-  std::map<std::string, Histogram*> histogram_index_;
-  std::deque<Counter> counters_;      ///< deque: stable addresses
-  std::deque<Gauge> gauges_;
-  std::deque<Histogram> histograms_;
 };
 
 }  // namespace gridbox::obs

@@ -1,7 +1,6 @@
 #include "src/obs/run_observer.h"
 
 #include <cstdio>
-#include <utility>
 
 #include "src/common/ensure.h"
 #include "src/obs/curves.h"
@@ -46,34 +45,34 @@ RunObserver::RunObserver(Options options) : options_(options) {
 
 SimTime RunObserver::now() const { return options_.simulator->now(); }
 
-void RunObserver::flush() {
-  MetricsRegistry* m = options_.metrics;
-  if (m == nullptr) return;
-  m->counter("msgs_sent").inc(tally_.msgs_sent);
-  m->counter("msgs_dropped").inc(tally_.msgs_dropped);
-  m->counter("msgs_duplicated").inc(tally_.msgs_duplicated);
-  m->counter("msgs_delivered").inc(tally_.msgs_delivered);
-  m->counter("msgs_dead_dest").inc(tally_.msgs_dead_dest);
-  m->counter("msgs_malformed").inc(tally_.msgs_malformed);
-  m->counter("bytes_on_wire").inc(tally_.bytes_on_wire);
-  m->counter("gossip_rounds").inc(tally_.rounds);
-  m->counter("phase_conclusions").inc(tally_.conclusions);
-  m->counter("finishes").inc(tally_.finishes);
-  m->counter("crashes").inc(tally_.crashes);
-  // Fanout is the per-round gossipee count: M in the paper, usually tiny.
-  Histogram& fanout =
-      m->histogram("gossip_fanout_hist", {0, 1, 2, 3, 4, 6, 8, 16});
-  for (std::size_t i = 0; i < kFanoutBuckets; ++i) {
-    fanout.add_to_bucket(i, fanout_counts_[i]);
-  }
-  // A per-phase counter exists iff the phase sent something, matching the
-  // lazy registration this replaced.
-  for (std::size_t phase = 0; phase < msgs_by_phase_.size(); ++phase) {
-    if (msgs_by_phase_[phase] == 0) continue;
+MetricsSnapshot RunObserver::metrics(const net::NetworkStats& network) const {
+  MetricsSnapshot m;
+  m.counters = {
+      {"msgs_sent", network.messages_sent},
+      {"msgs_dropped", network.messages_dropped},
+      {"msgs_duplicated", network.messages_duplicated},
+      {"msgs_delivered", network.messages_delivered},
+      {"msgs_dead_dest", network.messages_dead_dest},
+      {"msgs_malformed", network.messages_malformed},
+      {"bytes_on_wire", network.bytes_sent},
+      {"finishes", finishes_},
+      {"crashes", crashes_},
+  };
+  std::uint64_t rounds = 0;
+  std::uint64_t conclusions = 0;
+  for (std::size_t phase = 0; phase < timeline_.phases.size(); ++phase) {
+    const PhaseSpan& span = timeline_.phases[phase];
+    rounds += span.rounds;
+    conclusions += span.concluded;
+    if (span.msgs_sent == 0) continue;
     char name[40];
     std::snprintf(name, sizeof(name), "msgs_sent_by_phase.%02zu", phase);
-    m->counter(name).inc(msgs_by_phase_[phase]);
+    m.counters.emplace(name, span.msgs_sent);
   }
+  m.counters.emplace("gossip_rounds", rounds);
+  m.counters.emplace("phase_conclusions", conclusions);
+  m.histograms.emplace("gossip_fanout_hist", fanout_);
+  return m;
 }
 
 void RunObserver::on_send(const net::Message& message, SimTime t) {
@@ -81,10 +80,6 @@ void RunObserver::on_send(const net::Message& message, SimTime t) {
       message.source.value() < member_phase_.size()
           ? member_phase_[message.source.value()]
           : 0;
-  tally_.msgs_sent += 1;
-  tally_.bytes_on_wire += message.frame.size();
-  if (phase >= msgs_by_phase_.size()) msgs_by_phase_.resize(phase + 1, 0);
-  msgs_by_phase_[phase] += 1;
   timeline_.at_phase(phase).msgs_sent += 1;
   if (options_.sink != nullptr) {
     options_.sink->message_event("send", t, message.source,
@@ -98,7 +93,6 @@ void RunObserver::on_send(const net::Message& message, SimTime t) {
 }
 
 void RunObserver::on_drop(const net::Message& message, SimTime t) {
-  tally_.msgs_dropped += 1;
   if (options_.sink != nullptr) {
     options_.sink->message_event("drop", t, message.source,
                                  message.destination,
@@ -111,10 +105,6 @@ void RunObserver::on_drop(const net::Message& message, SimTime t) {
 }
 
 void RunObserver::on_duplicate(const net::Message& message, SimTime t) {
-  tally_.msgs_duplicated += 1;
-  // A duplicate is one more wire traversal: bytes_on_wire counts it once,
-  // matching NetworkStats::bytes_sent byte for byte.
-  tally_.bytes_on_wire += message.frame.size();
   if (options_.sink != nullptr) {
     options_.sink->message_event("dup", t, message.source,
                                  message.destination,
@@ -127,7 +117,6 @@ void RunObserver::on_duplicate(const net::Message& message, SimTime t) {
 }
 
 void RunObserver::on_deliver(const net::Message& message, SimTime t) {
-  tally_.msgs_delivered += 1;
   if (options_.sink != nullptr) {
     options_.sink->message_event("recv", t, message.source,
                                  message.destination,
@@ -140,7 +129,6 @@ void RunObserver::on_deliver(const net::Message& message, SimTime t) {
 }
 
 void RunObserver::on_dead_destination(const net::Message& message, SimTime t) {
-  tally_.msgs_dead_dest += 1;
   if (options_.sink != nullptr) {
     options_.sink->message_event("dead", t, message.source,
                                  message.destination,
@@ -153,7 +141,6 @@ void RunObserver::on_dead_destination(const net::Message& message, SimTime t) {
 }
 
 void RunObserver::on_malformed(const net::Message& message, SimTime t) {
-  tally_.msgs_malformed += 1;
   if (options_.sink != nullptr) {
     options_.sink->message_event("malformed", t, message.source,
                                  message.destination,
@@ -195,14 +182,7 @@ void RunObserver::on_round_gossiped(MemberId member, std::size_t phase,
   if (options_.next != nullptr) {
     options_.next->on_round_gossiped(member, phase, fanout);
   }
-  tally_.rounds += 1;
-  // Same bucket rule as Histogram::observe: first bound >= v, else overflow.
-  static constexpr std::uint64_t kFanoutBounds[] = {0, 1, 2, 3, 4, 6, 8, 16};
-  std::size_t bucket = 0;
-  while (bucket < kFanoutBuckets - 1 && fanout > kFanoutBounds[bucket]) {
-    ++bucket;
-  }
-  ++fanout_counts_[bucket];
+  fanout_.observe(fanout);
   timeline_.at_phase(phase).rounds += 1;
   // Rounds are the bulk of the stream; traced with the fanout so a timeline
   // reader can see gossip pressure per phase.
@@ -276,7 +256,6 @@ void RunObserver::on_phase_concluded(MemberId member, std::size_t phase,
   if (options_.next != nullptr) {
     options_.next->on_phase_concluded(member, phase, how, votes);
   }
-  tally_.conclusions += 1;
   PhaseSpan& span = timeline_.at_phase(phase);
   span.concluded += 1;
   span.votes_concluded_sum += votes;
@@ -304,7 +283,7 @@ void RunObserver::on_phase_concluded(MemberId member, std::size_t phase,
 
 void RunObserver::on_finished(MemberId member, std::uint32_t votes) {
   if (options_.next != nullptr) options_.next->on_finished(member, votes);
-  tally_.finishes += 1;
+  ++finishes_;
   if (options_.sink != nullptr) {
     options_.sink->member_event("finish", now(), member, TraceSink::kOmitted,
                                 static_cast<std::int64_t>(votes), "votes");
@@ -323,7 +302,7 @@ void RunObserver::on_finished(MemberId member, std::uint32_t votes) {
 }
 
 void RunObserver::on_crash(MemberId member) {
-  tally_.crashes += 1;
+  ++crashes_;
   if (options_.sink != nullptr) {
     options_.sink->member_event("crash", now(), member);
   }

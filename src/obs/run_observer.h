@@ -2,12 +2,15 @@
 //
 // Implements both instrumentation interfaces the substrates expose —
 // net::NetworkObserver (transport decisions) and gossip::GossipTrace (phase
-// machine) — and fans each event into up to three outputs:
-//   - a MetricsRegistry (counters / gauges / histograms),
-//   - a TraceSink (JSONL event stream),
-//   - a PhaseTimeline (per-phase spans and message totals).
-// All three are optional; a RunObserver with nothing attached is never
-// installed (run_experiment only creates one when something wants events).
+// machine) — and fans each event into the PhaseTimeline (per-phase spans
+// and message totals) and the optional sinks (JSONL trace, lineage, curves,
+// flight recorder). A RunObserver is only installed when something wants
+// events.
+//
+// It counts only what no other structure counts: finishes, crashes and the
+// per-round fanout histogram. metrics() derives everything else from the
+// counter that owns it — message totals from NetworkStats, rounds,
+// conclusions and per-phase sends from the timeline.
 //
 // Gossip events chain onward to `next`, so the observer can sit behind the
 // InvariantChecker and in front of a caller-supplied trace. Per-phase
@@ -19,6 +22,7 @@
 #include <vector>
 
 #include "src/net/observer.h"
+#include "src/net/stats.h"
 #include "src/obs/metrics.h"
 #include "src/obs/timeline.h"
 #include "src/obs/trace_sink.h"
@@ -35,7 +39,6 @@ class RunObserver final : public net::NetworkObserver,
                           public protocols::gossip::GossipTrace {
  public:
   struct Options {
-    MetricsRegistry* metrics = nullptr;           ///< nullable
     TraceSink* sink = nullptr;                    ///< nullable
     const sim::Simulator* simulator = nullptr;    ///< clock for trace stamps
     std::size_t group_size = 0;
@@ -74,44 +77,32 @@ class RunObserver final : public net::NetworkObserver,
   /// schedule; there is no substrate interface for it).
   void on_crash(MemberId member);
 
-  /// Writes the run's tallies into the metrics registry (no-op without
-  /// one). run_experiment calls this once, after the simulator drains and
-  /// before the registry is snapshotted; events observed later are lost.
-  void flush();
+  /// The run's counters and fanout histogram: msgs_* and bytes_on_wire
+  /// from `network` (the transport's own tallies), gossip_rounds,
+  /// phase_conclusions and msgs_sent_by_phase.NN (non-zero phases only)
+  /// from the timeline, finishes/crashes/gossip_fanout_hist from this
+  /// observer. Gauges are the caller's.
+  [[nodiscard]] MetricsSnapshot metrics(
+      const net::NetworkStats& network) const;
 
   [[nodiscard]] const PhaseTimeline& timeline() const { return timeline_; }
 
- private:
-  /// gossip_fanout_hist buckets: one per bound {0,1,2,3,4,6,8,16} plus
-  /// overflow.
-  static constexpr std::size_t kFanoutBuckets = 9;
+  /// gossip_fanout_hist: per-round gossipee count (M in the paper, usually
+  /// tiny), one bucket per bound plus overflow.
+  [[nodiscard]] static MetricsSnapshot::HistogramData empty_fanout_hist() {
+    return {{0, 1, 2, 3, 4, 6, 8, 16}, std::vector<std::uint64_t>(9, 0)};
+  }
 
+ private:
   [[nodiscard]] SimTime now() const;
 
   Options options_;
   PhaseTimeline timeline_;
   std::vector<std::size_t> member_phase_;  ///< current phase per member
 
-  // Per-run tallies, accumulated as plain members and written to the
-  // registry once by flush(). The registry's deque-backed counters sit on
-  // scattered cache lines; bouncing through five of them per message was
-  // the dominant term in the obs-overhead gate.
-  struct Tally {
-    std::uint64_t msgs_sent = 0;
-    std::uint64_t msgs_dropped = 0;
-    std::uint64_t msgs_duplicated = 0;
-    std::uint64_t msgs_delivered = 0;
-    std::uint64_t msgs_dead_dest = 0;
-    std::uint64_t msgs_malformed = 0;
-    std::uint64_t bytes_on_wire = 0;
-    std::uint64_t rounds = 0;
-    std::uint64_t conclusions = 0;
-    std::uint64_t finishes = 0;
-    std::uint64_t crashes = 0;
-  };
-  Tally tally_;
-  std::uint64_t fanout_counts_[kFanoutBuckets] = {};
-  std::vector<std::uint64_t> msgs_by_phase_;  ///< index = sender phase
+  std::uint64_t finishes_ = 0;
+  std::uint64_t crashes_ = 0;
+  MetricsSnapshot::HistogramData fanout_ = empty_fanout_hist();
 };
 
 }  // namespace gridbox::obs

@@ -1,5 +1,7 @@
 #include "src/obs/telemetry.h"
 
+#include <utility>
+
 #include "src/common/ensure.h"
 #include "src/obs/json.h"
 
@@ -41,6 +43,24 @@ void add_hist(std::uint64_t (&out)[TelemetryHist::kBuckets],
   for (std::size_t b = 0; b < TelemetryHist::kBuckets; ++b) out[b] += in[b];
 }
 
+/// Plain copy of one lane (each counter read individually: possibly torn
+/// while its shard runs, exact after a join).
+LaneSnapshot snapshot_of(const TelemetryLane& lane) {
+  LaneSnapshot snap;
+  snap.timers_fired = lane.timers_fired.load(std::memory_order_relaxed);
+  snap.actions_run = lane.actions_run.load(std::memory_order_relaxed);
+  snap.frames_delivered = lane.frames_delivered.load(std::memory_order_relaxed);
+  snap.polls = lane.polls.load(std::memory_order_relaxed);
+  snap.wakes_io = lane.wakes_io.load(std::memory_order_relaxed);
+  snap.wakes_timeout = lane.wakes_timeout.load(std::memory_order_relaxed);
+  snap.eintr_retries = lane.eintr_retries.load(std::memory_order_relaxed);
+  snap.queue_depth_hw = lane.queue_depth_hw.load(std::memory_order_relaxed);
+  copy_hist(snap.timer_lateness_us, lane.timer_lateness_us);
+  copy_hist(snap.drain_per_wake, lane.drain_per_wake);
+  copy_hist(snap.dispatch_per_tick, lane.dispatch_per_tick);
+  return snap;
+}
+
 }  // namespace
 
 void LaneSnapshot::add(const LaneSnapshot& other) {
@@ -57,34 +77,14 @@ void LaneSnapshot::add(const LaneSnapshot& other) {
   add_hist(dispatch_per_tick, other.dispatch_per_tick);
 }
 
-TelemetryHub::TelemetryHub(std::size_t lanes)
-    : lanes_(std::make_unique<TelemetryLane[]>(lanes)), lane_count_(lanes) {
-  expects(lanes > 0, "TelemetryHub needs at least one lane");
-}
-
-LaneSnapshot TelemetryHub::snapshot_lane(std::size_t i) const {
-  expects(i < lane_count_, "telemetry lane index out of range");
-  const TelemetryLane& lane = lanes_[i];
-  LaneSnapshot snap;
-  snap.timers_fired = lane.timers_fired.load(std::memory_order_relaxed);
-  snap.actions_run = lane.actions_run.load(std::memory_order_relaxed);
-  snap.frames_delivered = lane.frames_delivered.load(std::memory_order_relaxed);
-  snap.polls = lane.polls.load(std::memory_order_relaxed);
-  snap.wakes_io = lane.wakes_io.load(std::memory_order_relaxed);
-  snap.wakes_timeout = lane.wakes_timeout.load(std::memory_order_relaxed);
-  snap.eintr_retries = lane.eintr_retries.load(std::memory_order_relaxed);
-  snap.queue_depth_hw = lane.queue_depth_hw.load(std::memory_order_relaxed);
-  copy_hist(snap.timer_lateness_us, lane.timer_lateness_us);
-  copy_hist(snap.drain_per_wake, lane.drain_per_wake);
-  copy_hist(snap.dispatch_per_tick, lane.dispatch_per_tick);
-  return snap;
+TelemetryHub::TelemetryHub(std::vector<const TelemetryLane*> lanes)
+    : lanes_(std::move(lanes)) {
+  expects(!lanes_.empty(), "TelemetryHub needs at least one lane");
 }
 
 LaneSnapshot TelemetryHub::snapshot_total() const {
   LaneSnapshot total;
-  for (std::size_t i = 0; i < lane_count_; ++i) {
-    total.add(snapshot_lane(i));
-  }
+  for (const TelemetryLane* lane : lanes_) total.add(snapshot_of(*lane));
   return total;
 }
 
@@ -94,19 +94,19 @@ std::string TelemetryHub::sample_json(std::uint64_t seq, SimTime now) const {
   w.key("schema").value(kSchema);
   w.key("seq").value(seq);
   w.key("t_us").value(static_cast<std::int64_t>(now.ticks()));
-  w.key("lanes").value(static_cast<std::uint64_t>(lane_count_));
+  w.key("lanes").value(static_cast<std::uint64_t>(lanes_.size()));
   w.key("shards").begin_array();
   LaneSnapshot total;
-  for (std::size_t i = 0; i < lane_count_; ++i) {
-    const LaneSnapshot snap = snapshot_lane(i);
+  for (const TelemetryLane* lane : lanes_) {
+    const LaneSnapshot snap = snapshot_of(*lane);
     write_lane(w, snap);
     total.add(snap);
   }
   w.end_array();
   w.key("total");
   write_lane(w, total);
-  if (service_enabled_) {
-    const ServiceTelemetry& s = service_;
+  if (service_ != nullptr) {
+    const ServiceTelemetry& s = *service_;
     w.key("service").begin_object();
     w.key("launched").value(s.launched);
     w.key("completed").value(s.completed);

@@ -3,27 +3,37 @@
 //
 // The post-mortem observability stack (metrics, lineage, curves, flight
 // recorder) answers "what happened" after measure_run; this layer answers
-// "what is the run doing right now". Each reactor shard (or the simulator)
-// owns one cache-line-aligned TelemetryLane of relaxed-atomic counters and
+// "what is the run doing right now". Where each count lives:
+//   - A reactor shard's loop counts (timer fires, posted actions, polls,
+//     wake causes, EINTR retries on poll and on receive, drain and dispatch
+//     histograms, post-queue high-water) live only in the TelemetryLane its
+//     net::Reactor owns. The lane is always armed; UdpRunResult and
+//     UdpServiceResult read their timers_fired / polls / eintr_retries from
+//     the shard-ordered fold of these lanes.
+//   - The simulator's lane is opt-in (run_experiment / the service arm it
+//     only when telemetry is on): the obs-overhead gate protects the
+//     simulator's per-event cost.
+//   - Message totals live in net::NetworkStats. The one count kept twice on
+//     purpose is delivery: NetworkStats::messages_delivered is written
+//     plainly by the shard thread for post-join reads, and the lane's
+//     frames_delivered is its atomic twin for live cross-thread sampling.
+//   - The service engine's stream counts live only in its
+//     ServiceTelemetry; the hub samples it by reference and
+//     ServiceEngine::collect() copies it into ServiceMetrics.
+//
+// A lane is cache-line aligned and holds relaxed-atomic counters and
 // fixed-bucket log2 histograms — the same single-writer, no-lock discipline
-// as the mux stat lanes (DESIGN.md §14) — recording timer-fire lateness,
-// poll wake causes, datagrams drained per wake, cross-thread post queue
-// depth, and dispatch work per wheel tick. The service engine adds a
-// control-thread-only section: epoch launch→complete latency and
-// window-occupancy/deferral gauges.
+// as the mux stat lanes (DESIGN.md §14). The steady-state record path is a
+// relaxed fetch_add into preallocated fixed arrays — no locks, no heap (the
+// zero-alloc suite pins that claim).
 //
-// Zero cost when off: every instrumented site holds a nullable
-// TelemetryLane* and pays one pointer test per event when telemetry is not
-// armed. When armed, the steady-state record path is a relaxed fetch_add
-// into preallocated fixed arrays — no locks, no heap (the zero-alloc suite
-// pins that claim).
-//
-// A TelemetrySampler on the control thread snapshots every lane on a fixed
-// interval into one "gridbox-telemetry/1" JSONL record: integer-only,
-// lanes merged in shard order, so on the simulator substrate the whole
-// series is a byte-deterministic function of (config, seed). Leaf header:
-// depends on common/types.h and the standard library only, so net/ and
-// sim/ can include it without a layering cycle.
+// A TelemetrySampler on the control thread renders a TelemetryHub — a
+// shard-ordered fold over lanes it does not own — on a fixed interval into
+// one "gridbox-telemetry/1" JSONL record: integer-only, lanes merged in
+// shard order, so on the simulator substrate the whole series is a
+// byte-deterministic function of (config, seed). Leaf header: depends on
+// common/types.h and the standard library only, so net/ and sim/ can
+// include it without a layering cycle.
 #pragma once
 
 #include <algorithm>
@@ -31,8 +41,8 @@
 #include <bit>
 #include <cstdint>
 #include <cstdio>
-#include <memory>
 #include <string>
+#include <vector>
 
 #include "src/common/types.h"
 
@@ -100,8 +110,9 @@ struct alignas(64) TelemetryLane {
   }
 };
 
-/// The service engine's stream-level gauges. Control thread only (the
-/// engine's bookkeeping is single-threaded by construction), so plain
+/// The service engine's stream counts — the only copy: the engine updates
+/// them, the hub samples them, collect() reports them. Control thread only
+/// (the engine's bookkeeping is single-threaded by construction), so plain
 /// fields; the sampler runs on the same thread.
 struct ServiceTelemetry {
   std::uint64_t launched = 0;
@@ -115,9 +126,10 @@ struct ServiceTelemetry {
   /// Launch → every-participant-finished latency, µs, per instance.
   TelemetryHist epoch_latency_us;
 
-  void note_occupancy(std::uint64_t running, std::uint64_t queued) {
-    in_flight = running;
-    in_flight_hw = std::max(in_flight_hw, running);
+  /// Refreshes the high-water gauges after in_flight grew or the
+  /// deferred-launch queue (now `queued` long) changed.
+  void note_occupancy(std::uint64_t queued) {
+    in_flight_hw = std::max(in_flight_hw, in_flight);
     deferred_queue = queued;
     deferred_queue_hw = std::max(deferred_queue_hw, queued);
   }
@@ -142,40 +154,32 @@ struct LaneSnapshot {
   void add(const LaneSnapshot& other);
 };
 
-/// Owns the per-shard lanes plus the service section, and renders the
-/// merged JSONL record. Lane count is fixed at construction (one per
-/// reactor shard; 1 on the simulator substrate).
+/// A shard-ordered fold over lanes it does not own (one per reactor shard;
+/// one on the simulator substrate), plus the service section when it
+/// watches a service engine. Renders the merged JSONL record.
 class TelemetryHub {
  public:
   static constexpr const char* kSchema = "gridbox-telemetry/1";
 
-  explicit TelemetryHub(std::size_t lanes);
-  TelemetryHub(const TelemetryHub&) = delete;
-  TelemetryHub& operator=(const TelemetryHub&) = delete;
+  /// `lanes` in shard order; each must outlive the hub.
+  explicit TelemetryHub(std::vector<const TelemetryLane*> lanes);
 
-  [[nodiscard]] std::size_t lane_count() const { return lane_count_; }
-  [[nodiscard]] TelemetryLane& lane(std::size_t i) { return lanes_[i]; }
+  /// Adds the service section to every record, read from `service` (which
+  /// must outlive the hub) on the sampling thread. One-shot runs never
+  /// call this and their records omit "service".
+  void watch_service(const ServiceTelemetry& service) { service_ = &service; }
 
-  /// Arms the service section (streamed-epoch runtimes); one-shot runs
-  /// leave it off and the record omits "service".
-  void enable_service() { service_enabled_ = true; }
-  [[nodiscard]] bool service_enabled() const { return service_enabled_; }
-  [[nodiscard]] ServiceTelemetry& service() { return service_; }
-
-  [[nodiscard]] LaneSnapshot snapshot_lane(std::size_t i) const;
   /// All lanes folded in shard order (the deterministic merge).
   [[nodiscard]] LaneSnapshot snapshot_total() const;
 
   /// One "gridbox-telemetry/1" record (no trailing newline): integer-only,
   /// per-lane objects in shard order, the shard-ordered total, and the
-  /// service section when armed.
+  /// service section when watched.
   [[nodiscard]] std::string sample_json(std::uint64_t seq, SimTime now) const;
 
  private:
-  std::unique_ptr<TelemetryLane[]> lanes_;
-  std::size_t lane_count_ = 0;
-  ServiceTelemetry service_;
-  bool service_enabled_ = false;
+  std::vector<const TelemetryLane*> lanes_;
+  const ServiceTelemetry* service_ = nullptr;
 };
 
 /// Sampling configuration, carried by ExperimentConfig so every runtime

@@ -16,8 +16,12 @@ std::uint64_t GossipConfig::rounds_per_phase(std::size_t n) const {
   // base 2 (a single-gossipee round still spreads one value per round).
   const double base = fanout_m >= 2 ? static_cast<double>(fanout_m) : 2.0;
   const double rounds =
-      round_multiplier_c * std::log(std::max<std::size_t>(n, 2)) / std::log(base);
-  return static_cast<std::uint64_t>(std::max(1.0, std::ceil(rounds)));
+      std::ceil(round_multiplier_c *
+                std::log(std::max<std::size_t>(n, 2)) / std::log(base));
+  // Casting a non-finite or >= 2^64 double to an integer is undefined.
+  expects(std::isfinite(rounds) && rounds < 0x1p64,
+          "C too large: rounds per phase out of range");
+  return static_cast<std::uint64_t>(std::max(1.0, rounds));
 }
 
 }  // namespace gridbox::protocols::gossip

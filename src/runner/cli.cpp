@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <exception>
@@ -63,6 +64,11 @@ struct Parser {
       if (used != text.size()) return fail(flag + ": not a number: " + text);
     } catch (const std::exception&) {
       return fail(flag + ": not a number: " + text);
+    }
+    // inf and nan parse, but no flag means them: downstream they become
+    // undefined double -> integer casts.
+    if (!std::isfinite(*out)) {
+      return fail(flag + ": not a finite number: " + text);
     }
     return true;
   }
@@ -459,6 +465,10 @@ NodeCliParseResult parse_node_cli(const std::vector<std::string>& args) {
           SimTime::micros(static_cast<SimTime::underlying>(u));
     } else if (flag == "--deadline-factor") {
       if (!p.parse_double(flag, &options.udp.deadline_factor)) break;
+      if (options.udp.deadline_factor <= 0.0) {
+        (void)p.fail(flag + ": must be positive");
+        break;
+      }
     } else if (flag == "--telemetry-port") {
       if (!p.parse_port(flag, &config.telemetry.udp_port)) break;
       config.telemetry.enabled = true;

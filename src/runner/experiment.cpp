@@ -170,20 +170,15 @@ RunResult run_experiment(const ExperimentConfig& config) {
   const std::unique_ptr<net::SimNetwork> network =
       make_sim_network(config, simulator, group, chaos);
 
-  // Observability: one registry + observer per run when anything wants
-  // events. Metric values are a pure function of (config, seed); the
-  // registry lives on this stack frame, so parallel sweep runs never share
-  // state and snapshots merge deterministically in slot order afterwards.
-  std::unique_ptr<obs::MetricsRegistry> metrics;
+  // Observability: one observer per run when anything wants events. It
+  // lives on this stack frame, so parallel sweep runs never share state;
+  // the metrics snapshot is built from it once, after the run, and merges
+  // deterministically in slot order afterwards.
   std::unique_ptr<obs::RunObserver> observer;
   if (config.collect_metrics || config.trace_sink != nullptr ||
       config.lineage != nullptr || config.curves != nullptr ||
       config.flight != nullptr) {
-    if (config.collect_metrics) {
-      metrics = std::make_unique<obs::MetricsRegistry>();
-    }
     obs::RunObserver::Options oopt;
-    oopt.metrics = metrics.get();
     oopt.sink = config.trace_sink;
     oopt.simulator = &simulator;
     oopt.group_size = config.group_size;
@@ -266,12 +261,16 @@ RunResult run_experiment(const ExperimentConfig& config) {
 
   // Live telemetry on the simulator substrate: one lane, sampled on the
   // virtual clock between run_until slices — the series is a pure function
-  // of (config, seed), byte-identical at any host parallelism.
+  // of (config, seed), byte-identical at any host parallelism. Armed only
+  // on request, unlike a reactor's lane: the obs-overhead gate holds the
+  // simulator's per-event cost.
+  obs::TelemetryLane tel_lane;
   std::unique_ptr<obs::TelemetryHub> tel_hub;
   std::unique_ptr<obs::TelemetrySampler> tel_sampler;
   if (config.telemetry.enabled) {
-    tel_hub = std::make_unique<obs::TelemetryHub>(1);
-    simulator.set_telemetry(&tel_hub->lane(0));
+    simulator.set_telemetry(&tel_lane);
+    tel_hub = std::make_unique<obs::TelemetryHub>(
+        std::vector<const obs::TelemetryLane*>{&tel_lane});
     tel_sampler =
         std::make_unique<obs::TelemetrySampler>(*tel_hub, config.telemetry);
   }
@@ -299,19 +298,18 @@ RunResult run_experiment(const ExperimentConfig& config) {
   result.network = network->stats();
   result.sim_events = executed;
   result.sim_end_us = simulator.now().ticks();
-  if (metrics != nullptr) {
-    // The observer tallies hot-path events locally; fold them into the
-    // registry before anything reads it.
-    observer->flush();
+  if (config.collect_metrics) {
+    result.metrics = observer->metrics(result.network);
     // Whole-run facts that have no natural event: queue pressure, executed
     // events, and end-of-run completeness in basis points (integral, so the
     // merged sweep maximum stays bitwise-deterministic).
-    metrics->gauge("event_queue_depth").set(simulator.peak_pending_events());
-    metrics->gauge("sim_events").set(executed);
-    metrics->gauge("completeness_bp")
-        .set(static_cast<std::uint64_t>(
-            result.measurement.mean_completeness * 10'000.0 + 0.5));
-    result.metrics = metrics->snapshot();
+    result.metrics.gauges = {
+        {"event_queue_depth", simulator.peak_pending_events()},
+        {"sim_events", executed},
+        {"completeness_bp",
+         static_cast<std::uint64_t>(
+             result.measurement.mean_completeness * 10'000.0 + 0.5)},
+    };
   }
   if (observer != nullptr) result.timeline = observer->timeline();
   if (profiling) result.profile = profiler->snapshot();

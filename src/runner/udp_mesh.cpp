@@ -72,14 +72,12 @@ UdpMesh::UdpMesh(const ExperimentConfig& config, std::uint16_t port_base,
   }
   for (const auto& transport : transports_) transport->set_addresses(addresses);
 
+  std::vector<const obs::TelemetryLane*> lanes;
+  lanes.reserve(count);
+  for (const auto& reactor : reactors_) lanes.push_back(&reactor->telemetry());
+  hub_ = std::make_unique<obs::TelemetryHub>(std::move(lanes));
+
   if (!config.telemetry.enabled) return;
-  // One lane per shard: a shard's reactor and transport share it (both
-  // write from the shard's own thread).
-  hub_ = std::make_unique<obs::TelemetryHub>(count);
-  for (std::size_t s = 0; s < count; ++s) {
-    reactors_[s]->set_telemetry(&hub_->lane(s));
-    transports_[s]->set_telemetry(&hub_->lane(s));
-  }
   sampler_ = std::make_unique<obs::TelemetrySampler>(*hub_, config.telemetry);
   sampler_tick_ = std::make_unique<SamplerTick>();
   if (config.telemetry.udp_port != 0) {

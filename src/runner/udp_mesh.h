@@ -1,8 +1,8 @@
 // The real-socket shard mesh under both UDP drivers (run_udp_experiment and
 // run_udp_service): reactor threads, one UdpTransport and chaos shim per
-// reactor, one telemetry lane per shard. It is the single owner of that
-// wiring — which shard owns a member, the default shard count, how the
-// threads run, join and report errors, and how per-shard counters fold.
+// reactor, and the telemetry hub folding the reactors' lanes in shard
+// order. It is the single owner of that wiring — which shard owns a member,
+// the default shard count, how the threads run, join and report errors.
 //
 // Shard s owns the members with id % shards == s end to end (DESIGN.md
 // §14): their timers and deliveries, dispatched lock-free on its thread,
@@ -40,7 +40,7 @@ class UdpMesh {
   /// Under loss, a partition or a network chaos directive, transport s gets
   /// its own chaos shim on stream kChaos.derive(s): real sockets have no
   /// global send order, so parity with the simulator is statistical, not
-  /// per-message. With telemetry on, each shard gets a lane.
+  /// per-message. With telemetry on, a sampler renders the hub.
   UdpMesh(const ExperimentConfig& config, std::uint16_t port_base,
           std::size_t shards, const membership::Group& group);
   ~UdpMesh();
@@ -63,8 +63,10 @@ class UdpMesh {
   void count_timers(std::function<bool(const sim::TimerTarget*)> pred,
                     std::function<void(std::size_t)> done) const;
 
-  /// The telemetry hub (null unless config.telemetry.enabled).
-  [[nodiscard]] obs::TelemetryHub* telemetry() const { return hub_.get(); }
+  /// The shard-ordered fold over every reactor's lane. Exact after run()
+  /// (the joins order the shards' writes before the read); a live, possibly
+  /// torn sample while the shards run.
+  [[nodiscard]] obs::TelemetryHub& telemetry() const { return *hub_; }
 
   /// Runs every shard on its own thread until `done()` (a global probe,
   /// not per shard) or the deadline, joins them all, rethrows the first
@@ -75,20 +77,6 @@ class UdpMesh {
 
   /// Transport tallies summed in shard order (read after run()).
   [[nodiscard]] net::NetworkStats network() const;
-
-  /// Writes the shard count and the reactor/transport counters, summed in
-  /// shard order, into a result with shards / timers_fired / polls /
-  /// eintr_retries fields (read after run()).
-  template <typename Result>
-  void fold_counters(Result& out) const {
-    out.shards = shard_count();
-    for (std::size_t s = 0; s < shard_count(); ++s) {
-      out.timers_fired += reactors_[s]->timers_fired();
-      out.polls += reactors_[s]->polls();
-      out.eintr_retries += reactors_[s]->eintr_retries() +
-                           transports_[s]->recv_eintr_retries();
-    }
-  }
 
  private:
   struct SamplerTick;

@@ -172,7 +172,12 @@ UdpRunResult run_udp_experiment(const UdpRunConfig& udp_config) {
   result.measurement =
       protocols::measure_run(group, nodes, world.votes, config.aggregate,
                              result.network, world.audit.get());
-  mesh.fold_counters(result);
+  // The loop counts live in the reactors' lanes; fold them in shard order.
+  const obs::LaneSnapshot loop = mesh.telemetry().snapshot_total();
+  result.shards = mesh.shard_count();
+  result.timers_fired = loop.timers_fired;
+  result.polls = loop.polls;
+  result.eintr_retries = loop.eintr_retries;
   return result;
 }
 

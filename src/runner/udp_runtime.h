@@ -55,6 +55,8 @@ struct UdpRunResult {
   bool completed = false;   ///< every node finished/crashed before deadline
   SimTime elapsed = SimTime::zero();  ///< real run time (µs since epoch)
   std::size_t shards = 0;
+  /// Loop counts, folded in shard order from the reactors' telemetry
+  /// lanes; eintr_retries counts poll and receive EINTR retries.
   std::uint64_t timers_fired = 0;
   std::uint64_t polls = 0;
   std::uint64_t eintr_retries = 0;

@@ -1,6 +1,7 @@
 #include "src/runner/world_setup.h"
 
 #include <algorithm>
+#include <cmath>
 #include <utility>
 #include <vector>
 
@@ -145,8 +146,13 @@ std::unique_ptr<net::SimNetwork> make_sim_network(
 }
 
 SimTime scaled_deadline(SimTime horizon, double factor, SimTime floor) {
-  return std::max(floor, SimTime::micros(static_cast<SimTime::underlying>(
-                             static_cast<double>(horizon.ticks()) * factor)));
+  expects(std::isfinite(factor) && factor > 0.0,
+          "deadline factor must be positive and finite");
+  const double micros = static_cast<double>(horizon.ticks()) * factor;
+  // Casting an out-of-range double to an integer is undefined.
+  expects(micros < 0x1p63, "deadline factor too large: deadline out of range");
+  return std::max(floor,
+                  SimTime::micros(static_cast<SimTime::underlying>(micros)));
 }
 
 membership::View make_view(const ExperimentConfig& config,

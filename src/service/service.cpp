@@ -125,18 +125,6 @@ void ServiceEngine::fan_crash(MemberId member) {
   }
 }
 
-std::size_t ServiceEngine::running_count() const { return in_flight_; }
-
-void ServiceEngine::sync_telemetry() {
-  if (substrate_.telemetry == nullptr) return;
-  obs::ServiceTelemetry& s = substrate_.telemetry->service();
-  s.launched = launched_;
-  s.completed = completed_count_;
-  s.failed = failed_count_;
-  s.deferred = deferred_count_;
-  s.note_occupancy(in_flight_, deferred_.size());
-}
-
 void ServiceEngine::on_launch_due(std::uint32_t id) {
   // The epoch's cohort is fixed at its due time: deferral delays a launch,
   // never changes who participates, so cohorts cannot depend on how fast
@@ -144,17 +132,17 @@ void ServiceEngine::on_launch_due(std::uint32_t id) {
   Due due{id, shared_group_.alive_members()};
   // Launches must stay in id order (the mux's monotone id space), so a due
   // epoch also defers while older deferred launches are still queued.
-  if (!deferred_.empty() || running_count() >= config_.max_in_flight) {
+  if (!deferred_.empty() || counts_.in_flight >= config_.max_in_flight) {
     deferred_.push_back(std::move(due));
-    ++deferred_count_;
-    sync_telemetry();
+    ++counts_.deferred;
+    counts_.note_occupancy(deferred_.size());
     return;
   }
   launch(due);
 }
 
 void ServiceEngine::try_launches() {
-  while (!deferred_.empty() && running_count() < config_.max_in_flight) {
+  while (!deferred_.empty() && counts_.in_flight < config_.max_in_flight) {
     const Due due = std::move(deferred_.front());
     deferred_.pop_front();
     launch(due);
@@ -256,34 +244,30 @@ void ServiceEngine::launch(const Due& due) {
   }
 
   live_.emplace(id, std::move(inst));
-  ++launched_;
-  ++in_flight_;
-  sync_telemetry();
+  ++counts_.launched;
+  ++counts_.in_flight;
+  counts_.note_occupancy(deferred_.size());
 }
 
 void ServiceEngine::complete(Instance& inst, SimTime now) {
   inst.completed_at = now;
   completion_times_.push_back(now - inst.launched_at);
   close(inst, State::kDraining);
-  ++completed_count_;
-  if (substrate_.telemetry != nullptr) {
-    substrate_.telemetry->service().epoch_latency_us.observe(
-        static_cast<std::uint64_t>((now - inst.launched_at).ticks()));
-  }
-  sync_telemetry();
+  ++counts_.completed;
+  counts_.epoch_latency_us.observe(
+      static_cast<std::uint64_t>((now - inst.launched_at).ticks()));
 }
 
 void ServiceEngine::close(Instance& inst, State state) {
   inst.network = inst.sender->stats();
   mux_.close_instance(inst.id);
   inst.state = state;
-  --in_flight_;
+  --counts_.in_flight;
 }
 
 void ServiceEngine::fail(Instance& inst) {
   close(inst, State::kFailed);
-  ++failed_count_;
-  sync_telemetry();
+  ++counts_.failed;
   if (inst.checker) {
     // Materialize never-finished violations for the report (collect mode:
     // the UDP substrate never fail-fasts).
@@ -413,7 +397,8 @@ void ServiceEngine::scan() {
 }
 
 void ServiceEngine::maybe_done() {
-  if (launched_ == config_.instances && live_.empty() && deferred_.empty()) {
+  if (counts_.launched == config_.instances && live_.empty() &&
+      deferred_.empty()) {
     done_.store(true, std::memory_order_release);
   }
 }
@@ -433,7 +418,7 @@ ServiceResult ServiceEngine::collect() {
       finalize(*inst, /*teardown=*/false);
     } else if (inst->state == State::kRunning) {
       close(*inst, State::kFailed);
-      ++failed_count_;
+      ++counts_.failed;
       parked_.push_back(std::move(inst));
     }
   }
@@ -448,22 +433,22 @@ ServiceResult ServiceEngine::collect() {
   result.instances = std::move(results_);
 
   ServiceMetrics& m = result.metrics;
-  m.launched = launched_;
-  m.completed = completed_count_;
-  m.failed = failed_count_;
-  m.deferred = deferred_count_;
+  m.launched = counts_.launched;
+  m.completed = counts_.completed;
+  m.failed = counts_.failed;
+  m.deferred = counts_.deferred;
   std::sort(completion_times_.begin(), completion_times_.end());
   m.p50_completion = percentile(completion_times_, 0.50);
   m.p90_completion = percentile(completion_times_, 0.90);
   m.p99_completion = percentile(completion_times_, 0.99);
   if (result.elapsed > SimTime::zero()) {
-    m.instances_per_sec = static_cast<double>(completed_count_) /
+    m.instances_per_sec = static_cast<double>(counts_.completed) /
                           (static_cast<double>(result.elapsed.ticks()) / 1e6);
   }
   m.demux = mux_.stats();
 
   result.completed =
-      completed_count_ == config_.instances && failed_count_ == 0;
+      counts_.completed == config_.instances && counts_.failed == 0;
   return result;
 }
 
@@ -515,22 +500,24 @@ ServiceResult run_service_experiment(const ServiceConfig& config) {
 
   ServiceEngine::Substrate substrate;
   substrate.simulator = &simulator;
+  ServiceEngine engine(config, mux, shared_group, substrate);
 
-  // Live telemetry: the simulator is one shard, so one lane. The sampler
-  // ticks on the virtual clock, making the whole JSONL series a pure
-  // function of (config, seed) — the determinism tests pin the bytes.
+  // Live telemetry: the simulator is one shard, so one lane, plus the
+  // engine's stream counts. The sampler ticks on the virtual clock, making
+  // the whole JSONL series a pure function of (config, seed) — golden
+  // fixtures pin the bytes.
+  obs::TelemetryLane tel_lane;
   std::unique_ptr<obs::TelemetryHub> tel_hub;
   std::unique_ptr<obs::TelemetrySampler> tel_sampler;
   if (xc.telemetry.enabled) {
-    tel_hub = std::make_unique<obs::TelemetryHub>(1);
-    tel_hub->enable_service();
-    simulator.set_telemetry(&tel_hub->lane(0));
-    substrate.telemetry = tel_hub.get();
+    simulator.set_telemetry(&tel_lane);
+    tel_hub = std::make_unique<obs::TelemetryHub>(
+        std::vector<const obs::TelemetryLane*>{&tel_lane});
+    tel_hub->watch_service(engine.counts());
     tel_sampler = std::make_unique<obs::TelemetrySampler>(*tel_hub,
                                                           xc.telemetry);
   }
 
-  ServiceEngine engine(config, mux, shared_group, substrate);
   engine.begin();
   if (tel_sampler != nullptr) {
     // The periodic tick rides the same event queue as the run; it stops

@@ -54,6 +54,7 @@
 #include "src/net/chaos.h"
 #include "src/net/stats.h"
 #include "src/obs/lineage.h"
+#include "src/obs/telemetry.h"
 #include "src/protocols/arena.h"
 #include "src/protocols/invariant_checker.h"
 #include "src/protocols/node.h"
@@ -161,11 +162,6 @@ class ServiceEngine {
   struct Substrate {
     sim::Simulator* simulator = nullptr;
     runner::UdpMesh* mesh = nullptr;
-    /// Live telemetry hub (non-owning; may be null). The engine fills the
-    /// service section — launch/complete/fail/defer counts, window
-    /// occupancy gauges, the epoch-latency histogram — all on the control
-    /// thread, where the sampler also runs.
-    obs::TelemetryHub* telemetry = nullptr;
   };
 
   /// `mux` must be attached; `shared_group` is the service's liveness view
@@ -187,6 +183,12 @@ class ServiceEngine {
   [[nodiscard]] bool finished() const {
     return done_.load(std::memory_order_acquire);
   }
+
+  /// The stream counts — launch/complete/fail/defer, window occupancy
+  /// gauges, the epoch-latency histogram — kept only here, on the control
+  /// thread. A telemetry hub samples them by reference (on the same
+  /// thread); collect() copies them into ServiceMetrics.
+  [[nodiscard]] const obs::ServiceTelemetry& counts() const { return counts_; }
 
   /// Backstop deadline for the event loop: generous serial worst case.
   [[nodiscard]] SimTime global_deadline() const { return global_deadline_; }
@@ -258,10 +260,6 @@ class ServiceEngine {
   void finalize(Instance& inst, bool teardown);
   void fan_crash(MemberId member);
   void maybe_done();
-  /// Mirrors the engine's stream counters into the telemetry hub's service
-  /// section (no-op when telemetry is off). Control thread only.
-  void sync_telemetry();
-  [[nodiscard]] std::size_t running_count() const;
 
   ServiceConfig config_;
   InstanceMux& mux_;
@@ -283,11 +281,7 @@ class ServiceEngine {
   std::vector<InstanceResult> results_;
   std::vector<SimTime> completion_times_;
 
-  std::size_t launched_ = 0;
-  std::size_t in_flight_ = 0;
-  std::size_t completed_count_ = 0;
-  std::size_t failed_count_ = 0;
-  std::size_t deferred_count_ = 0;
+  obs::ServiceTelemetry counts_;
   /// Written on the control thread; probed by every shard's run_until.
   std::atomic<bool> done_{false};
   bool collected_ = false;

@@ -32,24 +32,26 @@ UdpServiceResult run_udp_service(const UdpServiceConfig& udp_config) {
   InstanceMux mux(std::move(mopt));
   mux.attach_all();  // members route here, once, for every epoch to come
 
-  // Engine bookkeeping, its telemetry section and the sampler all live on
-  // the control shard, so the service section is written and read on one
-  // thread.
+  // The engine's whole schedule lands on the control shard before the
+  // threads start; all later rescheduling happens on that thread. Its
+  // stream counts and the telemetry sampler both live on the control
+  // shard, so the service section is written and read on one thread.
   ServiceEngine::Substrate substrate;
   substrate.mesh = &mesh;
-  substrate.telemetry = mesh.telemetry();
-  if (substrate.telemetry != nullptr) substrate.telemetry->enable_service();
-
-  // The engine's whole schedule lands on the control shard before the
-  // threads start; all later rescheduling happens on that thread.
   ServiceEngine engine(service, mux, shared_group, substrate);
+  mesh.telemetry().watch_service(engine.counts());
   engine.begin();
   (void)mesh.run([&engine]() { return engine.finished(); },
                  engine.global_deadline());
 
   UdpServiceResult result;
   result.result = engine.collect();
-  mesh.fold_counters(result);
+  // The loop counts live in the reactors' lanes; fold them in shard order.
+  const obs::LaneSnapshot loop = mesh.telemetry().snapshot_total();
+  result.shards = mesh.shard_count();
+  result.timers_fired = loop.timers_fired;
+  result.polls = loop.polls;
+  result.eintr_retries = loop.eintr_retries;
   mux.detach_all();
   return result;
 }

@@ -37,6 +37,8 @@ struct UdpServiceConfig {
 struct UdpServiceResult {
   ServiceResult result;
   std::size_t shards = 0;
+  /// Loop counts, folded in shard order from the reactors' telemetry
+  /// lanes; eintr_retries counts poll and receive EINTR retries.
   std::uint64_t timers_fired = 0;
   std::uint64_t polls = 0;
   std::uint64_t eintr_retries = 0;

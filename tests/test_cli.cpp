@@ -117,6 +117,22 @@ TEST(Cli, RejectsNonNumericValues) {
   EXPECT_NE(must_fail({"--n", "12x"}).find("integer"), std::string::npos);
 }
 
+// inf/nan parse as doubles but mean nothing as flag values; downstream they
+// were undefined double -> integer casts (--c inf ran with a garbage round
+// count and exited 0).
+TEST(Cli, RejectsNonFiniteNumbers) {
+  for (const char* bad : {"inf", "-inf", "nan", "INF"}) {
+    EXPECT_NE(must_fail({"--c", bad}).find("finite"), std::string::npos)
+        << bad;
+    EXPECT_NE(must_fail({"--loss", bad}).find("finite"), std::string::npos)
+        << bad;
+  }
+  EXPECT_NE(must_fail({"--c", "1e999"}).find("not a number"),
+            std::string::npos);  // overflows the double range
+  EXPECT_DOUBLE_EQ(must_parse({"--c", "1e3"}).config.gossip.round_multiplier_c,
+                   1000.0);
+}
+
 TEST(Cli, RejectsNegativeAndZeroWhereInvalid) {
   EXPECT_FALSE(parse_cli({"--runs", "0"}).options.has_value());
   EXPECT_FALSE(parse_cli({"--n", "-5"}).options.has_value());
@@ -210,6 +226,18 @@ TEST(NodeCli, RejectsZeroWhereAPositiveValueIsRequired) {
   EXPECT_FALSE(parse_node_cli({"--in-flight", "0"}).options.has_value());
   EXPECT_FALSE(
       parse_node_cli({"--epoch-interval-us", "0"}).options.has_value());
+}
+
+TEST(NodeCli, RejectsNonPositiveOrNonFiniteDeadlineFactors) {
+  for (const char* bad : {"-1", "0", "nan", "inf"}) {
+    EXPECT_FALSE(
+        parse_node_cli({"--deadline-factor", bad}).options.has_value())
+        << bad;
+  }
+  EXPECT_NE(must_fail_node({"--deadline-factor", "0"}).find("positive"),
+            std::string::npos);
+  EXPECT_DOUBLE_EQ(
+      must_parse_node({"--deadline-factor", "0.5"}).udp.deadline_factor, 0.5);
 }
 
 TEST(NodeCli, ParsesRunServiceAndHarnessFlags) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "src/protocols/protocol_stats.h"
 #include "tests/testing_world.h"
 
@@ -50,6 +52,20 @@ TEST(GossipConfig, RejectsDegenerateParameters) {
   c.fanout_m = 2;
   c.round_multiplier_c = 0.0;
   EXPECT_THROW((void)c.rounds_per_phase(100), PreconditionError);
+}
+
+// A round count that does not fit std::uint64_t (C = inf, or finite but
+// huge) is rejected instead of being cast with undefined behaviour.
+TEST(GossipConfig, RejectsRoundCountsOutOfRange) {
+  GossipConfig c;
+  c.fanout_m = 2;
+  for (const double bad : {std::numeric_limits<double>::infinity(),
+                           std::numeric_limits<double>::quiet_NaN(), 1e300}) {
+    c.round_multiplier_c = bad;
+    EXPECT_THROW((void)c.rounds_per_phase(50), PreconditionError) << bad;
+  }
+  c.round_multiplier_c = 1e6;  // large but representable
+  EXPECT_EQ(c.rounds_per_phase(2), 1'000'000u);
 }
 
 TEST(HierGossip, RejectsMismatchedK) {

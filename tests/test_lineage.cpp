@@ -3,8 +3,8 @@
 // The headline guarantee: the lineage tracker reconstructs every member's
 // dissemination tree from knowledge-gain events alone, and the completeness
 // it derives equals the protocol's own measurement *exactly* (basis-point
-// equality, same rounding), on all protocols, under chaos. Lineage is a
-// third independent accounting next to metrics and NetworkStats — any
+// equality, same rounding), on all protocols, under chaos. Lineage is an
+// independent accounting next to the protocol's own measurement — any
 // divergence is a protocol or instrumentation bug, surfaced via errors().
 #include <gtest/gtest.h>
 

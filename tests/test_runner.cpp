@@ -4,11 +4,13 @@
 
 #include <cstdio>
 #include <fstream>
+#include <limits>
 
 #include "src/common/ensure.h"
 #include "src/runner/stats.h"
 #include "src/runner/sweep.h"
 #include "src/runner/table.h"
+#include "src/runner/world_setup.h"
 
 namespace gridbox::runner {
 namespace {
@@ -193,6 +195,22 @@ TEST(Experiment, FieldWorkloadRequiresPositionsAndWorks) {
   config.assign_positions = true;
   const RunResult r = run_experiment(config);
   EXPECT_GE(r.measurement.mean_completeness, 0.999);
+}
+
+// The real-time deadline scales the horizon by a positive, finite factor;
+// anything else was an undefined double -> integer cast.
+TEST(Experiment, ScaledDeadlineRejectsDegenerateFactors) {
+  const SimTime horizon = SimTime::millis(100);
+  const SimTime floor = SimTime::seconds(5);
+  EXPECT_EQ(runner::scaled_deadline(horizon, 100.0, floor),
+            SimTime::seconds(10));
+  EXPECT_EQ(runner::scaled_deadline(horizon, 2.0, floor), floor);
+  for (const double bad : {0.0, -1.0, std::numeric_limits<double>::infinity(),
+                           std::numeric_limits<double>::quiet_NaN(), 1e300}) {
+    EXPECT_THROW((void)runner::scaled_deadline(horizon, bad, floor),
+                 PreconditionError)
+        << bad;
+  }
 }
 
 TEST(Experiment, RejectsTinyGroups) {

@@ -241,7 +241,8 @@ TEST(UdpTransport, ReceivePathRetriesEintrWithoutSpinning) {
   // Two EINTR retries, one batch holding the datagram, one EAGAIN that
   // ends the drain: four calls total — bounded, not a spin.
   EXPECT_EQ(script->calls, 4u);
-  EXPECT_EQ(transport.recv_eintr_retries(), 2u);
+  EXPECT_EQ(
+      reactor.telemetry().eintr_retries.load(std::memory_order_relaxed), 2u);
   ASSERT_EQ(a.messages_.size(), 1u);
   EXPECT_EQ(a.messages_[0].frame[0], 0x7E);
 }
@@ -493,7 +494,8 @@ TEST(Reactor, PollEintrIsRetriedNotFatal) {
   const bool done =
       reactor.run_until([&]() { return fired; }, SimTime::seconds(5));
   EXPECT_TRUE(done);
-  EXPECT_EQ(reactor.eintr_retries(), 3u);
+  EXPECT_EQ(
+      reactor.telemetry().eintr_retries.load(std::memory_order_relaxed), 3u);
 }
 
 /// Typed periodic timer driven by the wheel: counts fires, stops at limit.
@@ -518,7 +520,8 @@ TEST(Reactor, TimerWheelDrivesTypedPeriodicTimers) {
   // assert no sixth fire.
   (void)reactor.run_until([]() { return false; }, SimTime::millis(20));
   EXPECT_EQ(timer.fires_, 5u);
-  EXPECT_GE(reactor.timers_fired(), 5u);
+  EXPECT_GE(
+      reactor.telemetry().timers_fired.load(std::memory_order_relaxed), 5u);
 }
 
 TEST(Reactor, FarFutureTimersParkBeyondTheWheelHorizon) {
@@ -584,7 +587,9 @@ TEST(Reactor, CrossThreadPostsExecuteInPostOrderUnderTimerLoad) {
   runner.join();
 
   EXPECT_FALSE(wrong_thread.load()) << "a posted action ran off-shard";
-  EXPECT_GT(reactor.timers_fired(), 0u) << "the timer load never ran";
+  EXPECT_GT(reactor.telemetry().timers_fired.load(std::memory_order_relaxed),
+            0u)
+      << "the timer load never ran";
   for (int p = 0; p < kPosters; ++p) {
     ASSERT_EQ(got[p].size(), static_cast<std::size_t>(kEach))
         << "poster " << p << " lost posts (deadline hit?)";
