@@ -29,6 +29,19 @@ void put_u32(std::uint8_t* p, std::uint32_t v) {
          (static_cast<std::uint32_t>(p[3]) << 24);
 }
 
+/// Checks the header fields of the record at `data`; on kOk,
+/// `payload_len` holds its claimed payload size.
+DecodeError check_header(const std::uint8_t* data, std::size_t size,
+                         std::uint16_t& payload_len) {
+  if (size < kDatagramHeaderBytes) return DecodeError::kTooShort;
+  if (get_u32(data) != kDatagramMagic) return DecodeError::kBadMagic;
+  if (data[4] != kDatagramVersion) return DecodeError::kBadVersion;
+  if (data[5] != 0) return DecodeError::kBadReserved;
+  payload_len = get_u16(data + 6);
+  if (payload_len > kMaxPayloadBytes) return DecodeError::kOversizePayload;
+  return DecodeError::kOk;
+}
+
 }  // namespace
 
 const char* to_string(DecodeError error) {
@@ -60,12 +73,9 @@ std::size_t encode_datagram(const Message& message, std::uint8_t* buffer) {
 
 DecodeError decode_datagram(const std::uint8_t* data, std::size_t size,
                             Message& out) {
-  if (size < kDatagramHeaderBytes) return DecodeError::kTooShort;
-  if (get_u32(data) != kDatagramMagic) return DecodeError::kBadMagic;
-  if (data[4] != kDatagramVersion) return DecodeError::kBadVersion;
-  if (data[5] != 0) return DecodeError::kBadReserved;
-  const std::uint16_t payload_len = get_u16(data + 6);
-  if (payload_len > kMaxPayloadBytes) return DecodeError::kOversizePayload;
+  std::uint16_t payload_len = 0;
+  const DecodeError error = check_header(data, size, payload_len);
+  if (error != DecodeError::kOk) return error;
   if (size != kDatagramHeaderBytes + payload_len) {
     return DecodeError::kLengthMismatch;
   }
@@ -73,6 +83,26 @@ DecodeError decode_datagram(const std::uint8_t* data, std::size_t size,
   out.destination = MemberId(get_u32(data + 12));
   out.frame = Frame(data + kDatagramHeaderBytes, payload_len);
   return DecodeError::kOk;
+}
+
+std::size_t record_size(const std::uint8_t* data, std::size_t size) {
+  std::uint16_t payload_len = 0;
+  if (check_header(data, size, payload_len) != DecodeError::kOk ||
+      kDatagramHeaderBytes + payload_len > size) {
+    return 0;
+  }
+  return kDatagramHeaderBytes + payload_len;
+}
+
+std::size_t count_records(const std::uint8_t* data, std::size_t size) {
+  if (size > kMaxDatagramBytes) return 0;
+  std::size_t records = 0;
+  for (std::size_t at = 0; at < size; ++records) {
+    const std::size_t record = record_size(data + at, size - at);
+    if (record == 0) return 0;
+    at += record;
+  }
+  return records;
 }
 
 }  // namespace gridbox::net

@@ -1,6 +1,7 @@
-// The UDP wire encoding of one net::Message.
+// The UDP wire encoding of net::Messages.
 //
-// A datagram is a fixed 16-byte header followed by the frame payload:
+// A datagram is one or more records back to back. A record is a fixed
+// 16-byte header followed by one frame's payload:
 //
 //   offset  size  field
 //        0     4  magic        0x47'52'42'58 ("GRBX", little-endian u32)
@@ -11,11 +12,20 @@
 //       12     4  destination  little-endian u32 member id
 //       16     n  payload      exactly payload_len frame bytes
 //
-// Decoding is strict: the datagram's total size must equal
-// kDatagramHeaderBytes + payload_len exactly — truncated AND padded
-// datagrams are malformed, never partially accepted. That mirrors
-// SimNetwork's contract ("never corrupts silently"): a receiver either
-// delivers the frame bytes unchanged or counts the datagram malformed.
+// A sender packs every frame bound for one socket in one flush into as
+// few datagrams as fit, each at most kMaxDatagramBytes: 1472 bytes, the
+// payload of a 1500-byte Ethernet MTU after the IPv4 and UDP headers, so a
+// datagram never needs IP fragmentation off loopback either.
+//
+// Decoding is strict and all-or-nothing. encode_datagram/decode_datagram
+// are the one-record codec: decode requires the buffer to be exactly
+// kDatagramHeaderBytes + payload_len. count_records splits a whole
+// datagram, and a datagram that does not split exactly into well-formed
+// records (truncated, padded, oversize, or any bad header) is malformed as
+// a whole: none of its records are delivered, never partially accepted.
+// That mirrors SimNetwork's contract ("never corrupts silently"): a
+// receiver either delivers the frame bytes unchanged or counts the
+// datagram malformed.
 //
 // Free functions over raw buffers, deliberately socket-free: the decode
 // fuzz tests (tests/test_udp_fuzz.cpp) drive this exact code path with
@@ -30,8 +40,10 @@
 namespace gridbox::net {
 
 inline constexpr std::size_t kDatagramHeaderBytes = 16;
-inline constexpr std::size_t kMaxDatagramBytes =
+inline constexpr std::size_t kMaxRecordBytes =
     kDatagramHeaderBytes + kMaxPayloadBytes;
+/// The most bytes one datagram carries (see the file comment).
+inline constexpr std::size_t kMaxDatagramBytes = 1472;
 inline constexpr std::uint32_t kDatagramMagic = 0x47524258;  // "GRBX"
 inline constexpr std::uint8_t kDatagramVersion = 1;
 
@@ -48,17 +60,28 @@ enum class DecodeError : std::uint8_t {
 
 [[nodiscard]] const char* to_string(DecodeError error);
 
-/// Writes the datagram for `message` into `buffer`, which must hold at
-/// least kMaxDatagramBytes. Returns the number of bytes written
+/// Writes the record for `message` into `buffer`, which must hold at
+/// least kMaxRecordBytes. Returns the number of bytes written
 /// (kDatagramHeaderBytes + frame size).
 [[nodiscard]] std::size_t encode_datagram(const Message& message,
                                           std::uint8_t* buffer);
 
 /// Parses `size` bytes at `data` into `out`. Returns kOk and fills `out`
-/// only when the buffer is a well-formed datagram; on any error `out` is
-/// untouched. Never reads past `data + size` and never throws — this is
-/// the boundary where untrusted network bytes enter the process.
+/// only when the buffer is exactly one well-formed record; on any error
+/// `out` is untouched. Never reads past `data + size` and never throws —
+/// this is the boundary where untrusted network bytes enter the process.
 [[nodiscard]] DecodeError decode_datagram(const std::uint8_t* data,
                                           std::size_t size, Message& out);
+
+/// The size (header plus payload) of the well-formed record at the head
+/// of `size` bytes at `data`, or 0 when the head is not one.
+[[nodiscard]] std::size_t record_size(const std::uint8_t* data,
+                                      std::size_t size);
+
+/// The number of records a datagram of `size` bytes splits into exactly,
+/// or 0 when it does not: empty, over kMaxDatagramBytes, or any record
+/// malformed or cut short. Never reads past `data + size`.
+[[nodiscard]] std::size_t count_records(const std::uint8_t* data,
+                                        std::size_t size);
 
 }  // namespace gridbox::net

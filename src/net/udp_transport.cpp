@@ -1,7 +1,8 @@
 #include "src/net/udp_transport.h"
 
 #include <arpa/inet.h>
-#include <linux/sock_diag.h>
+#include <linux/sockios.h>
+#include <sys/ioctl.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -22,25 +23,13 @@ sockaddr_in loopback_address(std::uint16_t port) {
 
 namespace {
 
-/// The socket's kernel drop counter: datagrams the kernel discarded on
-/// arrival, in practice because the receive buffer was full.
-std::uint64_t kernel_drops(int fd) {
-  std::uint32_t meminfo[SK_MEMINFO_VARS] = {};
-  socklen_t len = sizeof(meminfo);
-  if (::getsockopt(fd, SOL_SOCKET, SO_MEMINFO, meminfo, &len) != 0 ||
-      len <= SK_MEMINFO_DROPS * sizeof(std::uint32_t)) {
-    return 0;
-  }
-  return meminfo[SK_MEMINFO_DROPS];
-}
-
 bool same_address(const sockaddr_in& a, const sockaddr_in& b) {
   return a.sin_port == b.sin_port && a.sin_addr.s_addr == b.sin_addr.s_addr;
 }
 
 }  // namespace
 
-UdpTransport::Batch::Batch() : bytes{}, iov{}, to{}, msgs{} {
+UdpTransport::Batch::Batch() : iov{}, to{}, msgs{} {
   for (std::size_t i = 0; i < kBatch; ++i) {
     iov[i] = iovec{bytes[i].data(), bytes[i].size()};
     msgs[i].msg_hdr.msg_iov = &iov[i];
@@ -49,7 +38,7 @@ UdpTransport::Batch::Batch() : bytes{}, iov{}, to{}, msgs{} {
 }
 
 UdpTransport::UdpTransport(Reactor& reactor, Options options)
-    : reactor_(reactor), options_(options) {
+    : reactor_(reactor), options_(options), peers_{this} {
   hooks_.recv_batch = [](int fd, mmsghdr* msgs, unsigned count) {
     return ::recvmmsg(fd, msgs, count, 0, nullptr);
   };
@@ -117,11 +106,32 @@ void UdpTransport::detach(MemberId id) {
 }
 
 const NetworkStats& UdpTransport::stats() const {
-  const std::uint64_t drops = kernel_drops(fd_);
-  stats_.messages_dropped += drops - kernel_drops_seen_;
-  kernel_drops_seen_ = drops;
+  // Load the handed count before looking at the queue: every frame it
+  // counts had left its sender's sendmmsg, so with the queue empty it was
+  // either read here or dropped by the kernel.
+  const std::uint64_t handed = frames_handed_.load(std::memory_order_acquire);
+  int queued = 0;
+  if (::ioctl(fd_, SIOCINQ, &queued) == 0 && queued == 0) {
+    fold_kernel_loss(handed);
+  }
   return stats_;
 }
+
+const NetworkStats& UdpTransport::final_stats() const {
+  fold_kernel_loss(frames_handed_.load(std::memory_order_acquire));
+  return stats_;
+}
+
+void UdpTransport::fold_kernel_loss(std::uint64_t handed) const {
+  // Frames read from a foreign sender can push the read count past the
+  // handed one; loss is never negative.
+  const std::uint64_t accounted = frames_read_ + kernel_loss_;
+  if (handed <= accounted) return;
+  stats_.messages_dropped += handed - accounted;
+  kernel_loss_ += handed - accounted;
+}
+
+void UdpTransport::add_peer(UdpTransport& peer) { peers_.push_back(&peer); }
 
 void UdpTransport::set_addresses(std::shared_ptr<const AddressTable> addresses) {
   expects(stats_.messages_sent == 0, "install addresses before any send");
@@ -147,10 +157,29 @@ void UdpTransport::set_hooks(Hooks hooks) {
 void UdpTransport::transmit(const Message& message) {
   // The header, not the kernel address, carries identity: every member of
   // this shard sends from the one shard socket.
-  tx_.iov[tx_count_].iov_len =
-      encode_datagram(message, tx_.bytes[tx_count_].data());
-  tx_.to[tx_count_] = address_of(message.destination);
-  if (++tx_count_ == kBatch) flush();
+  const std::size_t slot = open_datagram(
+      address_of(message.destination),
+      kDatagramHeaderBytes + message.frame.size());
+  iovec& iov = tx_.iov[slot];
+  iov.iov_len += encode_datagram(
+      message, static_cast<std::uint8_t*>(iov.iov_base) + iov.iov_len);
+  ++tx_frames_[slot];
+}
+
+std::size_t UdpTransport::open_datagram(const sockaddr_in& to,
+                                        std::size_t record) {
+  // A destination's newest datagram in the outbox is its open one.
+  for (std::size_t slot = tx_count_; slot-- > 0;) {
+    if (!same_address(tx_.to[slot], to)) continue;
+    if (tx_.iov[slot].iov_len + record <= kMaxDatagramBytes) return slot;
+    break;
+  }
+  if (tx_count_ == kBatch) flush();
+  const std::size_t slot = tx_count_++;
+  tx_.to[slot] = to;
+  tx_.iov[slot].iov_len = 0;
+  tx_frames_[slot] = 0;
+  return slot;
 }
 
 void UdpTransport::flush() {
@@ -159,14 +188,24 @@ void UdpTransport::flush() {
     const int n = hooks_.send_batch(fd_, &tx_.msgs[next],
                                     static_cast<unsigned>(tx_count_ - next));
     if (n > 0) {
-      next += static_cast<std::size_t>(n);
+      for (const std::size_t end = next + static_cast<std::size_t>(n);
+           next < end; ++next) {
+        for (UdpTransport* peer : peers_) {
+          if (same_address(peer->self_, tx_.to[next])) {
+            peer->frames_handed_.fetch_add(tx_frames_[next],
+                                           std::memory_order_release);
+            break;
+          }
+        }
+      }
       continue;
     }
     if (n < 0 && errno == EINTR) continue;
     // EAGAIN/ENOBUFS: the kernel's queues are full. That is network loss,
     // which is precisely what these protocols are designed to survive —
-    // the first unsent datagram is dropped, the rest are retried.
-    ++stats_.messages_dropped;
+    // the first unsent datagram is dropped with all of its frames, the
+    // rest are retried.
+    stats_.messages_dropped += tx_frames_[next];
     ++next;
   }
   tx_count_ = 0;
@@ -201,11 +240,27 @@ void UdpTransport::send(Message message) {
 }
 
 void UdpTransport::consume(const std::uint8_t* bytes, std::size_t size) {
-  Message message;
-  if (decode_datagram(bytes, size, message) != DecodeError::kOk ||
-      !same_address(address_of(message.destination), self_)) {
-    // Byte soup, or a datagram for a member another socket serves: count
-    // it and keep the socket draining — never deliver, never crash.
+  const std::size_t records = count_records(bytes, size);
+  if (records == 0) {
+    // Byte soup, or a datagram that does not split exactly into records:
+    // count it once and keep the socket draining — never deliver any of
+    // it, never crash.
+    ++stats_.messages_malformed;
+    return;
+  }
+  frames_read_ += records;
+  for (std::size_t at = 0; at < size;) {
+    const std::size_t record = record_size(bytes + at, size - at);
+    Message message;
+    (void)decode_datagram(bytes + at, record, message);
+    deliver(message);
+    at += record;
+  }
+}
+
+void UdpTransport::deliver(const Message& message) {
+  if (!same_address(address_of(message.destination), self_)) {
+    // A record for a member another socket serves: mis-addressed.
     ++stats_.messages_malformed;
     return;
   }

@@ -3,10 +3,11 @@
 // One UdpTransport serves one shard of a run's members on one Reactor
 // (thread), through ONE socket bound at construction to the lowest free
 // loopback port >= Options::port_base. Members are not kernel objects:
-// attach/detach only write the member -> endpoint table. The 16-byte
-// datagram header (datagram.h) names the destination member, so a
+// attach/detach only write the member -> endpoint table. Each record's
+// 16-byte header (datagram.h) names the destination member, so a
 // receiving shard demultiplexes by header, not by port; a receiver either
-// delivers the frame bytes unchanged or counts the datagram malformed.
+// delivers every frame of a datagram unchanged or counts the datagram
+// malformed.
 //
 // Addressing is a member -> sockaddr table shared by every shard of a run
 // (runner::UdpMesh fills it from each shard's bound address). A transport
@@ -14,12 +15,19 @@
 // unicast to any other, which is exactly the routing substrate the paper
 // assumes.
 //
-// Batching: receives drain with recvmmsg(2), up to max_drain datagrams per
-// attached member per wake. Sends encode into a 64-datagram outbox flushed
-// by sendmmsg(2) when full, and by the reactor at the end of every loop
-// iteration (IoHandler::flush). Every datagram counted sent is on the wire
-// or counted dropped; the socket's kernel receive-queue drop counter is
-// folded into messages_dropped whenever stats() is read.
+// Batching: sends encode into a 64-datagram outbox flushed by sendmmsg(2)
+// when full, and by the reactor at the end of every loop iteration
+// (IoHandler::flush). While the outbox fills, each destination socket has
+// one open datagram, and a frame bound there is appended to it as one more
+// record; a record that would take it past kMaxDatagramBytes (1472, the
+// Ethernet MTU payload) opens a new one. A flush never holds a frame back,
+// so packing adds no latency, and the kernel pays per datagram, not per
+// frame. Receives drain with recvmmsg(2), up to max_drain datagrams per
+// attached member per wake, and a datagram is delivered only if all of it
+// splits into well-formed records. NetworkStats count frames: a datagram
+// the kernel refuses at send drops all of its frames, and kernel receive
+// loss is the frames handed to this socket minus the frames read from it,
+// folded into messages_dropped (see stats()).
 //
 // Chaos shim: the same ChaosSchedule grammar the simulator uses is applied
 // in userspace on the send path — a send may be dropped, delayed (the
@@ -45,6 +53,7 @@
 #include <sys/socket.h>
 
 #include <array>
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -108,11 +117,26 @@ class UdpTransport final : public Transport, public IoHandler {
 
   void send(Message message) override;
 
-  /// The tallies, with the kernel's receive-queue drops folded in.
+  /// The tallies. When the receive queue is empty (SIOCINQ reads 0), every
+  /// frame handed to this socket and not read from it was lost in the
+  /// kernel, and that shortfall is folded into messages_dropped. (A
+  /// zero-length datagram at the head also reads 0; only a foreign sender
+  /// sends one.)
   [[nodiscard]] const NetworkStats& stats() const override;
 
+  /// The tallies once every sender has stopped (after the shard threads
+  /// join): frames handed to this socket and never read, queued or not,
+  /// are folded in as lost, since nothing will read them.
+  [[nodiscard]] const NetworkStats& final_stats() const;
+
+  /// Credits `peer`'s socket with the frames this transport's flushes hand
+  /// it, so `peer` can tell kernel loss from frames still queued. For the
+  /// shards of one run; a transport always credits its own socket. `peer`
+  /// must outlive this transport's flushes.
+  void add_peer(UdpTransport& peer);
+
   /// Installs the member -> address table (shared by every shard of a
-  /// run). Install before any send. A datagram arriving here for a member
+  /// run). Install before any send. A record arriving here for a member
   /// the table places on another socket counts malformed (mis-addressed).
   void set_addresses(std::shared_ptr<const AddressTable> addresses);
 
@@ -144,10 +168,21 @@ class UdpTransport final : public Transport, public IoHandler {
   [[nodiscard]] std::uint16_t local_port() const;
 
  private:
-  /// Queues one already-chaos-approved message in the outbox.
+  /// Appends one already-chaos-approved message to its destination's open
+  /// datagram in the outbox.
   void transmit(const Message& message);
-  /// Decodes, classifies and delivers one received datagram.
+  /// The outbox slot of the datagram open for `to` if it has room for
+  /// `record` more bytes, else of a new one (flushing a full outbox first).
+  [[nodiscard]] std::size_t open_datagram(const sockaddr_in& to,
+                                          std::size_t record);
+  /// Splits one received datagram and delivers its records, or counts it
+  /// malformed whole.
   void consume(const std::uint8_t* bytes, std::size_t size);
+  /// Classifies and delivers one decoded record.
+  void deliver(const Message& message);
+  /// Folds frames handed to this socket beyond those read or already
+  /// folded into messages_dropped.
+  void fold_kernel_loss(std::uint64_t handed) const;
   [[nodiscard]] const sockaddr_in& address_of(MemberId id) const;
   [[nodiscard]] Endpoint* endpoint_of(MemberId id) const;
 
@@ -162,12 +197,18 @@ class UdpTransport final : public Transport, public IoHandler {
   std::function<bool(MemberId)> is_alive_;
   std::unique_ptr<ChaosSchedule> chaos_;
   mutable NetworkStats stats_;
-  mutable std::uint64_t kernel_drops_seen_ = 0;
+  std::vector<UdpTransport*> peers_;  ///< sockets flushes credit, this first
+  std::uint64_t frames_read_ = 0;     ///< records of well-formed datagrams
+  mutable std::uint64_t kernel_loss_ = 0;  ///< frames folded as lost
+  /// Frames peers' flushes handed this socket (written on their threads).
+  alignas(64) std::atomic<std::uint64_t> frames_handed_{0};
 
   /// One recvmmsg/sendmmsg batch: buffers, their iovecs, destination
   /// addresses (send side only) and message headers. Each buffer holds one
   /// byte more than the largest legal datagram, so an oversize datagram is
   /// seen (and rejected), not silently truncated into a plausible prefix.
+  /// The bytes are left uninitialised: only bytes a send encoded or a
+  /// receive filled are ever read.
   struct Batch {
     Batch();
     Batch(const Batch&) = delete;
@@ -180,6 +221,7 @@ class UdpTransport final : public Transport, public IoHandler {
   Batch rx_;
   Batch tx_;                  ///< the outbox
   std::size_t tx_count_ = 0;  ///< datagrams waiting in the outbox
+  std::array<std::uint32_t, kBatch> tx_frames_{};  ///< records per datagram
 };
 
 }  // namespace gridbox::net

@@ -70,7 +70,12 @@ UdpMesh::UdpMesh(const ExperimentConfig& config, std::uint16_t port_base,
     (*addresses)[m] =
         net::loopback_address(transport_of(MemberId(m)).local_port());
   }
-  for (const auto& transport : transports_) transport->set_addresses(addresses);
+  for (const auto& transport : transports_) {
+    transport->set_addresses(addresses);
+    for (const auto& peer : transports_) {
+      if (peer != transport) transport->add_peer(*peer);
+    }
+  }
 
   std::vector<const obs::TelemetryLane*> lanes;
   lanes.reserve(count);
@@ -162,7 +167,7 @@ bool UdpMesh::run(const std::function<bool()>& done, SimTime deadline) {
 net::NetworkStats UdpMesh::network() const {
   net::NetworkStats total;
   for (const auto& transport : transports_) {
-    const net::NetworkStats& s = transport->stats();
+    const net::NetworkStats& s = transport->final_stats();
     total.messages_sent += s.messages_sent;
     total.messages_dropped += s.messages_dropped;
     total.messages_dead_dest += s.messages_dead_dest;

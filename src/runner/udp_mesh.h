@@ -75,7 +75,8 @@ class UdpMesh {
   /// Returns true iff every shard saw `done()` before the deadline.
   bool run(const std::function<bool()>& done, SimTime deadline);
 
-  /// Transport tallies summed in shard order (read after run()).
+  /// Transport tallies summed in shard order, read after run(): frames a
+  /// shard socket was handed and never read count as dropped.
   [[nodiscard]] net::NetworkStats network() const;
 
  private:

@@ -65,7 +65,7 @@ TEST(Transport, SimNetworkDispatchesThroughTheInterface) {
 }
 
 TEST(Datagram, EncodeDecodeRoundTripsAllSizes) {
-  std::uint8_t buffer[net::kMaxDatagramBytes];
+  std::uint8_t buffer[net::kMaxRecordBytes];
   for (std::size_t payload = 0; payload <= net::kMaxPayloadBytes;
        payload += 17) {
     std::vector<std::uint8_t> bytes(payload);
@@ -86,7 +86,7 @@ TEST(Datagram, EncodeDecodeRoundTripsAllSizes) {
 }
 
 TEST(Datagram, RejectsEveryTruncation) {
-  std::uint8_t buffer[net::kMaxDatagramBytes];
+  std::uint8_t buffer[net::kMaxRecordBytes];
   const net::Message in{MemberId{1}, MemberId{2},
                         net::Frame{1, 2, 3, 4, 5, 6, 7, 8}};
   const std::size_t size = net::encode_datagram(in, buffer);
@@ -99,7 +99,7 @@ TEST(Datagram, RejectsEveryTruncation) {
 }
 
 TEST(Datagram, RejectsPaddingAfterThePayload) {
-  std::uint8_t buffer[net::kMaxDatagramBytes + 8] = {};
+  std::uint8_t buffer[net::kMaxRecordBytes + 8] = {};
   const net::Message in{MemberId{1}, MemberId{2}, net::Frame{9, 9}};
   const std::size_t size = net::encode_datagram(in, buffer);
 
@@ -111,13 +111,13 @@ TEST(Datagram, RejectsPaddingAfterThePayload) {
 }
 
 TEST(Datagram, RejectsHeaderFieldCorruption) {
-  std::uint8_t buffer[net::kMaxDatagramBytes];
+  std::uint8_t buffer[net::kMaxRecordBytes];
   const net::Message in{MemberId{1}, MemberId{2}, net::Frame{42}};
   const std::size_t size = net::encode_datagram(in, buffer);
   net::Message out;
 
   auto corrupted = [&](std::size_t offset, std::uint8_t value) {
-    std::uint8_t copy[net::kMaxDatagramBytes];
+    std::uint8_t copy[net::kMaxRecordBytes];
     std::memcpy(copy, buffer, size);
     copy[offset] = value;
     return net::decode_datagram(copy, size, out);

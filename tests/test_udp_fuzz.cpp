@@ -1,5 +1,5 @@
 // Datagram-decode fuzz (gridbox_chaos_tests): byte soup into the exact
-// decode path UdpTransport::on_readable runs. Three corpora, all seeded
+// decode path UdpTransport::on_readable runs. Four corpora, all seeded
 // through the repo Rng so every failure replays from a seed alone:
 //
 //   1. uniformly random buffers of 0–512 bytes (most fail the magic check),
@@ -8,7 +8,12 @@
 //      at the first header field,
 //   3. the same corpus pushed through UdpTransport::on_readable via a
 //      scripted recvmmsg hook, asserting the malformed counter accounts for
-//      every rejected buffer and nothing crashes.
+//      every rejected buffer and nothing crashes,
+//   4. packed datagrams — 1..k valid records up to kMaxDatagramBytes — whole,
+//      truncated, extended, or bit-flipped in one record's header, through
+//      the record walker and through on_readable: a well-formed pack
+//      delivers every record in order and byte-identical, anything else is
+//      exactly one malformed and nothing delivered.
 //
 // The binary runs under whatever sanitizers the build enables (the chaos
 // suite is exercised under ASan/UBSan in CI); "no crash, no UB" is the
@@ -16,6 +21,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdint>
 #include <cstring>
 #include <vector>
@@ -49,7 +55,7 @@ constexpr std::size_t kFuzzBufferMax = 512;  // ISSUE: 0–512-byte inputs
       MemberId(static_cast<std::uint32_t>(rng.uniform_int(0, (1u << 20) - 1))),
       MemberId(static_cast<std::uint32_t>(rng.uniform_int(0, (1u << 20) - 1))),
       net::Frame(body.data(), body.size())};
-  std::vector<std::uint8_t> bytes(net::kMaxDatagramBytes);
+  std::vector<std::uint8_t> bytes(net::kMaxRecordBytes);
   bytes.resize(net::encode_datagram(message, bytes.data()));
   return bytes;
 }
@@ -92,7 +98,7 @@ void check_decode(const std::vector<std::uint8_t>& bytes) {
       net::decode_datagram(bytes.data(), bytes.size(), out);
   if (error != net::DecodeError::kOk) return;
   ASSERT_EQ(bytes.size(), net::kDatagramHeaderBytes + out.frame.size());
-  std::uint8_t reencoded[net::kMaxDatagramBytes];
+  std::uint8_t reencoded[net::kMaxRecordBytes];
   const std::size_t size = net::encode_datagram(out, reencoded);
   ASSERT_EQ(size, bytes.size());
   ASSERT_EQ(std::memcmp(reencoded, bytes.data(), size), 0)
@@ -134,6 +140,182 @@ TEST(DatagramFuzz, MutatedDatagramsNeverCrashTheDecoder) {
   // The corpus must exercise both sides of the boundary to mean anything.
   EXPECT_GT(accepted, 0u);
   EXPECT_GT(rejected, 0u);
+}
+
+/// 1..40 valid records for members 0..7, packed back to back up
+/// to the datagram cap, with the messages they encode.
+struct Pack {
+  std::vector<std::uint8_t> bytes;
+  std::vector<net::Message> messages;
+  std::vector<std::size_t> boundaries;  ///< end offset of each record
+};
+
+[[nodiscard]] Pack packed_datagram(Rng& rng) {
+  Pack pack;
+  const auto want = rng.uniform_int(1, 40);
+  std::uint8_t record[net::kMaxRecordBytes];
+  while (pack.messages.size() < want) {
+    const auto payload = static_cast<std::size_t>(
+        rng.uniform_int(0, net::kMaxPayloadBytes));
+    std::vector<std::uint8_t> body(payload);
+    for (auto& b : body) b = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
+    const net::Message message{
+        MemberId(static_cast<std::uint32_t>(rng.uniform_int(0, 1u << 20))),
+        MemberId(static_cast<std::uint32_t>(rng.uniform_int(0, 7))),
+        net::Frame(body.data(), body.size())};
+    const std::size_t size = net::encode_datagram(message, record);
+    if (pack.bytes.size() + size > net::kMaxDatagramBytes) break;
+    pack.bytes.insert(pack.bytes.end(), record, record + size);
+    pack.messages.push_back(message);
+    pack.boundaries.push_back(pack.bytes.size());
+  }
+  return pack;
+}
+
+enum class PackMutation { kNone, kTruncate, kExtend, kHeaderFlip };
+
+/// Applies `mutation` to `pack` and returns how many leading records must
+/// still be delivered (0: the datagram must be rejected whole), or -1
+/// when either outcome is legal (a flipped length can re-split a pack into
+/// other well-formed records).
+[[nodiscard]] int mutate_pack(Rng& rng, PackMutation mutation, Pack& pack) {
+  std::vector<std::uint8_t>& bytes = pack.bytes;
+  switch (mutation) {
+    case PackMutation::kNone:
+      return static_cast<int>(pack.messages.size());
+    case PackMutation::kTruncate: {  // cut anywhere short of the end
+      const auto cut = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::uint64_t>(bytes.size() - 1)));
+      bytes.resize(cut);
+      // A cut on a record boundary leaves a well-formed, shorter pack.
+      const auto at = std::find(pack.boundaries.begin(),
+                                pack.boundaries.end(), cut);
+      return at == pack.boundaries.end()
+                 ? 0
+                 : static_cast<int>(at - pack.boundaries.begin()) + 1;
+    }
+    case PackMutation::kExtend: {  // 1..64 junk bytes, maybe past the cap
+      const auto extra = rng.uniform_int(1, 64);
+      for (std::uint64_t i = 0; i < extra; ++i) {
+        bytes.push_back(static_cast<std::uint8_t>(rng.uniform_int(0, 255)));
+      }
+      return 0;
+    }
+    case PackMutation::kHeaderFlip: {  // one bit of magic..payload_len
+      const std::size_t record = rng.index(pack.boundaries.size());
+      const std::size_t start = record == 0 ? 0 : pack.boundaries[record - 1];
+      const std::size_t at = start + rng.index(8);
+      bytes[at] ^= static_cast<std::uint8_t>(1u << rng.uniform_int(0, 7));
+      return at - start < 6 ? 0 : -1;
+    }
+  }
+  return 0;
+}
+
+TEST(DatagramFuzz, PackedDatagramsSplitWholeOrNotAtAll) {
+  Rng rng{0xF022004};
+  std::uint64_t accepted = 0;
+  std::uint64_t rejected = 0;
+  for (int i = 0; i < 20000; ++i) {
+    Pack pack = packed_datagram(rng);
+    const auto mutation = static_cast<PackMutation>(rng.uniform_int(0, 3));
+    const int expect = mutate_pack(rng, mutation, pack);
+    const std::size_t records =
+        net::count_records(pack.bytes.data(), pack.bytes.size());
+    if (expect >= 0) {
+      ASSERT_EQ(records, static_cast<std::size_t>(expect))
+          << "mutation " << static_cast<int>(mutation) << " at case " << i;
+    }
+    if (records == 0) {
+      ++rejected;
+      continue;
+    }
+    ++accepted;
+    // Accepted: the records tile the buffer and re-encode to it exactly,
+    // and where the oracle knows them, they are the packed messages.
+    std::size_t at = 0;
+    for (std::size_t r = 0; r < records; ++r) {
+      const std::size_t size =
+          net::record_size(pack.bytes.data() + at, pack.bytes.size() - at);
+      net::Message out;
+      ASSERT_EQ(net::decode_datagram(pack.bytes.data() + at, size, out),
+                net::DecodeError::kOk);
+      std::uint8_t reencoded[net::kMaxRecordBytes];
+      ASSERT_EQ(net::encode_datagram(out, reencoded), size);
+      ASSERT_EQ(std::memcmp(reencoded, pack.bytes.data() + at, size), 0);
+      if (expect >= 0) {
+        ASSERT_TRUE(out.frame == pack.messages[r].frame);
+        ASSERT_EQ(out.source, pack.messages[r].source);
+        ASSERT_EQ(out.destination, pack.messages[r].destination);
+      }
+      at += size;
+    }
+    ASSERT_EQ(at, pack.bytes.size());
+  }
+  EXPECT_GT(accepted, 0u);
+  EXPECT_GT(rejected, 0u);
+}
+
+class RecordingEndpoint final : public net::Endpoint {
+ public:
+  void on_message(const net::Message& message) override {
+    messages_.push_back(message);
+  }
+  std::vector<net::Message> messages_;
+};
+
+TEST(DatagramFuzz, ReceivePathDeliversPacksWholeOrNotAtAll) {
+  net::Reactor reactor(net::Reactor::Options{});
+  net::UdpTransport::Options topt;
+  topt.port_base = 50050;
+  net::UdpTransport transport(reactor, topt);
+  RecordingEndpoint endpoint;
+  for (std::uint32_t m = 0; m < 8; ++m) transport.attach(MemberId{m}, endpoint);
+
+  Rng rng{0xF022005};
+  Pack pack;
+  bool queued = false;  // one scripted datagram per on_readable call
+  net::UdpTransport::Hooks hooks;
+  hooks.recv_batch = [&pack, &queued](int, mmsghdr* msgs, unsigned) -> int {
+    if (!queued) {
+      errno = EAGAIN;
+      return -1;
+    }
+    queued = false;
+    const iovec& iov = msgs[0].msg_hdr.msg_iov[0];
+    const std::size_t n = std::min(iov.iov_len, pack.bytes.size());
+    if (n > 0) std::memcpy(iov.iov_base, pack.bytes.data(), n);
+    msgs[0].msg_len = static_cast<unsigned>(n);
+    return 1;
+  };
+  transport.set_hooks(std::move(hooks));
+
+  for (int i = 0; i < 5000; ++i) {
+    pack = packed_datagram(rng);
+    const auto mutation = static_cast<PackMutation>(rng.uniform_int(0, 3));
+    const int expect = mutate_pack(rng, mutation, pack);
+    const std::uint64_t malformed = transport.stats().messages_malformed;
+    const std::size_t delivered = endpoint.messages_.size();
+    queued = true;
+    transport.on_readable(transport.fd());
+    const std::uint64_t bad = transport.stats().messages_malformed - malformed;
+    const std::size_t got = endpoint.messages_.size() - delivered;
+    // All or nothing: one malformed and no frame, or every frame and no
+    // malformed.
+    ASSERT_TRUE((bad == 1 && got == 0) || (bad == 0 && got > 0))
+        << "case " << i << ": " << bad << " malformed, " << got
+        << " delivered";
+    if (expect < 0) continue;
+    ASSERT_EQ(got, static_cast<std::size_t>(expect)) << "case " << i;
+    for (std::size_t r = 0; r < got; ++r) {
+      const net::Message& out = endpoint.messages_[delivered + r];
+      ASSERT_TRUE(out.frame == pack.messages[r].frame) << "case " << i;
+      ASSERT_EQ(out.source, pack.messages[r].source);
+      ASSERT_EQ(out.destination, pack.messages[r].destination);
+    }
+  }
+  EXPECT_EQ(transport.stats().messages_delivered, endpoint.messages_.size());
+  EXPECT_EQ(transport.stats().messages_dead_dest, 0u);
 }
 
 class NullEndpoint final : public net::Endpoint {

@@ -1,6 +1,6 @@
 // UdpTransport + Reactor over real loopback sockets, plus mocked-syscall
 // unit tests for the batched receive path's EINTR/EAGAIN/spurious-wakeup
-// behavior and drain budget.
+// behavior and drain budget, and for the send path's per-socket packing.
 //
 // Port discipline: a transport binds the lowest free port at or above its
 // port_base, so a taken port only moves it up; tests here start from 43xxx
@@ -92,7 +92,7 @@ TEST(UdpTransport, CountsRawGarbageAsMalformed) {
   const std::uint8_t junk[5] = {1, 2, 3, 4, 5};
   ASSERT_GT(::sendto(fd, junk, sizeof(junk), 0,
                      reinterpret_cast<sockaddr*>(&to), sizeof(to)), 0);
-  std::uint8_t padded[net::kMaxDatagramBytes + 4] = {};
+  std::uint8_t padded[net::kMaxRecordBytes + 4] = {};
   const std::size_t valid = net::encode_datagram(
       net::Message{MemberId{9}, MemberId{0}, net::Frame{7}}, padded);
   ASSERT_GT(::sendto(fd, padded, valid + 4, 0,
@@ -214,10 +214,29 @@ void script_receives(net::UdpTransport& transport,
 
 [[nodiscard]] std::vector<std::uint8_t> encoded(MemberId from, MemberId to,
                                                 std::uint8_t payload) {
-  std::uint8_t buffer[net::kMaxDatagramBytes];
+  std::uint8_t buffer[net::kMaxRecordBytes];
   const std::size_t size = net::encode_datagram(
       net::Message{from, to, net::Frame{payload}}, buffer);
   return std::vector<std::uint8_t>(buffer, buffer + size);
+}
+
+/// The records of one datagram, in order; fails the test unless the
+/// datagram splits exactly into well-formed records.
+[[nodiscard]] std::vector<net::Message> records_of(
+    const std::vector<std::uint8_t>& bytes) {
+  std::vector<net::Message> records;
+  EXPECT_GT(net::count_records(bytes.data(), bytes.size()), 0u);
+  for (std::size_t at = 0; at < bytes.size();) {
+    const std::size_t record =
+        net::record_size(bytes.data() + at, bytes.size() - at);
+    if (record == 0) break;
+    net::Message message;
+    EXPECT_EQ(net::decode_datagram(bytes.data() + at, record, message),
+              net::DecodeError::kOk);
+    records.push_back(message);
+    at += record;
+  }
+  return records;
 }
 
 TEST(UdpTransport, ReceivePathRetriesEintrWithoutSpinning) {
@@ -455,8 +474,9 @@ TEST(UdpTransport, OutboxFlushesBeforeRunUntilReturns) {
   ASSERT_TRUE(reactor.run_until([&]() { return sent; }, SimTime::seconds(5)));
 
   // Fewer than a batch, yet all three left before run_until returned:
-  // nothing flushes the outbox after it, so every datagram that reaches
-  // the peer (allowing for deferred loopback delivery) was on the wire.
+  // nothing flushes the outbox after it, so every frame that reaches the
+  // peer (allowing for deferred loopback delivery) was on the wire. A
+  // datagram packs one or more records; walk them in order.
   std::uint64_t on_wire = 0;
   std::uint8_t buffer[net::kMaxDatagramBytes];
   while (on_wire < 3) {
@@ -464,17 +484,180 @@ TEST(UdpTransport, OutboxFlushesBeforeRunUntilReturns) {
     if (::poll(&ready, 1, 1000) <= 0) break;
     const ssize_t n = ::recv(peer, buffer, sizeof(buffer), 0);
     if (n < 0) break;
-    net::Message message;
-    ASSERT_EQ(net::decode_datagram(buffer, static_cast<std::size_t>(n), message),
-              net::DecodeError::kOk);
-    EXPECT_EQ(message.destination, MemberId{1});
-    EXPECT_EQ(message.frame[0], on_wire);
-    ++on_wire;
+    const std::vector<std::uint8_t> datagram(buffer, buffer + n);
+    for (const net::Message& message : records_of(datagram)) {
+      EXPECT_EQ(message.destination, MemberId{1});
+      EXPECT_EQ(message.frame[0], on_wire);
+      ++on_wire;
+    }
   }
   ::close(peer);
   EXPECT_EQ(on_wire, 3u);
   EXPECT_EQ(transport.stats().messages_sent, on_wire);
   EXPECT_EQ(transport.stats().messages_dropped, 0u);
+}
+
+// === Mocked-syscall send-path tests: packing frames per socket. ===
+
+/// Scripted sendmmsg(2): fails with each queued errno in turn, then
+/// accepts whole batches and keeps a copy of every datagram it accepts.
+struct CapturingSend {
+  struct Datagram {
+    sockaddr_in to;
+    std::vector<std::uint8_t> bytes;
+  };
+  std::vector<int> errors;
+  std::vector<Datagram> sent;
+
+  int operator()(int, mmsghdr* msgs, unsigned count) {
+    if (!errors.empty()) {
+      errno = errors.front();
+      errors.erase(errors.begin());
+      return -1;
+    }
+    for (unsigned i = 0; i < count; ++i) {
+      const msghdr& header = msgs[i].msg_hdr;
+      const auto* base =
+          static_cast<const std::uint8_t*>(header.msg_iov[0].iov_base);
+      sent.push_back({*static_cast<const sockaddr_in*>(header.msg_name),
+                      {base, base + header.msg_iov[0].iov_len}});
+    }
+    return static_cast<int>(count);
+  }
+};
+
+void capture_sends(net::UdpTransport& transport,
+                   std::shared_ptr<CapturingSend> capture) {
+  net::UdpTransport::Hooks hooks;
+  hooks.send_batch = [capture](int fd, mmsghdr* msgs, unsigned count) {
+    return (*capture)(fd, msgs, count);
+  };
+  transport.set_hooks(std::move(hooks));
+}
+
+/// A frame of 1..200 bytes that names its send index in its first two.
+[[nodiscard]] net::Frame numbered_frame(std::uint32_t i) {
+  std::vector<std::uint8_t> bytes(2 + (i * 37) % 199, 0x5A);
+  bytes[0] = static_cast<std::uint8_t>(i & 0xff);
+  bytes[1] = static_cast<std::uint8_t>(i >> 8);
+  return net::Frame(bytes.data(), bytes.size());
+}
+
+/// A table placing member m at `base + m % sockets`: foreign ports the
+/// mocked send never reaches, so no frame is credited to any socket.
+[[nodiscard]] std::shared_ptr<net::AddressTable> foreign_addresses(
+    std::uint16_t base, std::uint32_t members, std::uint32_t sockets) {
+  auto table = std::make_shared<net::AddressTable>(members);
+  for (std::uint32_t m = 0; m < members; ++m) {
+    (*table)[m] = net::loopback_address(
+        static_cast<std::uint16_t>(base + m % sockets));
+  }
+  return table;
+}
+
+TEST(UdpTransport, PacksFramesForOneSocketInSendOrderUpToTheCap) {
+  net::Reactor reactor(reactor_options());
+  net::UdpTransport::Options topt;
+  topt.port_base = 43600;
+  net::UdpTransport transport(reactor, topt);
+  transport.set_addresses(foreign_addresses(9000, 2, 1));
+  auto capture = std::make_shared<CapturingSend>();
+  capture_sends(transport, capture);
+
+  // Enough bytes for more than one outbox (kBatch datagrams), so packing
+  // also spans the mid-fill flush.
+  constexpr std::uint32_t kFrames = 1000;
+  for (std::uint32_t i = 0; i < kFrames; ++i) {
+    transport.send(net::Message{MemberId{0}, MemberId{1}, numbered_frame(i)});
+  }
+  transport.flush();
+
+  ASSERT_GT(capture->sent.size(), net::UdpTransport::kBatch);
+  ASSERT_LT(capture->sent.size(), kFrames / 4);
+  std::uint32_t next = 0;
+  for (std::size_t d = 0; d < capture->sent.size(); ++d) {
+    const auto& datagram = capture->sent[d];
+    EXPECT_LE(datagram.bytes.size(), net::kMaxDatagramBytes);
+    for (const net::Message& message : records_of(datagram.bytes)) {
+      ASSERT_TRUE(message.frame == numbered_frame(next))
+          << "frame " << next << " out of order or altered";
+      EXPECT_EQ(message.destination, MemberId{1});
+      ++next;
+    }
+    // Greedy: a datagram closes only when the next frame would not fit.
+    if (d + 1 < capture->sent.size()) {
+      EXPECT_GT(datagram.bytes.size() + net::kDatagramHeaderBytes +
+                    numbered_frame(next).size(),
+                net::kMaxDatagramBytes);
+    }
+  }
+  EXPECT_EQ(next, kFrames);
+  EXPECT_EQ(transport.stats().messages_sent, kFrames);
+  EXPECT_EQ(transport.stats().messages_dropped, 0u);
+}
+
+TEST(UdpTransport, FramesForTwoSocketsNeverShareADatagram) {
+  net::Reactor reactor(reactor_options());
+  net::UdpTransport::Options topt;
+  topt.port_base = 43650;
+  net::UdpTransport transport(reactor, topt);
+  const auto table = foreign_addresses(9100, 8, 2);
+  transport.set_addresses(table);
+  auto capture = std::make_shared<CapturingSend>();
+  capture_sends(transport, capture);
+
+  // Interleave destinations on both sockets within one flush; 20 one-byte
+  // frames per socket fit one datagram each.
+  for (std::uint32_t i = 0; i < 40; ++i) {
+    transport.send(net::Message{MemberId{0}, MemberId{i % 8},
+                                net::Frame{static_cast<std::uint8_t>(i)}});
+  }
+  transport.flush();
+
+  ASSERT_EQ(capture->sent.size(), 2u);
+  std::uint32_t frames = 0;
+  for (const auto& datagram : capture->sent) {
+    std::uint32_t last = 0;
+    bool first = true;
+    for (const net::Message& message : records_of(datagram.bytes)) {
+      const sockaddr_in& home = (*table)[message.destination.value()];
+      EXPECT_EQ(home.sin_port, datagram.to.sin_port)
+          << "member " << message.destination.value()
+          << " rode in another socket's datagram";
+      const std::uint32_t index = message.frame[0];
+      EXPECT_TRUE(first || index > last) << "send order lost";
+      first = false;
+      last = index;
+      ++frames;
+    }
+  }
+  EXPECT_EQ(frames, 40u);
+}
+
+TEST(UdpTransport, EagainOnAPackedDatagramDropsAllOfItsFrames) {
+  net::Reactor reactor(reactor_options());
+  net::UdpTransport::Options topt;
+  topt.port_base = 43700;
+  net::UdpTransport transport(reactor, topt);
+  transport.set_addresses(foreign_addresses(9200, 2, 2));
+  auto capture = std::make_shared<CapturingSend>();
+  capture->errors = {EAGAIN};
+  capture_sends(transport, capture);
+
+  // 40 small frames pack into one datagram for member 0's socket, then 5
+  // into one for member 1's; the kernel refuses the first.
+  for (std::uint32_t i = 0; i < 40; ++i) {
+    transport.send(net::Message{MemberId{1}, MemberId{0}, net::Frame{1, 2}});
+  }
+  for (std::uint32_t i = 0; i < 5; ++i) {
+    transport.send(net::Message{MemberId{0}, MemberId{1}, net::Frame{3}});
+  }
+  transport.flush();
+
+  EXPECT_EQ(transport.stats().messages_sent, 45u);
+  EXPECT_EQ(transport.stats().messages_dropped, 40u);
+  ASSERT_EQ(capture->sent.size(), 1u);
+  EXPECT_EQ(records_of(capture->sent[0].bytes).size(), 5u);
 }
 
 TEST(Reactor, PollEintrIsRetriedNotFatal) {
