@@ -1,67 +1,18 @@
 #include "src/agg/codec.h"
 
-#include <bit>
 #include <string>
 
 namespace gridbox::agg {
 
-void ByteWriter::append(const void* src, std::size_t n, const char* field) {
-  if (!frame_.try_append(src, n)) {
-    // Cold path: compose the diagnostic only on failure. Naming the field
-    // and offset points straight at the layout that broke the budget.
-    throw PreconditionError(
-        "message exceeds the constant frame capacity: writing " +
-        std::string(field) + " of " + std::to_string(n) + " byte(s) at offset " +
-        std::to_string(frame_.size()) + " (capacity " +
-        std::to_string(net::kMaxPayloadBytes) + ")");
-  }
+void ByteWriter::overflow(std::size_t n, const char* field) const {
+  // Compose the diagnostic only on failure. Naming the field and offset
+  // points straight at the layout that broke the budget.
+  throw PreconditionError(
+      "message exceeds the constant frame capacity: writing " +
+      std::string(field) + " of " + std::to_string(n) + " byte(s) at offset " +
+      std::to_string(frame_.size()) + " (capacity " +
+      std::to_string(net::kMaxPayloadBytes) + ")");
 }
-
-void ByteWriter::u32(std::uint32_t v) {
-  std::uint8_t buf[4];
-  for (int i = 0; i < 4; ++i) buf[i] = static_cast<std::uint8_t>(v >> (8 * i));
-  append(buf, sizeof buf, "u32");
-}
-
-void ByteWriter::u64(std::uint64_t v) {
-  std::uint8_t buf[8];
-  for (int i = 0; i < 8; ++i) buf[i] = static_cast<std::uint8_t>(v >> (8 * i));
-  append(buf, sizeof buf, "u64");
-}
-
-void ByteWriter::f64(double v) {
-  std::uint8_t buf[8];
-  const std::uint64_t bits = std::bit_cast<std::uint64_t>(v);
-  for (int i = 0; i < 8; ++i) {
-    buf[i] = static_cast<std::uint8_t>(bits >> (8 * i));
-  }
-  append(buf, sizeof buf, "f64");
-}
-
-std::uint8_t ByteReader::u8() {
-  need(1);
-  return data_[pos_++];
-}
-
-std::uint32_t ByteReader::u32() {
-  need(4);
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<std::uint32_t>(data_[pos_++]) << (8 * i);
-  }
-  return v;
-}
-
-std::uint64_t ByteReader::u64() {
-  need(8);
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<std::uint64_t>(data_[pos_++]) << (8 * i);
-  }
-  return v;
-}
-
-double ByteReader::f64() { return std::bit_cast<double>(u64()); }
 
 void write_partial(ByteWriter& w, const Partial& p) {
   w.u32(p.count());

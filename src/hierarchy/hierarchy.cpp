@@ -52,10 +52,10 @@ GridBoxAddress GridBoxHierarchy::address_of(GridBoxId box) const {
   return GridBoxAddress{box, digit_count(), k_};
 }
 
-std::uint64_t GridBoxHierarchy::phase_group(MemberId id,
+std::uint64_t GridBoxHierarchy::phase_group(GridBoxId box,
                                             std::size_t phase) const {
   expects(phase >= 1 && phase <= phases_, "phase out of range");
-  return box_of(id).value() / checked_pow(k_, phase - 1);
+  return box.value() / checked_pow(k_, phase - 1);
 }
 
 bool GridBoxHierarchy::same_phase_group(MemberId a, MemberId b,
@@ -63,11 +63,11 @@ bool GridBoxHierarchy::same_phase_group(MemberId a, MemberId b,
   return phase_group(a, phase) == phase_group(b, phase);
 }
 
-std::uint32_t GridBoxHierarchy::child_slot(MemberId id,
+std::uint32_t GridBoxHierarchy::child_slot(GridBoxId box,
                                            std::size_t phase) const {
   expects(phase >= 2 && phase <= phases_, "child_slot needs phase >= 2");
   return static_cast<std::uint32_t>(
-      (box_of(id).value() / checked_pow(k_, phase - 2)) % k_);
+      (box.value() / checked_pow(k_, phase - 2)) % k_);
 }
 
 std::vector<MemberId> GridBoxHierarchy::phase_peers(

@@ -60,7 +60,12 @@ class GridBoxHierarchy {
 
   /// Integer naming the phase-`phase` group of `id` (its address prefix with
   /// phase−1 digits masked). Requires 1 <= phase <= num_phases.
-  [[nodiscard]] std::uint64_t phase_group(MemberId id, std::size_t phase) const;
+  [[nodiscard]] std::uint64_t phase_group(MemberId id, std::size_t phase) const {
+    return phase_group(box_of(id), phase);
+  }
+  /// The same for a member already known to live in `box` (no hashing).
+  [[nodiscard]] std::uint64_t phase_group(GridBoxId box,
+                                          std::size_t phase) const;
 
   /// True iff both members are in the same phase-`phase` group.
   [[nodiscard]] bool same_phase_group(MemberId a, MemberId b,
@@ -68,7 +73,12 @@ class GridBoxHierarchy {
 
   /// Which of the K child slots of its phase-`phase` group `id`'s own
   /// phase-(phase−1) group occupies. Requires 2 <= phase <= num_phases.
-  [[nodiscard]] std::uint32_t child_slot(MemberId id, std::size_t phase) const;
+  [[nodiscard]] std::uint32_t child_slot(MemberId id, std::size_t phase) const {
+    return child_slot(box_of(id), phase);
+  }
+  /// The same for a member already known to live in `box` (no hashing).
+  [[nodiscard]] std::uint32_t child_slot(GridBoxId box,
+                                         std::size_t phase) const;
 
   /// Members of `candidates` in the same phase-`phase` group as `self`
   /// (`self` is excluded). Order follows `candidates`.

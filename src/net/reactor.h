@@ -1,13 +1,27 @@
-// Real-time event loop: poll(2) over nonblocking sockets plus a hashed
+// Real-time event loop: ppoll(2) over nonblocking sockets plus a hashed
 // timer wheel, presented to protocol code as a sim::Scheduler.
 //
 // This is the real-world twin of sim::Simulator. The simulator advances a
-// virtual clock to the next queued event; the reactor sleeps in poll(2)
-// until a socket turns readable or the next timer-wheel tick comes due, and
-// reads its clock from steady_clock µs since a run-wide epoch. Protocol
-// nodes cannot tell the difference: start_rounds() arms the same typed
-// TimerTarget chain, and on_timer's return value re-arms or stops the
-// periodic timer exactly as in the simulator.
+// virtual clock to the next queued event; the reactor sleeps until it has
+// work. It wakes for exactly four reasons: the earliest pending wheel entry
+// comes due (the sleep is computed to the µs, but never ends before the
+// start of that entry's tick, since the wheel fires whole ticks), a socket
+// turns readable, another thread post()s into an empty inbox (an eventfd
+// write), or a peer shard leaves its loop (wake(), so a shard with no
+// pending timer still sees done() promptly). The run deadline caps every
+// sleep. Protocol nodes cannot tell the difference: start_rounds() arms the
+// same typed TimerTarget chain, and on_timer's return value re-arms or stops
+// the periodic timer exactly as in the simulator.
+//
+// Clock. now() is the loop time, read from steady_clock as soon as the wait
+// returns, so deliveries see the instant the loop woke, and again after
+// those deliveries, so the next pass's posts and timer fires see the time
+// they run at (libuv likewise refreshes uv_now after epoll returns and at
+// the top of each pass). Between reads every call sees one instant. It
+// reads zero until the loop first runs, and a run binds all shards to one
+// epoch just before it starts their threads, so timers armed during setup
+// share the simulator's t=0 deadline and a shard fires a whole cohort's
+// round in one wheel pass.
 //
 // Threading model (docs/udp_runtime.md): a run shards its members over a
 // few reactors, one thread each, and each shard OWNS its members end to
@@ -17,10 +31,12 @@
 // touches is either shard-local (the member's node, its arena lanes, the
 // shard's transport) or explicitly concurrency-safe (atomic Group
 // liveness, the mutex-gated AuditRegistry, atomic completion counters).
-// The reactor itself takes no dispatch lock; post() is the one
-// cross-thread entry point, and its mutex hand-off is what publishes
-// another thread's writes to this shard. Scheduling calls (schedule_*)
-// are reactor-thread-local: they may be made during setup before the loop
+// The reactor itself takes no dispatch lock; post() and wake() are the
+// cross-thread entry points, and post()'s mutex hand-off is what publishes
+// another thread's writes to this shard. now() is a relaxed atomic, so
+// other shards may read it (the invariant checker stamps violations with the
+// control shard's clock). Scheduling calls (schedule_*) are
+// reactor-thread-local: they may be made during setup before the loop
 // starts, or from inside a callback this reactor is running — never from
 // another thread (cross-shard work goes through post()).
 //
@@ -29,17 +45,19 @@
 // reactor's own always-armed TelemetryLane, the only copy; the transport on
 // this reactor writes its receive-side counts into the same lane.
 //
-// The loop tolerates EINTR (poll retried, counted), EAGAIN (drain loops
-// simply end), and spurious wakeups (a poll return with nothing readable
-// costs one bounded iteration) without busy-spinning: every iteration
-// either dispatches work or sleeps in poll for the tick quantum.
+// The loop tolerates EINTR (the wait is retried, counted), EAGAIN (drain
+// loops simply end), and spurious wakeups (a wait return with nothing
+// readable costs one bounded iteration) without busy-spinning: every
+// iteration either dispatches work or sleeps until the next due tick.
 #pragma once
 
 #include <poll.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <mutex>
 #include <vector>
 
@@ -56,16 +74,18 @@ class IoHandler {
   /// `fd` polled readable (possibly spuriously). Drain until EAGAIN.
   virtual void on_readable(int fd) = 0;
   /// Sends whatever the handler has buffered. The reactor calls it at the
-  /// end of every loop iteration — before done() is probed and before
-  /// poll sleeps — so no datagram waits out a sleep in a userspace queue.
+  /// end of every loop iteration — before done() is probed and before the
+  /// loop sleeps — so no datagram waits out a sleep in a userspace queue.
   virtual void flush() {}
 };
 
 class Reactor final : public sim::Scheduler {
  public:
   struct Options {
-    /// Timer wheel tick quantum; also the poll sleep bound, so a timer
-    /// fires at most ~one quantum late.
+    /// Timer wheel slot width. The wheel fires whole ticks, so a timer
+    /// fires no earlier than the start of its tick and, on an idle loop,
+    /// within the wait's wakeup slack of its deadline; an entry the wheel
+    /// defers out of a processed tick fires at most ~one tick late.
     SimTime tick = SimTime::millis(1);
     /// Wheel slots; horizon before a wrap is tick * slots (entries past
     /// the horizon simply wait out extra laps).
@@ -73,17 +93,23 @@ class Reactor final : public sim::Scheduler {
   };
 
   explicit Reactor(Options options);
+  ~Reactor() override;
   Reactor(const Reactor&) = delete;
   Reactor& operator=(const Reactor&) = delete;
 
-  /// Sets the steady_clock instant that maps to SimTime::zero(). All
-  /// reactors of one run share one epoch so their clocks agree.
+  /// Sets the steady_clock instant that maps to SimTime::zero() (default:
+  /// construction). All reactors of one run share one epoch, bound at
+  /// launch, so their clocks agree and start together.
   void bind_epoch(std::chrono::steady_clock::time_point epoch) {
     epoch_ = epoch;
   }
 
-  /// Real microseconds since the epoch.
-  [[nodiscard]] SimTime now() const override;
+  /// The loop time: real microseconds since the epoch, as last read (on
+  /// entering run_until, when a wait returns, after a wake's deliveries);
+  /// zero before the loop first runs. Safe to read from any thread.
+  [[nodiscard]] SimTime now() const override {
+    return SimTime{loop_now_.load(std::memory_order_relaxed)};
+  }
 
   // sim::Scheduler — same clamping semantics as the simulator: times in
   // the past mean "as soon as possible".
@@ -100,9 +126,9 @@ class Reactor final : public sim::Scheduler {
   void add_fd(int fd, IoHandler& handler);
   void remove_fd(int fd);
 
-  /// Runs the poll/timer loop until `done()` returns true (probed once per
+  /// Runs the wait/timer loop until `done()` returns true (probed once per
   /// iteration on this thread; a multi-shard done() must read only atomics)
-  /// or the real clock passes `deadline`. Returns true iff done() turned
+  /// or the loop time passes `deadline`. Returns true iff done() turned
   /// true. Every handler is flushed before it returns.
   bool run_until(const std::function<bool()>& done, SimTime deadline);
 
@@ -112,9 +138,13 @@ class Reactor final : public sim::Scheduler {
   /// an instance's nodes on their home shards) goes through here. Posted
   /// actions run on this reactor's thread at the top of the next loop
   /// iteration, in post order — the post_mutex_ hand-off makes the poster's
-  /// prior writes visible to the action. Actions still queued when the loop
-  /// exits are discarded.
+  /// prior writes visible to the action. A post into an empty inbox wakes a
+  /// sleeping loop. Actions still queued when the loop exits are discarded.
   void post(sim::Action action);
+
+  /// Ends the loop's current sleep, from any thread: the loop runs one pass
+  /// and probes done(). A shard leaving run_until wakes its peers with it.
+  void wake();
 
   /// Pending wheel timers (typed entries) whose target satisfies `pred`.
   /// NOT thread-safe: call from this reactor's own thread — in practice
@@ -124,16 +154,19 @@ class Reactor final : public sim::Scheduler {
   [[nodiscard]] std::size_t count_timers_where(
       const std::function<bool(const sim::TimerTarget*)>& pred) const;
 
-  /// Fires every timer due at or before now() once, without polling.
-  /// Exposed for mocked-reactor unit tests that drive the loop by hand.
+  /// Reads the clock into the loop time, then fires every timer due by it
+  /// once, without waiting. Exposed for mocked-reactor unit tests that drive
+  /// the loop by hand.
   void fire_due_timers();
 
-  /// Injectable poll(2), for tests that script EINTR and spurious wakeups.
-  using PollFn = std::function<int(pollfd*, nfds_t, int)>;
-  void set_poll_fn(PollFn fn) { poll_fn_ = std::move(fn); }
+  /// Injectable wait: ppoll(2) over `fds` for at most `timeout` (µs
+  /// precision, never negative). For tests that script EINTR, spurious
+  /// wakeups and sleep lengths.
+  using WaitFn = std::function<int(pollfd* fds, nfds_t nfds, SimTime timeout)>;
+  void set_wait_fn(WaitFn fn) { wait_fn_ = std::move(fn); }
 
-  /// Injectable clock, for tests that script timer lateness. When set,
-  /// now() reads it instead of steady_clock (the epoch is ignored).
+  /// Injectable clock, for tests that script timer lateness. When set, the
+  /// loop reads it instead of steady_clock (the epoch is ignored).
   using ClockFn = std::function<SimTime()>;
   void set_clock_fn(ClockFn fn) { clock_fn_ = std::move(fn); }
 
@@ -154,27 +187,42 @@ class Reactor final : public sim::Scheduler {
     sim::Action action;  ///< used when target == null
   };
 
+  static constexpr SimTime kNever{
+      std::numeric_limits<SimTime::underlying>::max()};
+
   void insert(Entry entry);
   /// Runs cross-thread post()ed actions on this thread, in post order.
   void drain_posted();
-  [[nodiscard]] std::size_t slot_of(SimTime deadline) const;
+  /// The wheel tick an entry due at `deadline` is processed in: its own
+  /// tick, or the next unprocessed one if that has passed.
+  [[nodiscard]] std::int64_t tick_of(SimTime deadline) const;
   /// Collects due entries from slots in (last_tick_, now-tick], fires them
   /// on this thread, re-inserts surviving periodic timers.
   void advance_wheel(SimTime now);
+  /// When the earliest pending entry can fire: its deadline, but not before
+  /// the start of the tick it is processed in. kNever if none.
+  [[nodiscard]] SimTime next_wake() const;
+  /// Reads the clock (scripted or steady_clock since the epoch).
+  [[nodiscard]] SimTime read_clock() const;
   /// IoHandler::flush on every registered handler.
   void flush_handlers();
 
   Options options_;
   std::chrono::steady_clock::time_point epoch_ =
       std::chrono::steady_clock::now();
+  std::atomic<SimTime::underlying> loop_now_{0};
   std::vector<std::vector<Entry>> wheel_;
   std::int64_t last_tick_ = -1;  ///< last wheel tick fully processed
   std::size_t pending_timers_ = 0;
-  std::vector<Entry> due_;  ///< scratch: entries being fired this pass
+  std::vector<Entry> due_;       ///< scratch: entries being fired this pass
+  std::vector<Entry> deferred_;  ///< scratch: entries moved to a later tick
 
+  /// The wake eventfd, -1 until the loop first runs; then pollfds_[0].
+  std::atomic<int> wake_fd_{-1};
   std::vector<pollfd> pollfds_;
-  std::vector<IoHandler*> handlers_;  ///< parallel to pollfds_
-  PollFn poll_fn_;
+  /// Parallel to pollfds_; null marks the wake eventfd's slot.
+  std::vector<IoHandler*> handlers_;
+  WaitFn wait_fn_;
   ClockFn clock_fn_;
   obs::TelemetryLane telemetry_;
 

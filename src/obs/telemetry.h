@@ -83,8 +83,8 @@ struct alignas(64) TelemetryLane {
   /// Datagrams delivered (reactor shards) / frames delivered (simulator).
   std::atomic<std::uint64_t> frames_delivered{0};
   std::atomic<std::uint64_t> polls{0};
-  std::atomic<std::uint64_t> wakes_io{0};      ///< poll returned readable fds
-  std::atomic<std::uint64_t> wakes_timeout{0}; ///< quantum elapsed / spurious
+  std::atomic<std::uint64_t> wakes_io{0};      ///< readable fd, post or peer
+  std::atomic<std::uint64_t> wakes_timeout{0}; ///< timer due, or deadline
   std::atomic<std::uint64_t> eintr_retries{0};
   /// High-water of the cross-thread post() inbox (reactor) or of the
   /// pending event queue (simulator).

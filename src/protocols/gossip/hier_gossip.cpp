@@ -87,6 +87,9 @@ void HierGossipNode::start(SimTime at) {
         rng().uniform_int(0, static_cast<std::uint64_t>(
                                  config_.start_skew_max.ticks())))};
   }
+  // The member's box never changes: hash it once, here rather than in the
+  // constructor (which runs for every member inside the setup budget).
+  box_ = hier().box_of(self());
   enter_phase(1);
   start_rounds(begin, config_.round_duration);
 }
@@ -104,6 +107,11 @@ void HierGossipNode::enter_phase(std::size_t phase) {
       static_cast<std::uint64_t>(phase) *
       config_.rounds_per_phase(hier().group_size_estimate());
   round_robin_cursor_ = 0;
+  // Every gossip and every received entry of this phase checks the group
+  // prefix: compute it once.
+  group_prefix_ = hier().phase_group(box_, phase);
+  const std::uint32_t own_slot =
+      phase >= 2 ? hier().child_slot(box_, phase) : 0;
   rebuild_peer_cache();
 
   if (phase == 1) {
@@ -138,7 +146,7 @@ void HierGossipNode::enter_phase(std::size_t phase) {
     // Seed our own child slot with the previous phase's result (§6.3:
     // "Mj already knows about the aggregate value for its own
     // height-(i−1) subtree immediately after phase (i−1) concludes").
-    known_children_[hier().child_slot(self(), phase)] = carry_;
+    known_children_[own_slot] = carry_;
   }
   if (config_.trace != nullptr) {
     config_.trace->on_phase_entered(self(), phase);
@@ -146,10 +154,9 @@ void HierGossipNode::enter_phase(std::size_t phase) {
       config_.trace->on_knowledge_gained(self(), 1, self().value(), self(), 1,
                                          GainKind::kLocal);
     } else {
-      config_.trace->on_knowledge_gained(
-          self(), phase,
-          static_cast<std::uint32_t>(hier().child_slot(self(), phase)), self(),
-          carry_.partial.count(), GainKind::kLocal);
+      config_.trace->on_knowledge_gained(self(), phase, own_slot, self(),
+                                         carry_.partial.count(),
+                                         GainKind::kLocal);
     }
   }
 }
@@ -209,7 +216,6 @@ bool HierGossipNode::on_round() {
 }
 
 void HierGossipNode::gossip_once(MemberId target) {
-  const std::uint64_t group = hier().phase_group(self(), phase_);
   if (phase_ == 1) {
     std::vector<VoteEntry>& entries = scratch_votes_;
     entries.clear();
@@ -237,7 +243,9 @@ void HierGossipNode::gossip_once(MemberId target) {
         entries.assign(picked.begin(), picked.begin() + scratch_picks_.size());
       }
     }
-    if (!entries.empty()) send_to(target, encode_votes(group, entries));
+    if (!entries.empty()) {
+      send_to(target, encode_votes(group_prefix_, entries));
+    }
   } else {
     std::vector<ChildEntry>& entries = scratch_children_;
     entries.clear();
@@ -268,7 +276,7 @@ void HierGossipNode::gossip_once(MemberId target) {
     }
     if (!entries.empty()) {
       send_to(target, encode_children(static_cast<std::uint8_t>(phase_),
-                                      group, entries));
+                                      group_prefix_, entries));
     }
   }
 }
@@ -329,7 +337,7 @@ void HierGossipNode::on_message(const net::Message& message) {
       const double value = r.f64();
       const std::uint64_t token = r.u64();
       if (phase_ != 1) continue;  // may have bumped mid-batch
-      if (group_prefix != hier().phase_group(self(), 1)) return;
+      if (group_prefix != group_prefix_) return;
       absorb_vote(origin, value, token, message.source);
     }
   } else if (type == kChildGossip) {
@@ -345,11 +353,11 @@ void HierGossipNode::on_message(const net::Message& message) {
       if (finished()) return;
       if (slot >= config_.k) return;  // malformed
       if (msg_phase == phase_) {
-        if (group_prefix != hier().phase_group(self(), msg_phase)) return;
+        if (group_prefix != group_prefix_) return;
         absorb_child(slot, partial, token, message.source);
       } else if (config_.early_bump && phase_ >= 1 && msg_phase > phase_ &&
-                 group_prefix == hier().phase_group(self(), msg_phase) &&
-                 slot == hier().child_slot(self(), msg_phase)) {
+                 group_prefix == hier().phase_group(box_, msg_phase) &&
+                 slot == hier().child_slot(box_, msg_phase)) {
         // Adoption: a peer ahead of us gossiped the aggregate of a subtree
         // that *encloses this member's current working subtree* — a value
         // our next phases exist to compute. "Mj knows about the aggregate
@@ -476,7 +484,7 @@ void HierGossipNode::adopt_phase_result(std::size_t msg_phase,
   if (config_.trace != nullptr) {
     config_.trace->on_knowledge_gained(
         self(), msg_phase,
-        static_cast<std::uint32_t>(hier().child_slot(self(), msg_phase)),
+        hier().child_slot(box_, msg_phase),
         sender, partial.count(), GainKind::kAdopted);
   }
   // The adopted value concludes phase msg_phase − 1, skipping the phases in

@@ -133,6 +133,10 @@ class HierGossipNode final : public protocols::ProtocolNode {
     for (; it != p1_extra_.end(); ++it) fn(it->first, it->second);
   }
 
+  // This member's grid box, hashed once at start. Declared first, where it
+  // fills the alignment hole after the base class instead of growing the
+  // node (world setup allocates one node per member).
+  GridBoxId box_;
   GossipConfig config_;
   // Hot per-member scalars live in the run arena's lanes (struct-of-arrays);
   // these references are this node's slots in them.
@@ -145,6 +149,9 @@ class HierGossipNode final : public protocols::ProtocolNode {
   // materialized per phase, as the map-based implementation did.
   bool use_segment_ = false;
   StateArena::Segment seg_;  // current phase's segment (use_segment_ only)
+
+  // The current phase's group prefix.
+  std::uint64_t group_prefix_ = 0;
 
   // Phase-1 knowledge, struct-of-arrays: p1_ids_ is the node's box-member
   // universe (sorted, includes self), p1_mask_ flags which votes are known,

@@ -36,22 +36,21 @@ UdpMesh::UdpMesh(const ExperimentConfig& config, std::uint16_t port_base,
                        1, std::min<std::size_t>(
                               {4, std::thread::hardware_concurrency(),
                                config.group_size}));
-  // One socket per shard + the telemetry socket + stdio + test-framework
-  // slack; fail early with the numbers instead of mid-setup on socket().
-  require_fd_capacity(count + 64);
+  // One socket and one wake eventfd per shard + the telemetry socket +
+  // stdio + test-framework slack; fail early with the numbers instead of
+  // mid-setup on socket().
+  require_fd_capacity(2 * count + 64);
 
   const net::ChaosSpec chaos = net::ChaosSpec::parse(config.chaos_spec);
   const bool shim_active = chaos.affects_network() ||
                            config.ucast_loss > 0.0 ||
                            config.partition_loss >= 0.0;
   const Rng chaos_root = Rng(config.seed).derive(streams::kChaos);
-  const auto epoch = std::chrono::steady_clock::now();
   reactors_.reserve(count);
   transports_.reserve(count);
   for (std::size_t s = 0; s < count; ++s) {
     reactors_.push_back(
         std::make_unique<net::Reactor>(net::Reactor::Options{}));
-    reactors_.back()->bind_epoch(epoch);
     net::UdpTransport::Options topt;
     topt.port_base = port_base;
     auto transport =
@@ -139,6 +138,12 @@ bool UdpMesh::run(const std::function<bool()>& done, SimTime deadline) {
     control().schedule_periodic(interval, interval, *sampler_tick_);
   }
 
+  // The shard clocks start now, together: everything armed during setup
+  // read a clock of zero, so a cohort's first round shares one deadline,
+  // as at the simulator's t=0, and each shard fires it in one wheel pass.
+  const auto epoch = std::chrono::steady_clock::now();
+  for (const auto& reactor : reactors_) reactor->bind_epoch(epoch);
+
   std::vector<std::thread> threads;
   std::vector<char> shard_done(shard_count(), 0);
   std::vector<std::exception_ptr> errors(shard_count());
@@ -149,6 +154,11 @@ bool UdpMesh::run(const std::function<bool()>& done, SimTime deadline) {
         shard_done[s] = reactors_[s]->run_until(done, deadline) ? 1 : 0;
       } catch (...) {
         errors[s] = std::current_exception();
+      }
+      // done() is global: a shard sleeping with no timer due would not
+      // probe it again before the deadline. Wake the peers to look now.
+      for (const auto& reactor : reactors_) {
+        if (reactor != reactors_[s]) reactor->wake();
       }
     });
   }

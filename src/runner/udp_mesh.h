@@ -34,8 +34,8 @@ namespace gridbox::runner {
 class UdpMesh {
  public:
   /// Checks the fd budget, then builds `shards` reactors (0 = min(4, cores,
-  /// N)) on one epoch, each with a transport whose socket binds the lowest
-  /// free port >= `port_base`, reading liveness from `group` (which must
+  /// N)), each with a transport whose socket binds the lowest free port >=
+  /// `port_base`, reading liveness from `group` (which must
   /// outlive the mesh), and installs the shared member -> address table.
   /// Under loss, a partition or a network chaos directive, transport s gets
   /// its own chaos shim on stream kChaos.derive(s): real sockets have no
@@ -68,9 +68,11 @@ class UdpMesh {
   /// torn sample while the shards run.
   [[nodiscard]] obs::TelemetryHub& telemetry() const { return *hub_; }
 
-  /// Runs every shard on its own thread until `done()` (a global probe,
-  /// not per shard) or the deadline, joins them all, rethrows the first
-  /// shard error, and takes the closing telemetry sample. Call once, after
+  /// Starts every shard's clock at one epoch (they read zero until then,
+  /// through setup), runs every shard on its own thread until `done()` (a
+  /// global probe, not per shard) or the deadline, joins them all, rethrows
+  /// the first shard error, and takes the closing telemetry sample. A shard
+  /// leaving its loop wakes the others to probe `done()`. Call once, after
   /// all pre-run scheduling; the thread launch publishes it to the shards.
   /// Returns true iff every shard saw `done()` before the deadline.
   bool run(const std::function<bool()>& done, SimTime deadline);

@@ -81,7 +81,14 @@ TEST(UdpScale, ThousandMemberDifferentialSurvivesChaos) {
 // headroom at this N. With frames packed per destination socket, user CPU
 // is the limit at 5 ms: in ten 5 ms runs on a 4-CPU host, 66-98% of timer
 // fires were >= 16 ms late (completeness 0.9997-1.0); in ten 20 ms runs,
-// 0.0-0.4% were late and completeness was >= 0.9999.
+// 0.0-0.4% were late and completeness was >= 0.9999. With shards sleeping
+// to their next due timer and each round fired in one wheel pass, ten 5 ms
+// runs (seeds 1-10, same host) still had 81-91% of fires late, completeness
+// 0.945-0.99995 and 1.01-1.21 s elapsed (the code before: 91-98% late,
+// 0.958-0.99992, 1.07-1.49 s); in a busier period of the shared host the
+// same ten seeds read 93-98% late and completeness down to 0.55. The bar
+// for 5 ms rounds (under 1% late and completeness >= 0.998 in 10 of 10
+// runs) held in none, so 20 ms stays.
 TEST(UdpScale, TenThousandMembersStayCompleteUnderLoss) {
 #ifdef GRIDBOX_UNDER_TSAN
   GTEST_SKIP() << "real-time scale gate; ThreadSanitizer cannot keep pace";

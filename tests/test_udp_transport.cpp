@@ -1,6 +1,8 @@
 // UdpTransport + Reactor over real loopback sockets, plus mocked-syscall
 // unit tests for the batched receive path's EINTR/EAGAIN/spurious-wakeup
-// behavior and drain budget, and for the send path's per-socket packing.
+// behavior and drain budget, and for the send path's per-socket packing;
+// the reactor's wake path (scripted clock and wait), and the shard mesh's
+// shared launch clock and exit wake.
 //
 // Port discipline: a transport binds the lowest free port at or above its
 // port_base, so a taken port only moves it up; tests here start from 43xxx
@@ -14,19 +16,24 @@
 #include <cerrno>
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <thread>
 #include <vector>
 
 #include "src/common/rng.h"
 #include "src/common/types.h"
+#include "src/membership/group.h"
 #include "src/net/chaos.h"
 #include "src/net/datagram.h"
 #include "src/net/fault_model.h"
 #include "src/net/reactor.h"
 #include "src/net/udp_transport.h"
+#include "src/runner/config.h"
+#include "src/runner/udp_mesh.h"
 
 namespace gridbox {
 namespace {
@@ -663,13 +670,15 @@ TEST(UdpTransport, EagainOnAPackedDatagramDropsAllOfItsFrames) {
 TEST(Reactor, PollEintrIsRetriedNotFatal) {
   net::Reactor reactor(reactor_options());
   int eintr_left = 3;
-  reactor.set_poll_fn([&](pollfd* fds, nfds_t nfds, int timeout) -> int {
+  reactor.set_wait_fn([&](pollfd* fds, nfds_t nfds, SimTime timeout) -> int {
     if (eintr_left > 0) {
       --eintr_left;
       errno = EINTR;
       return -1;
     }
-    return ::poll(fds, nfds, timeout);
+    const timespec ts{static_cast<time_t>(timeout.ticks() / 1'000'000),
+                      static_cast<long>(timeout.ticks() % 1'000'000 * 1000)};
+    return ::ppoll(fds, nfds, &ts, nullptr);
   });
 
   bool fired = false;
@@ -723,6 +732,237 @@ TEST(Reactor, FarFutureTimersParkBeyondTheWheelHorizon) {
   EXPECT_FALSE(far) << "far timer fired a lap early";
   ASSERT_TRUE(reactor.run_until([&]() { return far; }, SimTime::seconds(5)));
   EXPECT_GE(reactor.now(), SimTime::millis(40));
+}
+
+// === Wake path: the loop sleeps until it has work (scripted clock + wait). ===
+
+/// Scripted wait: every wait advances the scripted clock by the timeout it
+/// was given (the sleep ran out), except that `early`, if set, ends the
+/// first wait at that instant instead (a datagram arrived: every watched
+/// socket past the wake eventfd at index 0 polls readable). A loop that
+/// spins is cut off past every test deadline after 100 waits.
+struct ScriptedWait {
+  SimTime clock = SimTime::zero();
+  std::vector<SimTime> timeouts;
+  std::optional<SimTime> early;
+
+  void install(net::Reactor& reactor) {
+    reactor.set_clock_fn([this]() { return clock; });
+    reactor.set_wait_fn([this](pollfd* fds, nfds_t nfds, SimTime timeout) {
+      timeouts.push_back(timeout);
+      if (timeouts.size() >= 100) {
+        clock = SimTime::seconds(60);
+      } else if (early.has_value()) {
+        clock = *early;
+        early.reset();
+        for (nfds_t i = 1; i < nfds; ++i) fds[i].revents = POLLIN;
+        return static_cast<int>(nfds) - 1;
+      } else {
+        clock += timeout;
+      }
+      return 0;
+    });
+  }
+};
+
+TEST(Reactor, IdleLoopSleepsStraightToItsOnlyTimer) {
+  net::Reactor reactor(reactor_options());
+  ScriptedWait wait;
+  wait.install(reactor);
+  bool fired = false;
+  reactor.schedule_after(SimTime::millis(50), [&]() { fired = true; });
+
+  ASSERT_TRUE(reactor.run_until([&]() { return fired; }, SimTime::seconds(5)));
+  EXPECT_LE(wait.timeouts.size(), 3u);
+  EXPECT_EQ(wait.clock, SimTime::millis(50)) << "fired off its deadline";
+  EXPECT_EQ(reactor.telemetry().polls.load(std::memory_order_relaxed),
+            wait.timeouts.size());
+}
+
+TEST(Reactor, EntryDeferredWithinItsTickSleepsToTheNextTick) {
+  // The 50.5 ms entry sits in tick 50. A wake at 50.2 ms processes tick 50
+  // and moves the entry to tick 51, which the wheel reaches at 51 ms. A
+  // loop that slept to the raw deadline would wake at 50.5 ms into an
+  // already-processed tick and spin on zero timeouts.
+  net::Reactor reactor(reactor_options());
+  ScriptedWait wait;
+  wait.install(reactor);
+  wait.early = SimTime::micros(50'200);
+  bool fired = false;
+  reactor.schedule_at(SimTime::micros(50'500), [&]() { fired = true; });
+
+  ASSERT_TRUE(reactor.run_until([&]() { return fired; }, SimTime::seconds(5)));
+  EXPECT_LE(wait.timeouts.size(), 3u);
+  for (const SimTime timeout : wait.timeouts) {
+    EXPECT_GT(timeout, SimTime::zero()) << "spun on a processed tick";
+  }
+  EXPECT_EQ(wait.clock, SimTime::millis(51));
+}
+
+/// Records the loop time each readable callback sees; each delivery then
+/// advances the scripted clock by `cost` (the time it took).
+class ClockRecorder final : public net::IoHandler {
+ public:
+  ClockRecorder(const net::Reactor& reactor, ScriptedWait& wait)
+      : reactor_(&reactor), wait_(&wait) {}
+  void on_readable(int) override {
+    seen.push_back(reactor_->now());
+    wait_->clock += cost;
+  }
+  std::vector<SimTime> seen;
+  SimTime cost = SimTime::zero();
+
+ private:
+  const net::Reactor* reactor_;
+  ScriptedWait* wait_;
+};
+
+TEST(Reactor, DeliveriesSeeTheClockOfTheWakeNotOfTheSleep) {
+  // The loop sleeps from t=0 toward a 100 ms timer; a datagram wakes it at
+  // 30 ms. The delivery must read the wake instant, as libuv refreshes its
+  // loop time as soon as epoll returns: a stale clock would stamp finishes
+  // and chaos delays up to a whole sleep early.
+  net::Reactor reactor(reactor_options());
+  ScriptedWait wait;
+  wait.install(reactor);
+  wait.early = SimTime::millis(30);
+  int fds[2];
+  ASSERT_EQ(::pipe(fds), 0);
+  ClockRecorder recorder(reactor, wait);
+  reactor.add_fd(fds[0], recorder);
+  reactor.schedule_after(SimTime::millis(100), []() {});
+
+  ASSERT_TRUE(reactor.run_until([&]() { return !recorder.seen.empty(); },
+                                SimTime::seconds(5)));
+  reactor.remove_fd(fds[0]);
+  ::close(fds[0]);
+  ::close(fds[1]);
+  EXPECT_EQ(recorder.seen, std::vector<SimTime>{SimTime::millis(30)});
+  EXPECT_EQ(reactor.now(), SimTime::millis(30));
+}
+
+TEST(Reactor, TimersThatComeDueDuringDeliveriesFireWithoutAnotherWait) {
+  // A datagram wakes the loop at 30 ms and its delivery takes 2 ms, past
+  // a timer due at 31 ms. The next pass must see the clock after the
+  // delivery and fire the timer, not wait a zero timeout to notice it.
+  net::Reactor reactor(reactor_options());
+  ScriptedWait wait;
+  wait.install(reactor);
+  wait.early = SimTime::millis(30);
+  int fds[2];
+  ASSERT_EQ(::pipe(fds), 0);
+  ClockRecorder recorder(reactor, wait);
+  recorder.cost = SimTime::millis(2);
+  reactor.add_fd(fds[0], recorder);
+  bool fired = false;
+  reactor.schedule_at(SimTime::millis(31), [&]() { fired = true; });
+
+  ASSERT_TRUE(reactor.run_until([&]() { return fired; }, SimTime::seconds(5)));
+  reactor.remove_fd(fds[0]);
+  ::close(fds[0]);
+  ::close(fds[1]);
+  EXPECT_EQ(wait.timeouts.size(), 1u) << "waited again for a due timer";
+  EXPECT_EQ(reactor.now(), SimTime::millis(32));
+}
+
+TEST(Reactor, PostFromAnotherThreadWakesALongSleep) {
+  net::Reactor reactor(reactor_options());
+  reactor.schedule_after(SimTime::seconds(5), []() {});
+  using Clock = std::chrono::steady_clock;
+  std::atomic<bool> ran{false};
+  Clock::time_point posted_at;
+  Clock::time_point ran_at;
+
+  std::thread poster([&]() {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    posted_at = Clock::now();
+    reactor.post([&]() {
+      ran_at = Clock::now();
+      ran.store(true, std::memory_order_release);
+    });
+  });
+  const bool done = reactor.run_until(
+      [&]() { return ran.load(std::memory_order_acquire); },
+      SimTime::seconds(10));
+  poster.join();
+
+  ASSERT_TRUE(done);
+  EXPECT_LT(ran_at - posted_at, std::chrono::milliseconds(50));
+}
+
+[[nodiscard]] runner::ExperimentConfig mesh_config(std::uint32_t members) {
+  runner::ExperimentConfig config;
+  config.group_size = members;
+  config.ucast_loss = 0.0;
+  config.crash_probability = 0.0;
+  return config;
+}
+
+TEST(UdpShards, RunReturnsPromptlyWhileAShardHasNoTimer) {
+  // Shard 1 has no timer and no traffic: it sleeps until woken. When shard
+  // 0's action makes done() true, shard 0 leaves its loop and must wake
+  // shard 1 to see it, rather than leave it asleep until the deadline.
+  const runner::ExperimentConfig config = mesh_config(4);
+  membership::Group group(config.group_size);
+  runner::UdpMesh mesh(config, 43750, 2, group);
+  using Clock = std::chrono::steady_clock;
+  std::atomic<bool> finished{false};
+  Clock::time_point finished_at;
+  mesh.control().schedule_at(SimTime::millis(20), [&]() {
+    finished_at = Clock::now();
+    finished.store(true, std::memory_order_release);
+  });
+
+  const bool done = mesh.run(
+      [&]() { return finished.load(std::memory_order_acquire); },
+      SimTime::seconds(10));
+  const Clock::duration lag = Clock::now() - finished_at;
+  EXPECT_TRUE(done);
+  EXPECT_LT(lag, std::chrono::milliseconds(50));
+}
+
+/// One-shot round timer that counts its fire across shard threads.
+class FirstRound final : public sim::TimerTarget {
+ public:
+  explicit FirstRound(std::atomic<int>& fired) : fired_(&fired) {}
+  bool on_timer(std::uint32_t) override {
+    fired_->fetch_add(1, std::memory_order_acq_rel);
+    return false;
+  }
+
+ private:
+  std::atomic<int>* fired_;
+};
+
+TEST(UdpShards, RoundsArmedDuringSetupFireInOneWheelPassPerShard) {
+  // Members start during setup, as the runners start nodes before the
+  // launch. The shard clocks read zero until then, so every first round
+  // shares the t=0 deadline even though setup takes milliseconds; each
+  // shard fires its whole cohort in one wheel pass.
+  constexpr std::uint32_t kMembers = 64;
+  const runner::ExperimentConfig config = mesh_config(kMembers);
+  membership::Group group(config.group_size);
+  runner::UdpMesh mesh(config, 43800, 4, group);
+  std::atomic<int> fired{0};
+  std::vector<std::unique_ptr<FirstRound>> rounds;
+  for (std::uint32_t m = 0; m < kMembers; ++m) {
+    rounds.push_back(std::make_unique<FirstRound>(fired));
+    mesh.reactor_of(MemberId{m})
+        .schedule_periodic(SimTime::zero(), SimTime::millis(10), *rounds[m]);
+    if (m % 8 == 7) std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+
+  ASSERT_TRUE(mesh.run(
+      [&]() { return fired.load(std::memory_order_acquire) == kMembers; },
+      SimTime::seconds(10)));
+  for (std::uint32_t s = 0; s < mesh.shard_count(); ++s) {
+    SCOPED_TRACE("shard " + std::to_string(s));
+    const obs::TelemetryLane& lane = mesh.reactor_of(MemberId{s}).telemetry();
+    EXPECT_EQ(lane.timers_fired.load(std::memory_order_relaxed),
+              kMembers / mesh.shard_count());
+    EXPECT_EQ(lane.dispatch_per_tick.total(), 1u)
+        << "the cohort's first round took several wheel passes";
+  }
 }
 
 // post() is the one cross-thread entry into a shard (DESIGN.md §14): each
