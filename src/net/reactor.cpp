@@ -8,15 +8,13 @@
 
 #include <algorithm>
 #include <utility>
+#include <variant>
 
 #include "src/common/ensure.h"
 
 namespace gridbox::net {
 
-Reactor::Reactor(Options options) : options_(options) {
-  expects(options_.tick > SimTime::zero(), "wheel tick must be positive");
-  expects(options_.slots > 0, "wheel needs at least one slot");
-  wheel_.resize(options_.slots);
+Reactor::Reactor(Options /*options*/) {
   wait_fn_ = [](pollfd* fds, nfds_t nfds, SimTime timeout) {
     const timespec ts{
         static_cast<time_t>(timeout.ticks() / 1'000'000),
@@ -38,10 +36,7 @@ SimTime Reactor::read_clock() const {
 }
 
 void Reactor::schedule_at(SimTime time, sim::Action action) {
-  Entry entry;
-  entry.deadline = std::max(time, now());
-  entry.action = std::move(action);
-  insert(std::move(entry));
+  timers_.push(std::max(time, now()), std::move(action));
 }
 
 void Reactor::schedule_after(SimTime delay, sim::Action action) {
@@ -53,21 +48,14 @@ void Reactor::schedule_periodic(SimTime start, SimTime interval,
                                 sim::TimerTarget& target,
                                 std::uint32_t timer_id) {
   expects(interval > SimTime::zero(), "periodic interval must be positive");
-  Entry entry;
-  entry.deadline = std::max(start, now());
-  entry.interval = interval;
-  entry.target = &target;
-  entry.timer_id = timer_id;
-  insert(std::move(entry));
+  timers_.push(std::max(start, now()),
+               sim::TimerFire{&target, interval, timer_id});
 }
 
 void Reactor::schedule_timer_at(SimTime time, sim::TimerTarget& target,
                                 std::uint32_t timer_id) {
-  Entry entry;
-  entry.deadline = std::max(time, now());
-  entry.target = &target;
-  entry.timer_id = timer_id;
-  insert(std::move(entry));
+  timers_.push(std::max(time, now()),
+               sim::TimerFire{&target, SimTime::zero(), timer_id});
 }
 
 void Reactor::add_fd(int fd, IoHandler& handler) {
@@ -89,46 +77,9 @@ void Reactor::remove_fd(int fd) {
   }
 }
 
-std::int64_t Reactor::tick_of(SimTime deadline) const {
-  // A slot whose tick was already processed is not revisited until the
-  // wheel wraps a full lap later, so an entry due now (or in the already-
-  // processed part of the current tick) must land in the next tick the
-  // loop will visit — it then fires at most one quantum late.
-  const std::int64_t tick =
-      std::max<std::int64_t>(0, deadline.ticks()) / options_.tick.ticks();
-  return std::max(tick, last_tick_ + 1);
-}
-
-void Reactor::insert(Entry entry) {
-  wheel_[static_cast<std::uint64_t>(tick_of(entry.deadline)) % options_.slots]
-      .push_back(std::move(entry));
-  ++pending_timers_;
-}
-
-SimTime Reactor::next_wake() const {
-  if (pending_timers_ == 0) return kNever;
-  // Walk one lap of ticks from the next unprocessed one. Every entry a slot
-  // holds for its current lap is processed in that tick, so the first slot
-  // holding one bounds the wake: no later slot can fire earlier.
-  const std::int64_t tick_us = options_.tick.ticks();
-  const auto slots = static_cast<std::int64_t>(options_.slots);
-  SimTime wake = kNever;
-  for (std::int64_t t = last_tick_ + 1; t <= last_tick_ + slots; ++t) {
-    const SimTime tick_start{t * tick_us};
-    for (const Entry& entry :
-         wheel_[static_cast<std::size_t>(t) % options_.slots]) {
-      if (entry.deadline.ticks() / tick_us > t) continue;  // a later lap
-      wake = std::min(wake, std::max(entry.deadline, tick_start));
-    }
-    if (wake != kNever) return wake;
-  }
-  // Every entry waits out a later lap: revisit the wheel one lap on.
-  return SimTime{(last_tick_ + slots + 1) * tick_us};
-}
-
 void Reactor::fire_due_timers() {
   loop_now_.store(read_clock().ticks(), std::memory_order_relaxed);
-  advance_wheel(now());
+  fire_due(now());
 }
 
 void Reactor::post(sim::Action action) {
@@ -176,85 +127,42 @@ void Reactor::drain_posted() {
 
 std::size_t Reactor::count_timers_where(
     const std::function<bool(const sim::TimerTarget*)>& pred) const {
-  std::size_t count = 0;
-  for (const auto& slot : wheel_) {
-    for (const Entry& entry : slot) {
-      if (entry.target != nullptr && pred(entry.target)) ++count;
-    }
-  }
-  return count;
+  return timers_.count_timers_where(pred);
 }
 
-void Reactor::advance_wheel(SimTime now) {
-  if (pending_timers_ == 0) {
-    last_tick_ = now.ticks() / options_.tick.ticks();
-    return;
-  }
-  const std::int64_t cur_tick = now.ticks() / options_.tick.ticks();
-  // Visit each slot between the last processed tick and now. After a stall
-  // longer than one lap every slot is due anyway, so one full sweep covers
-  // the gap without walking tick-by-tick through it.
-  const std::int64_t span =
-      std::min<std::int64_t>(cur_tick - last_tick_,
-                             static_cast<std::int64_t>(options_.slots));
-  if (span <= 0) return;
+void Reactor::fire_due(SimTime now) {
+  // Take the whole due set out before firing any of it: whatever a fire
+  // arms — a late re-arm, an action for now() — lands in the queue behind
+  // this pass and waits for the next one, after I/O.
   due_.clear();
-  deferred_.clear();
-  const std::int64_t tick_us = options_.tick.ticks();
-  for (std::int64_t t = cur_tick - span + 1; t <= cur_tick; ++t) {
-    auto& slot = wheel_[static_cast<std::size_t>(t) % options_.slots];
-    for (std::size_t i = 0; i < slot.size();) {
-      const std::int64_t entry_tick = slot[i].deadline.ticks() / tick_us;
-      if (entry_tick > cur_tick) {
-        // An earlier wheel lap shares this slot; parked until its own lap.
-        ++i;
-        continue;
-      }
-      // This slot is not revisited until the wheel wraps, so everything
-      // belonging to the processed ticks must leave it now: entries due
-      // by `now` fire, ones due later in the current tick migrate to the
-      // next tick's slot (and fire at most one quantum late).
-      if (slot[i].deadline <= now) {
-        due_.push_back(std::move(slot[i]));
-      } else {
-        deferred_.push_back(std::move(slot[i]));
-      }
-      slot[i] = std::move(slot.back());
-      slot.pop_back();
+  while (!timers_.empty() && timers_.next_time() <= now) {
+    sim::Event event = timers_.pop();
+    Due& due = due_.emplace_back();
+    due.deadline = event.time;
+    if (const auto* timer = std::get_if<sim::TimerFire>(&event.work)) {
+      due.timer = *timer;
+    } else {
+      due.action = std::move(std::get<sim::Action>(event.work));
     }
   }
-  last_tick_ = cur_tick;
-  pending_timers_ -= due_.size() + deferred_.size();
-  for (Entry& entry : deferred_) insert(std::move(entry));
-  deferred_.clear();
   if (due_.empty()) return;
-  // Fire in deadline order, mirroring the simulator's time-ordered queue
-  // (ties keep extraction order — there is no cross-thread order to match).
-  // A cohort armed for one deadline is already in order: skip the sort.
-  const auto by_deadline = [](const Entry& a, const Entry& b) {
-    return a.deadline < b.deadline;
-  };
-  if (!std::is_sorted(due_.begin(), due_.end(), by_deadline)) {
-    std::stable_sort(due_.begin(), due_.end(), by_deadline);
-  }
   telemetry_.dispatch_per_tick.observe(due_.size());
-  for (Entry& entry : due_) {
-    if (entry.target != nullptr) {
-      // Lateness vs the scheduled deadline — the wheel's quantum plus any
-      // wait stall, the primary "is the loop keeping up" signal.
-      telemetry_.note_timer_fired(
-          static_cast<std::uint64_t>((now - entry.deadline).ticks()));
-      const bool again = entry.target->on_timer(entry.timer_id);
-      if (again && entry.interval > SimTime::zero()) {
-        // Re-arm one interval after the *scheduled* deadline, not after
-        // the (late) fire time: rounds keep the simulator's cadence
-        // instead of accumulating dispatch latency.
-        entry.deadline += entry.interval;
-        insert(std::move(entry));
-      }
-    } else {
+  for (Due& due : due_) {
+    if (due.timer.target == nullptr) {
       telemetry_.actions_run.fetch_add(1, std::memory_order_relaxed);
-      entry.action();
+      due.action();
+      continue;
+    }
+    // Lateness vs the scheduled deadline — the wait's wakeup slack plus any
+    // stall, the primary "is the loop keeping up" signal.
+    telemetry_.note_timer_fired(
+        static_cast<std::uint64_t>((now - due.deadline).ticks()));
+    const bool again = due.timer.target->on_timer(due.timer.timer_id);
+    if (again && due.timer.interval > SimTime::zero()) {
+      // Re-arm one interval after the *scheduled* deadline, not after the
+      // (late) fire time: rounds keep the simulator's cadence instead of
+      // accumulating dispatch latency.
+      timers_.push(due.deadline + due.timer.interval, due.timer);
     }
   }
   due_.clear();
@@ -270,9 +178,9 @@ bool Reactor::run_until(const std::function<bool()>& done, SimTime deadline) {
   if (wake_fd_.load(std::memory_order_relaxed) < 0) {
     // The wake eventfd takes watch slot 0 (null handler) on the first run:
     // a reactor that never runs (setup probes, unit tests) costs no syscall
-    // and allocates only its wheel. Opened before the first drain: a post()
-    // that saw no fd yet pushed under post_mutex_ first, so that drain (or
-    // a later one) finds it.
+    // and allocates nothing. Opened before the first drain: a post() that
+    // saw no fd yet pushed under post_mutex_ first, so that drain (or a
+    // later one) finds it.
     pollfd p{};
     p.fd = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
     p.events = POLLIN;
@@ -284,7 +192,7 @@ bool Reactor::run_until(const std::function<bool()>& done, SimTime deadline) {
   loop_now_.store(read_clock().ticks(), std::memory_order_relaxed);
   for (;;) {
     drain_posted();
-    advance_wheel(now());
+    fire_due(now());
     // Sends made by this iteration's deliveries, posts and timers leave
     // in one batch per handler.
     flush_handlers();
@@ -293,9 +201,10 @@ bool Reactor::run_until(const std::function<bool()>& done, SimTime deadline) {
       flush_handlers();  // anything done() itself sent
       return finished;
     }
-    // Sleep to the earliest due tick, the deadline capping it. The pass
-    // took time, so measure the remaining sleep from a fresh reading.
-    const SimTime wake_at = std::min(next_wake(), deadline);
+    // Sleep to the earliest pending entry, the deadline capping it. The
+    // pass took time, so measure the remaining sleep from a fresh reading.
+    const SimTime wake_at =
+        timers_.empty() ? deadline : std::min(timers_.next_time(), deadline);
     const SimTime timeout =
         std::max(SimTime::zero(), wake_at - read_clock());
     telemetry_.polls.fetch_add(1, std::memory_order_relaxed);

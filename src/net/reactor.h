@@ -1,17 +1,25 @@
-// Real-time event loop: ppoll(2) over nonblocking sockets plus a hashed
-// timer wheel, presented to protocol code as a sim::Scheduler.
+// Real-time event loop: ppoll(2) over nonblocking sockets plus the
+// simulator's timer queue, presented to protocol code as a sim::Scheduler.
 //
 // This is the real-world twin of sim::Simulator. The simulator advances a
 // virtual clock to the next queued event; the reactor sleeps until it has
-// work. It wakes for exactly four reasons: the earliest pending wheel entry
-// comes due (the sleep is computed to the µs, but never ends before the
-// start of that entry's tick, since the wheel fires whole ticks), a socket
-// turns readable, another thread post()s into an empty inbox (an eventfd
-// write), or a peer shard leaves its loop (wake(), so a shard with no
-// pending timer still sees done() promptly). The run deadline caps every
-// sleep. Protocol nodes cannot tell the difference: start_rounds() arms the
-// same typed TimerTarget chain, and on_timer's return value re-arms or stops
-// the periodic timer exactly as in the simulator.
+// work. Both hold their timers in one sim::EventQueue, ordered by
+// (deadline, arm order). The reactor wakes for exactly four reasons: the
+// earliest pending entry comes due (the queue's next_time(), to the µs), a
+// socket turns readable, another thread post()s into an empty inbox (an
+// eventfd write), or a peer shard leaves its loop (wake(), so a shard with
+// no pending timer still sees done() promptly). The run deadline caps
+// every sleep. Protocol nodes cannot tell the difference: start_rounds()
+// arms the same typed TimerTarget chain, and on_timer's return value
+// re-arms or stops the periodic timer exactly as in the simulator.
+//
+// Firing contract. A pass fires only the entries that were pending and due
+// when it began, in (deadline, arm order), exactly as the simulator orders
+// them. A periodic timer re-arms one interval after its *scheduled*
+// deadline, not after its (late) fire time, so rounds keep the simulator's
+// cadence. Anything armed during a pass — a late re-arm, an action armed
+// for now() — waits for the next pass, after I/O, so a shard that is
+// behind never fires a timer twice in one pass.
 //
 // Clock. now() is the loop time, read from steady_clock as soon as the wait
 // returns, so deliveries see the instant the loop woke, and again after
@@ -21,7 +29,7 @@
 // reads zero until the loop first runs, and a run binds all shards to one
 // epoch just before it starts their threads, so timers armed during setup
 // share the simulator's t=0 deadline and a shard fires a whole cohort's
-// round in one wheel pass.
+// round in one pass.
 //
 // Threading model (docs/udp_runtime.md): a run shards its members over a
 // few reactors, one thread each, and each shard OWNS its members end to
@@ -48,7 +56,7 @@
 // The loop tolerates EINTR (the wait is retried, counted), EAGAIN (drain
 // loops simply end), and spurious wakeups (a wait return with nothing
 // readable costs one bounded iteration) without busy-spinning: every
-// iteration either dispatches work or sleeps until the next due tick.
+// iteration either dispatches work or sleeps until the next due entry.
 #pragma once
 
 #include <poll.h>
@@ -57,12 +65,12 @@
 #include <chrono>
 #include <cstdint>
 #include <functional>
-#include <limits>
 #include <mutex>
 #include <vector>
 
 #include "src/common/types.h"
 #include "src/obs/telemetry.h"
+#include "src/sim/event_queue.h"
 #include "src/sim/scheduler.h"
 
 namespace gridbox::net {
@@ -81,16 +89,9 @@ class IoHandler {
 
 class Reactor final : public sim::Scheduler {
  public:
-  struct Options {
-    /// Timer wheel slot width. The wheel fires whole ticks, so a timer
-    /// fires no earlier than the start of its tick and, on an idle loop,
-    /// within the wait's wakeup slack of its deadline; an entry the wheel
-    /// defers out of a processed tick fires at most ~one tick late.
-    SimTime tick = SimTime::millis(1);
-    /// Wheel slots; horizon before a wrap is tick * slots (entries past
-    /// the horizon simply wait out extra laps).
-    std::size_t slots = 4096;
-  };
+  /// No knobs: the timer queue needs none. The empty struct keeps the
+  /// constructor's signature for its callers.
+  struct Options {};
 
   explicit Reactor(Options options);
   ~Reactor() override;
@@ -146,17 +147,17 @@ class Reactor final : public sim::Scheduler {
   /// and probes done(). A shard leaving run_until wakes its peers with it.
   void wake();
 
-  /// Pending wheel timers (typed entries) whose target satisfies `pred`.
-  /// NOT thread-safe: call from this reactor's own thread — in practice
-  /// from a post()ed action, where the wheel is quiescent. The service
-  /// runtime's retirement handshake counts an instance's timers to prove no
-  /// wheel entry still points into nodes about to be destroyed.
+  /// Pending typed timers whose target satisfies `pred`. NOT thread-safe:
+  /// call from this reactor's own thread — in practice from a post()ed
+  /// action, where no pass is firing. The service runtime's retirement
+  /// handshake counts an instance's timers to prove no pending timer still
+  /// points into nodes about to be destroyed.
   [[nodiscard]] std::size_t count_timers_where(
       const std::function<bool(const sim::TimerTarget*)>& pred) const;
 
-  /// Reads the clock into the loop time, then fires every timer due by it
-  /// once, without waiting. Exposed for mocked-reactor unit tests that drive
-  /// the loop by hand.
+  /// Reads the clock into the loop time, then runs one pass: fires every
+  /// entry pending and due by it once, without waiting. Exposed for
+  /// mocked-reactor unit tests that drive the loop by hand.
   void fire_due_timers();
 
   /// Injectable wait: ppoll(2) over `fds` for at most `timeout` (µs
@@ -178,44 +179,29 @@ class Reactor final : public sim::Scheduler {
   }
 
  private:
-  /// One wheel entry: either a typed timer (target != null) or an action.
-  struct Entry {
-    SimTime deadline;
-    SimTime interval;  ///< zero = one-shot
-    sim::TimerTarget* target = nullptr;
-    std::uint32_t timer_id = 0;
-    sim::Action action;  ///< used when target == null
-  };
-
-  static constexpr SimTime kNever{
-      std::numeric_limits<SimTime::underlying>::max()};
-
-  void insert(Entry entry);
   /// Runs cross-thread post()ed actions on this thread, in post order.
   void drain_posted();
-  /// The wheel tick an entry due at `deadline` is processed in: its own
-  /// tick, or the next unprocessed one if that has passed.
-  [[nodiscard]] std::int64_t tick_of(SimTime deadline) const;
-  /// Collects due entries from slots in (last_tick_, now-tick], fires them
-  /// on this thread, re-inserts surviving periodic timers.
-  void advance_wheel(SimTime now);
-  /// When the earliest pending entry can fire: its deadline, but not before
-  /// the start of the tick it is processed in. kNever if none.
-  [[nodiscard]] SimTime next_wake() const;
+  /// One pass: takes every entry due by `now` out of the queue, then fires
+  /// them in (deadline, arm order), re-arming surviving periodic timers.
+  void fire_due(SimTime now);
   /// Reads the clock (scripted or steady_clock since the epoch).
   [[nodiscard]] SimTime read_clock() const;
   /// IoHandler::flush on every registered handler.
   void flush_handlers();
 
-  Options options_;
+  /// An entry taken out of the queue for the pass that fires it: one
+  /// cache line, where a queued sim::Event is sized for a whole frame.
+  struct Due {
+    SimTime deadline;
+    sim::TimerFire timer;  ///< target null: `action` instead
+    sim::Action action;
+  };
+
   std::chrono::steady_clock::time_point epoch_ =
       std::chrono::steady_clock::now();
   std::atomic<SimTime::underlying> loop_now_{0};
-  std::vector<std::vector<Entry>> wheel_;
-  std::int64_t last_tick_ = -1;  ///< last wheel tick fully processed
-  std::size_t pending_timers_ = 0;
-  std::vector<Entry> due_;       ///< scratch: entries being fired this pass
-  std::vector<Entry> deferred_;  ///< scratch: entries moved to a later tick
+  sim::EventQueue timers_;  ///< typed timers (TimerFire) and actions
+  std::vector<Due> due_;    ///< scratch: the entries this pass fires
 
   /// The wake eventfd, -1 until the loop first runs; then pollfds_[0].
   std::atomic<int> wake_fd_{-1};

@@ -1,8 +1,6 @@
 #include "src/net/udp_transport.h"
 
 #include <arpa/inet.h>
-#include <linux/sockios.h>
-#include <sys/ioctl.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -105,30 +103,18 @@ void UdpTransport::detach(MemberId id) {
   --attached_;
 }
 
-const NetworkStats& UdpTransport::stats() const {
-  // Load the handed count before looking at the queue: every frame it
-  // counts had left its sender's sendmmsg, so with the queue empty it was
-  // either read here or dropped by the kernel.
-  const std::uint64_t handed = frames_handed_.load(std::memory_order_acquire);
-  int queued = 0;
-  if (::ioctl(fd_, SIOCINQ, &queued) == 0 && queued == 0) {
-    fold_kernel_loss(handed);
-  }
-  return stats_;
-}
+const NetworkStats& UdpTransport::stats() const { return stats_; }
 
 const NetworkStats& UdpTransport::final_stats() const {
-  fold_kernel_loss(frames_handed_.load(std::memory_order_acquire));
-  return stats_;
-}
-
-void UdpTransport::fold_kernel_loss(std::uint64_t handed) const {
   // Frames read from a foreign sender can push the read count past the
   // handed one; loss is never negative.
+  const std::uint64_t handed = frames_handed_.load(std::memory_order_acquire);
   const std::uint64_t accounted = frames_read_ + kernel_loss_;
-  if (handed <= accounted) return;
-  stats_.messages_dropped += handed - accounted;
-  kernel_loss_ += handed - accounted;
+  if (handed > accounted) {
+    stats_.messages_dropped += handed - accounted;
+    kernel_loss_ += handed - accounted;
+  }
+  return stats_;
 }
 
 void UdpTransport::add_peer(UdpTransport& peer) { peers_.push_back(&peer); }

@@ -27,11 +27,11 @@
 // splits into well-formed records. NetworkStats count frames: a datagram
 // the kernel refuses at send drops all of its frames, and kernel receive
 // loss is the frames handed to this socket minus the frames read from it,
-// folded into messages_dropped (see stats()).
+// folded into messages_dropped once the run is over (see final_stats()).
 //
 // Chaos shim: the same ChaosSchedule grammar the simulator uses is applied
 // in userspace on the send path — a send may be dropped, delayed (the
-// datagram is re-scheduled on the reactor's timer wheel), or duplicated
+// datagram is re-scheduled on the reactor's timer queue), or duplicated
 // before it ever reaches the outbox. Loss/burst/jitter/dup specs therefore
 // mean the same thing over real sockets as in simulation, on top of
 // whatever the kernel itself drops (full socket buffers under load are
@@ -117,16 +117,14 @@ class UdpTransport final : public Transport, public IoHandler {
 
   void send(Message message) override;
 
-  /// The tallies. When the receive queue is empty (SIOCINQ reads 0), every
-  /// frame handed to this socket and not read from it was lost in the
-  /// kernel, and that shortfall is folded into messages_dropped. (A
-  /// zero-length datagram at the head also reads 0; only a foreign sender
-  /// sends one.)
+  /// The tallies so far, without kernel receive loss: a frame handed to
+  /// this socket and not yet read may still be in flight.
   [[nodiscard]] const NetworkStats& stats() const override;
 
   /// The tallies once every sender has stopped (after the shard threads
   /// join): frames handed to this socket and never read, queued or not,
-  /// are folded in as lost, since nothing will read them.
+  /// are folded in as lost, since nothing will read them. The only place
+  /// kernel receive loss is counted.
   [[nodiscard]] const NetworkStats& final_stats() const;
 
   /// Credits `peer`'s socket with the frames this transport's flushes hand
@@ -180,9 +178,6 @@ class UdpTransport final : public Transport, public IoHandler {
   void consume(const std::uint8_t* bytes, std::size_t size);
   /// Classifies and delivers one decoded record.
   void deliver(const Message& message);
-  /// Folds frames handed to this socket beyond those read or already
-  /// folded into messages_dropped.
-  void fold_kernel_loss(std::uint64_t handed) const;
   [[nodiscard]] const sockaddr_in& address_of(MemberId id) const;
   [[nodiscard]] Endpoint* endpoint_of(MemberId id) const;
 

@@ -45,12 +45,6 @@ std::string BenchReport::to_json() const {
     if (e.shards > 0) {
       w.key("shards").value(e.shards);
     }
-    if (e.instructions_per_event > 0.0) {
-      w.key("instructions_per_event").value(e.instructions_per_event);
-    }
-    if (e.cache_misses_per_event > 0.0) {
-      w.key("cache_misses_per_event").value(e.cache_misses_per_event);
-    }
     w.end_object();
   }
   w.end_array();
@@ -96,8 +90,6 @@ BenchReport BenchReport::parse(const std::string& json_text) {
     e.instances_per_s = v.number_or("instances_per_s", 0.0);
     e.p99_completion_ms = v.number_or("p99_completion_ms", 0.0);
     e.shards = static_cast<std::uint64_t>(v.number_or("shards", 0));
-    e.instructions_per_event = v.number_or("instructions_per_event", 0.0);
-    e.cache_misses_per_event = v.number_or("cache_misses_per_event", 0.0);
     report.entries.push_back(std::move(e));
   }
   return report;
@@ -144,45 +136,6 @@ std::string BenchDiffReport::render() const {
     } else {
       p99[0] = '\0';
     }
-    // Perf-counter attribution: informational, never gates. A counter a
-    // side could not read (kernel denied perf_event_open, non-Linux) shows
-    // as n/a — zero would read as "free", which it is not.
-    const auto coarse = [](char* buffer, std::size_t size, double value) {
-      if (value > 0.0) {
-        std::snprintf(buffer, size, "%.0f", value);
-      } else {
-        std::snprintf(buffer, size, "n/a");
-      }
-    };
-    const auto fine = [](char* buffer, std::size_t size, double value) {
-      if (value > 0.0) {
-        std::snprintf(buffer, size, "%.1f", value);
-      } else {
-        std::snprintf(buffer, size, "n/a");
-      }
-    };
-    char insn[64];
-    if (row.old_instructions_per_event > 0.0 ||
-        row.new_instructions_per_event > 0.0) {
-      char a[24];
-      char b[24];
-      coarse(a, sizeof(a), row.old_instructions_per_event);
-      coarse(b, sizeof(b), row.new_instructions_per_event);
-      std::snprintf(insn, sizeof(insn), " %s->%s insn/ev", a, b);
-    } else {
-      insn[0] = '\0';
-    }
-    char miss[64];
-    if (row.old_cache_misses_per_event > 0.0 ||
-        row.new_cache_misses_per_event > 0.0) {
-      char a[24];
-      char b[24];
-      fine(a, sizeof(a), row.old_cache_misses_per_event);
-      fine(b, sizeof(b), row.new_cache_misses_per_event);
-      std::snprintf(miss, sizeof(miss), " %s->%s miss/ev", a, b);
-    } else {
-      miss[0] = '\0';
-    }
     // Shard count of the udp-suite cases: informational like B/member (a
     // baseline captured at one shard count legitimately compares against a
     // rerun at another; only the wall ratio gates).
@@ -195,12 +148,11 @@ std::string BenchDiffReport::render() const {
       shards[0] = '\0';
     }
     std::snprintf(line, sizeof(line),
-                  "%-32s %12.6f %12.6f %7.3fx %+8.1f%% %+8.1f%%%s%s%s%s%s%s%s"
-                  "\n",
+                  "%-32s %12.6f %12.6f %7.3fx %+8.1f%% %+8.1f%%%s%s%s%s%s\n",
                   row.name.c_str(), row.old_wall_s, row.new_wall_s,
                   row.wall_ratio, (row.events_ratio - 1.0) * 100.0,
-                  (row.msgs_ratio - 1.0) * 100.0, rss, svc, p99, shards, insn,
-                  miss, row.regressed ? "  REGRESSED" : "");
+                  (row.msgs_ratio - 1.0) * 100.0, rss, svc, p99, shards,
+                  row.regressed ? "  REGRESSED" : "");
     out << line;
   }
   for (const std::string& name : only_in_old) {
@@ -259,10 +211,6 @@ BenchDiffReport bench_diff(const BenchReport& old_report,
     row.new_p99_completion_ms = e.p99_completion_ms;
     row.old_shards = it->second->shards;
     row.new_shards = e.shards;
-    row.old_instructions_per_event = it->second->instructions_per_event;
-    row.new_instructions_per_event = e.instructions_per_event;
-    row.old_cache_misses_per_event = it->second->cache_misses_per_event;
-    row.new_cache_misses_per_event = e.cache_misses_per_event;
     row.regressed = row.wall_ratio > 1.0 + threshold;
     if (row.regressed) ++report.regressions;
     report.worst_ratio = std::max(report.worst_ratio, row.wall_ratio);

@@ -36,12 +36,6 @@ struct BenchEntry {
   /// Reactor shard threads of the udp-suite cases. 0 when the case does not
   /// report it (other suites and older reports parse fine: optional).
   std::uint64_t shards = 0;
-  /// Hardware perf-counter attribution: retired instructions and cache
-  /// misses divided by sim events of the measured repeat. 0 when the
-  /// kernel denies perf_event_open or the platform lacks it — absent, not
-  /// "zero work" (older reports parse fine: both are optional).
-  double instructions_per_event = 0.0;
-  double cache_misses_per_event = 0.0;
 };
 
 struct BenchReport {
@@ -87,12 +81,6 @@ struct BenchDiffRow {
   double new_p99_completion_ms = 0.0;
   std::uint64_t old_shards = 0;  ///< informational, never gates
   std::uint64_t new_shards = 0;
-  /// Perf-counter attribution: informational, never gates. 0 means the
-  /// side did not report the counter (rendered as n/a, not as 0).
-  double old_instructions_per_event = 0.0;
-  double new_instructions_per_event = 0.0;
-  double old_cache_misses_per_event = 0.0;
-  double new_cache_misses_per_event = 0.0;
   bool regressed = false;   ///< wall_ratio > 1 + threshold
 };
 

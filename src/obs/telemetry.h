@@ -94,7 +94,9 @@ struct alignas(64) TelemetryLane {
   TelemetryHist timer_lateness_us;
   /// Datagrams drained per on_readable wake (bucket 0 = spurious wake).
   TelemetryHist drain_per_wake;
-  /// Due entries dispatched per non-empty wheel pass.
+  /// Entries fired per non-empty reactor pass (timers and actions due when
+  /// the pass began). Named "tick" for a pass; the name stays so
+  /// gridbox-telemetry/1 records keep their shape.
   TelemetryHist dispatch_per_tick;
 
   void note_timer_fired(std::uint64_t lateness_us) {

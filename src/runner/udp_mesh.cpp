@@ -16,7 +16,7 @@ namespace gridbox::runner {
 
 /// Self-stopping periodic telemetry tick on the control shard: samples on
 /// the reactor clock and stops rescheduling once the run resolves, so the
-/// wheel quiesces with the run.
+/// control shard's timer queue quiesces with the run.
 struct UdpMesh::SamplerTick final : sim::TimerTarget {
   obs::TelemetrySampler* sampler = nullptr;
   net::Reactor* clock = nullptr;
@@ -140,7 +140,7 @@ bool UdpMesh::run(const std::function<bool()>& done, SimTime deadline) {
 
   // The shard clocks start now, together: everything armed during setup
   // read a clock of zero, so a cohort's first round shares one deadline,
-  // as at the simulator's t=0, and each shard fires it in one wheel pass.
+  // as at the simulator's t=0, and each shard fires it in one pass.
   const auto epoch = std::chrono::steady_clock::now();
   for (const auto& reactor : reactors_) reactor->bind_epoch(epoch);
 

@@ -7,8 +7,10 @@
 //
 //   - sim::Simulator: the discrete-event engine. now() is virtual time and
 //     a run is a pure function of (configuration, seed).
-//   - net::Reactor: real wall-clock time over a poll loop with a hashed
-//     timer wheel, driving the same protocol code over real UDP sockets.
+//   - net::Reactor: real wall-clock time over a poll loop, driving the same
+//     protocol code over real UDP sockets. Its timers sit in the same
+//     EventQueue the simulator uses, fired in the same (deadline, arm
+//     order).
 //
 // The interface deliberately excludes the simulator's frame-delivery and
 // run-loop entry points (schedule_frame_after, run, step): those belong to

@@ -1,5 +1,5 @@
 // Live-telemetry gates: lane/histogram semantics, the shard-ordered fold,
-// scripted-clock lateness attribution on the reactor wheel, and the
+// scripted-clock lateness attribution on the reactor, and the
 // headline determinism claim — on the simulator substrate the whole
 // gridbox-telemetry/1 JSONL series is a byte-deterministic function of
 // (config, seed), invariant under the jobs knob and under how a scripted
@@ -150,7 +150,7 @@ TEST(TelemetryReactorTest, ScriptedClockAttributesTimerLateness) {
   } target;
   reactor.schedule_timer_at(SimTime::millis(5), target);
 
-  // The loop stalls: the clock reaches t=8ms before the wheel advances, so
+  // The loop stalls: the clock reaches t=8ms before the next pass, so
   // the 5ms timer fires 3000us late — bucket 12 covers [2048, 4096).
   clock = SimTime::micros(8000);
   reactor.fire_due_timers();

@@ -50,7 +50,7 @@ TEST(UdpScale, ThousandMemberHierGossipIsAuditCleanOverLoopback) {
   EXPECT_EQ(result.measurement.reconstruction_failures, 0u);
   EXPECT_EQ(result.measurement.finished_nodes, result.measurement.survivors);
   EXPECT_EQ(result.measurement.survivors, 1000u);
-  // Real rounds really ran: the wheel fired per-node round timers and the
+  // Real rounds really ran: the reactors fired per-node round timers and the
   // sockets moved the gossip volume, not some empty no-op loop.
   EXPECT_GT(result.timers_fired, 1000u);
   EXPECT_GT(result.network.messages_delivered, 10'000u);
@@ -82,7 +82,7 @@ TEST(UdpScale, ThousandMemberDifferentialSurvivesChaos) {
 // is the limit at 5 ms: in ten 5 ms runs on a 4-CPU host, 66-98% of timer
 // fires were >= 16 ms late (completeness 0.9997-1.0); in ten 20 ms runs,
 // 0.0-0.4% were late and completeness was >= 0.9999. With shards sleeping
-// to their next due timer and each round fired in one wheel pass, ten 5 ms
+// to their next due timer and each round fired in one pass, ten 5 ms
 // runs (seeds 1-10, same host) still had 81-91% of fires late, completeness
 // 0.945-0.99995 and 1.01-1.21 s elapsed (the code before: 91-98% late,
 // 0.958-0.99992, 1.07-1.49 s); in a busier period of the shared host the

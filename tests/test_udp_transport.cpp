@@ -1,8 +1,8 @@
 // UdpTransport + Reactor over real loopback sockets, plus mocked-syscall
 // unit tests for the batched receive path's EINTR/EAGAIN/spurious-wakeup
 // behavior and drain budget, and for the send path's per-socket packing;
-// the reactor's wake path (scripted clock and wait), and the shard mesh's
-// shared launch clock and exit wake.
+// the reactor's wake path and its timer firing contract (scripted clock
+// and wait), and the shard mesh's shared launch clock and exit wake.
 //
 // Port discipline: a transport binds the lowest free port at or above its
 // port_base, so a taken port only moves it up; tests here start from 43xxx
@@ -21,6 +21,7 @@
 #include <cstring>
 #include <memory>
 #include <optional>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -47,7 +48,7 @@ class CollectingEndpoint final : public net::Endpoint {
 };
 
 [[nodiscard]] net::Reactor::Options reactor_options() {
-  return net::Reactor::Options{};  // defaults: 1ms tick, 512-slot wheel
+  return net::Reactor::Options{};
 }
 
 TEST(UdpTransport, DeliversFramesAcrossRealSockets) {
@@ -434,20 +435,18 @@ TEST(UdpTransport, KernelReceiveDropsCloseTheAccounting) {
   }
   transport.flush();
 
-  (void)reactor.run_until(
-      [&]() {
-        const net::NetworkStats& stats = transport.stats();
-        return stats.messages_delivered + stats.messages_dropped == 2000;
-      },
-      SimTime::seconds(5));
-  EXPECT_EQ(transport.stats().messages_sent, 2000u);
-  EXPECT_EQ(transport.stats().messages_sent,
-            transport.stats().messages_delivered +
-                transport.stats().messages_dropped);
-  EXPECT_GT(transport.stats().messages_dropped, 0u)
+  // Drain what the kernel kept for 200 ms, then count the rest lost, as a
+  // run does once its shards have stopped.
+  reactor.bind_epoch(std::chrono::steady_clock::now());
+  (void)reactor.run_until([]() { return false; }, SimTime::millis(200));
+  const net::NetworkStats& stats = transport.final_stats();
+  EXPECT_EQ(stats.messages_sent, 2000u);
+  EXPECT_EQ(stats.messages_sent,
+            stats.messages_delivered + stats.messages_dropped);
+  EXPECT_GT(stats.messages_dropped, 0u)
       << "the flood should overflow a minimum-size receive buffer";
-  EXPECT_GT(transport.stats().messages_delivered, 0u);
-  EXPECT_EQ(b.messages_.size(), transport.stats().messages_delivered);
+  EXPECT_GT(stats.messages_delivered, 0u);
+  EXPECT_EQ(b.messages_.size(), stats.messages_delivered);
 }
 
 TEST(UdpTransport, OutboxFlushesBeforeRunUntilReturns) {
@@ -690,7 +689,7 @@ TEST(Reactor, PollEintrIsRetriedNotFatal) {
       reactor.telemetry().eintr_retries.load(std::memory_order_relaxed), 3u);
 }
 
-/// Typed periodic timer driven by the wheel: counts fires, stops at limit.
+/// Typed periodic timer driven by the reactor: counts fires, stops at limit.
 class CountingTimer final : public sim::TimerTarget {
  public:
   explicit CountingTimer(std::uint64_t limit) : limit_(limit) {}
@@ -708,8 +707,8 @@ TEST(Reactor, TimerWheelDrivesTypedPeriodicTimers) {
   const bool done = reactor.run_until([&]() { return timer.fires_ == 5; },
                                       SimTime::seconds(5));
   EXPECT_TRUE(done);
-  // The chain self-cancelled at 5: give the wheel a few more quanta and
-  // assert no sixth fire.
+  // The chain self-cancelled at 5: run the loop a while longer and assert
+  // no sixth fire.
   (void)reactor.run_until([]() { return false; }, SimTime::millis(20));
   EXPECT_EQ(timer.fires_, 5u);
   EXPECT_GE(
@@ -717,12 +716,9 @@ TEST(Reactor, TimerWheelDrivesTypedPeriodicTimers) {
 }
 
 TEST(Reactor, FarFutureTimersParkBeyondTheWheelHorizon) {
-  // A 16-slot wheel with a 1ms tick has a 16ms horizon; a 40ms timer must
-  // wait out two extra laps and still fire on time, while a near timer
-  // sharing its slot fires on its own lap.
-  net::Reactor::Options ropt;
-  ropt.slots = 16;
-  net::Reactor reactor(ropt);
+  // A far timer waits behind a near one: the near one fires first, and the
+  // far one neither fires early nor is lost.
+  net::Reactor reactor(reactor_options());
   bool near = false;
   bool far = false;
   reactor.schedule_after(SimTime::millis(8), [&]() { near = true; });
@@ -779,11 +775,10 @@ TEST(Reactor, IdleLoopSleepsStraightToItsOnlyTimer) {
             wait.timeouts.size());
 }
 
-TEST(Reactor, EntryDeferredWithinItsTickSleepsToTheNextTick) {
-  // The 50.5 ms entry sits in tick 50. A wake at 50.2 ms processes tick 50
-  // and moves the entry to tick 51, which the wheel reaches at 51 ms. A
-  // loop that slept to the raw deadline would wake at 50.5 ms into an
-  // already-processed tick and spin on zero timeouts.
+TEST(Reactor, EntryDueAfterAWakeFiresAtItsDeadline) {
+  // A wake at 50.2 ms finds the 50.5 ms entry not yet due. The loop must
+  // sleep the remaining 0.3 ms and fire it at its deadline: neither later
+  // nor by spinning on zero timeouts.
   net::Reactor reactor(reactor_options());
   ScriptedWait wait;
   wait.install(reactor);
@@ -794,9 +789,54 @@ TEST(Reactor, EntryDeferredWithinItsTickSleepsToTheNextTick) {
   ASSERT_TRUE(reactor.run_until([&]() { return fired; }, SimTime::seconds(5)));
   EXPECT_LE(wait.timeouts.size(), 3u);
   for (const SimTime timeout : wait.timeouts) {
-    EXPECT_GT(timeout, SimTime::zero()) << "spun on a processed tick";
+    EXPECT_GT(timeout, SimTime::zero()) << "spun on a zero timeout";
   }
-  EXPECT_EQ(wait.clock, SimTime::millis(51));
+  EXPECT_EQ(wait.clock, SimTime::micros(50'500)) << "fired off its deadline";
+}
+
+TEST(Reactor, SameDeadlineEntriesFireInArmOrder) {
+  // Entries armed for one deadline fire in the order they were armed, as
+  // the simulator fires them.
+  net::Reactor reactor(reactor_options());
+  SimTime clock = SimTime::zero();
+  reactor.set_clock_fn([&clock]() { return clock; });
+  std::string order;
+  for (const char name : {'a', 'b', 'c'}) {
+    reactor.schedule_at(SimTime::millis(10), [&order, name]() {
+      order.push_back(name);
+    });
+  }
+  clock = SimTime::millis(10);
+  reactor.fire_due_timers();
+  EXPECT_EQ(order, "abc");
+}
+
+TEST(Reactor, LatePeriodicTimerFiresOncePerPass) {
+  // The loop stalls until ten intervals past the first deadline. Each pass
+  // fires the timer once and re-arms it one interval after its scheduled
+  // deadline, so the missed rounds are caught up one per pass, never
+  // several in one pass, and the chain keeps its cadence.
+  net::Reactor reactor(reactor_options());
+  SimTime clock = SimTime::zero();
+  reactor.set_clock_fn([&clock]() { return clock; });
+  CountingTimer timer(1'000);
+  reactor.schedule_periodic(SimTime::millis(10), SimTime::millis(10), timer);
+  const auto is_timer = [&timer](const sim::TimerTarget* target) {
+    return target == &timer;
+  };
+
+  clock = SimTime::millis(110);
+  for (std::uint64_t pass = 1; pass <= 11; ++pass) {
+    reactor.fire_due_timers();
+    EXPECT_EQ(timer.fires_, pass) << "pass " << pass;
+    EXPECT_EQ(reactor.count_timers_where(is_timer), 1u);
+  }
+  // Deadlines 10, 20, ..., 110 ms have fired; the next is 120 ms.
+  reactor.fire_due_timers();
+  EXPECT_EQ(timer.fires_, 11u);
+  clock = SimTime::millis(120);
+  reactor.fire_due_timers();
+  EXPECT_EQ(timer.fires_, 12u);
 }
 
 /// Records the loop time each readable callback sees; each delivery then
@@ -938,7 +978,7 @@ TEST(UdpShards, RoundsArmedDuringSetupFireInOneWheelPassPerShard) {
   // Members start during setup, as the runners start nodes before the
   // launch. The shard clocks read zero until then, so every first round
   // shares the t=0 deadline even though setup takes milliseconds; each
-  // shard fires its whole cohort in one wheel pass.
+  // shard fires its whole cohort in one pass.
   constexpr std::uint32_t kMembers = 64;
   const runner::ExperimentConfig config = mesh_config(kMembers);
   membership::Group group(config.group_size);
@@ -961,17 +1001,17 @@ TEST(UdpShards, RoundsArmedDuringSetupFireInOneWheelPassPerShard) {
     EXPECT_EQ(lane.timers_fired.load(std::memory_order_relaxed),
               kMembers / mesh.shard_count());
     EXPECT_EQ(lane.dispatch_per_tick.total(), 1u)
-        << "the cohort's first round took several wheel passes";
+        << "the cohort's first round took several passes";
   }
 }
 
 // post() is the one cross-thread entry into a shard (DESIGN.md §14): each
 // posting thread's actions must run on the reactor's own thread, in the
-// order that thread posted them — even while the wheel is firing timers
+// order that thread posted them — even while the loop is firing timers
 // between drains. Two posters model two peer shards handing work over.
 TEST(Reactor, CrossThreadPostsExecuteInPostOrderUnderTimerLoad) {
   net::Reactor reactor(reactor_options());
-  CountingTimer load(1'000'000);  // periodic fire every tick, never stops
+  CountingTimer load(1'000'000);  // fires every 1 ms, never stops
   reactor.schedule_periodic(SimTime::zero(), SimTime::millis(1), load);
 
   constexpr int kPosters = 2;

@@ -151,16 +151,12 @@ TEST(ZeroAlloc, TypedPeriodicTimerReArmsWithoutAllocating) {
 
 TEST(ZeroAlloc, SteadyWheelPassesOverPeriodicTimersDoNotAllocate) {
   // A shard's round cohort: N typed periodic timers armed for one deadline
-  // fire together in one wheel pass per round and re-arm. A few stragglers
-  // due 0.5 ms later are deferred out of their tick by a pass at 0.2 ms and
-  // fire in a second pass at 1 ms, so both pass scratch lists are in use.
-  // Driven by a scripted clock through fire_due_timers().
+  // fire together in one pass per round and re-arm. A few stragglers due
+  // 0.5 ms later are not yet due at the pass at 0.2 ms and fire in a second
+  // pass at 1 ms. Driven by a scripted clock through fire_due_timers().
   constexpr std::size_t kCohort = 250;
   constexpr std::size_t kStragglers = 50;
-  net::Reactor::Options options;
-  options.slots = 64;  // 16 ms rounds on a 64 ms lap: the timers cycle
-                       // through eight slots, all visited in the warm-up
-  net::Reactor reactor(options);
+  net::Reactor reactor(net::Reactor::Options{});
   SimTime clock = SimTime::zero();
   reactor.set_clock_fn([&clock]() { return clock; });
   std::vector<TickUntil> timers(kCohort + kStragglers, TickUntil(1'000'000));
@@ -175,8 +171,8 @@ TEST(ZeroAlloc, SteadyWheelPassesOverPeriodicTimersDoNotAllocate) {
     reactor.fire_due_timers();
   };
 
-  // Warm-up: three wheel laps grow the pass scratch and every slot the
-  // timers land in to their high-water capacity.
+  // Warm-up: grows the pass scratch and the timer queue to their
+  // high-water capacity.
   int r = 0;
   for (; r < 13; ++r) round(r);
 
@@ -185,7 +181,7 @@ TEST(ZeroAlloc, SteadyWheelPassesOverPeriodicTimersDoNotAllocate) {
   const std::uint64_t after = heap_allocs();
 
   EXPECT_EQ(after - before, 0u)
-      << "wheel passes allocated " << (after - before)
+      << "timer passes allocated " << (after - before)
       << " time(s) over 100 rounds of " << timers.size() << " timers";
   for (const TickUntil& timer : timers) EXPECT_EQ(timer.ticks(), 113u);
   EXPECT_EQ(reactor.telemetry().dispatch_per_tick.total(), 2u * 113u);

@@ -38,7 +38,6 @@
 #include "src/obs/build_info.h"
 #include "src/obs/curves.h"
 #include "src/obs/lineage.h"
-#include "src/obs/perf_counters.h"
 #include "src/obs/telemetry.h"
 #include "src/runner/config.h"
 #include "src/runner/experiment.h"
@@ -85,47 +84,18 @@ double elapsed_s(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-/// Stamps the entry with hardware-counter attribution from the last
-/// repeat: instructions and cache misses per sim event. Absent (left 0)
-/// when the kernel denies perf_event_open — bench_io emits the columns
-/// only when present, so reports from locked-down hosts stay comparable.
-void note_perf(BenchEntry& entry, const gridbox::obs::PerfCounters& perf) {
-  const gridbox::obs::PerfReading reading = perf.read();
-  if (entry.sim_events == 0) return;
-  const double events = static_cast<double>(entry.sim_events);
-  if (reading.has_instructions) {
-    entry.instructions_per_event =
-        static_cast<double>(reading.instructions) / events;
-  }
-  if (reading.has_cache_misses) {
-    entry.cache_misses_per_event =
-        static_cast<double>(reading.cache_misses) / events;
-  }
-  if (entry.instructions_per_event > 0.0) {
-    std::printf("  %-28s %8.0f insn/event   %6.2f cache-miss/event\n",
-                entry.name.c_str(), entry.instructions_per_event,
-                entry.cache_misses_per_event);
-  }
-}
-
 /// Times `body` (which must return (sim_events, network_messages) of the
-/// repeat) `repeats` times and appends the median-wall entry. The last
-/// repeat runs under hardware perf counters; attribution is per sim event,
-/// which is deterministic, so any repeat is as good as the median one.
+/// repeat) `repeats` times and appends the median-wall entry.
 template <typename Body>
 void run_case(BenchReport& report, const std::string& name,
               std::uint64_t repeats, const Body& body) {
   std::vector<double> walls;
   std::uint64_t sim_events = 0;
   std::uint64_t network_messages = 0;
-  gridbox::obs::PerfCounters perf;
   for (std::uint64_t r = 0; r < repeats; ++r) {
-    const bool counted = r + 1 == repeats && perf.available();
-    if (counted) perf.start();
     const auto start = std::chrono::steady_clock::now();
     const auto [events, messages] = body();
     walls.push_back(elapsed_s(start));
-    if (counted) perf.stop();
     // Deterministic per case: every repeat computes the same totals.
     sim_events = events;
     network_messages = messages;
@@ -145,7 +115,6 @@ void run_case(BenchReport& report, const std::string& name,
   std::printf("  %-28s wall %8.4f s   %10.0f events/s   %9.0f msgs/s\n",
               name.c_str(), entry.wall_s, entry.events_per_s,
               entry.msgs_per_s);
-  note_perf(entry, perf);
   report.entries.push_back(std::move(entry));
 }
 
@@ -380,14 +349,10 @@ void run_udp_case(BenchReport& report, const std::string& name,
                   const gridbox::runner::UdpRunConfig& config) {
   std::vector<double> walls;
   gridbox::runner::UdpRunResult last;
-  gridbox::obs::PerfCounters perf;
   for (std::uint64_t r = 0; r < repeats; ++r) {
-    const bool counted = r + 1 == repeats && perf.available();
-    if (counted) perf.start();
     const auto start = std::chrono::steady_clock::now();
     last = gridbox::runner::run_udp_experiment(config);
     walls.push_back(elapsed_s(start));
-    if (counted) perf.stop();
   }
   std::sort(walls.begin(), walls.end());
   BenchEntry entry;
@@ -409,7 +374,6 @@ void run_udp_case(BenchReport& report, const std::string& name,
       "%s\n",
       name.c_str(), entry.wall_s, entry.events_per_s, entry.msgs_per_s,
       last.shards, last.completed ? "" : "   INCOMPLETE");
-  note_perf(entry, perf);
   report.entries.push_back(std::move(entry));
 }
 
@@ -419,7 +383,7 @@ BenchReport run_udp(const BenchOptions& options, std::uint64_t repeats) {
               static_cast<unsigned long long>(repeats));
 
   // N = 1000 lossless, audit and invariant checking off: the measured cost
-  // is the dispatch path itself (sockets, wheel, lock-free delivery), not
+  // is the dispatch path itself (sockets, timers, lock-free delivery), not
   // the verification machinery. One shard is the baseline the checked-in
   // BENCH_udp.json captures; 2 and 4 shards show the scaling headroom on
   // hosts that have the cores (on a single-core host all three serialize).
