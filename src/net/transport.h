@@ -13,8 +13,8 @@
 // Protocol nodes hold a Transport* and call send(); everything else
 // (fault/latency models, chaos installation, observers, socket addressing)
 // is an implementation concern configured by the world that owns the
-// transport. The differential harness runs one protocol over both
-// implementations and cross-checks the results (docs/udp_runtime.md).
+// transport. The differential oracle runs one protocol over both
+// implementations and judges the results (src/runner/differential.h).
 #pragma once
 
 #include "src/common/types.h"

@@ -47,11 +47,11 @@ struct RunMeasurement {
   std::uint64_t reconstruction_failures = 0;
 };
 
-/// The honesty half of every oracle's agreement definition: no merge double
-/// counted (zero audit violations) and every estimate is exactly the
-/// aggregate of its audited vote set (zero reconstruction failures).
-/// Completion is judged by each caller — the simulator runs to idle, a UDP
-/// run answers to a wall-clock deadline.
+/// The honesty half of the differential oracle's rule and of every clean
+/// check: no merge double counted (zero audit violations) and every estimate
+/// is exactly the aggregate of its audited vote set (zero reconstruction
+/// failures). Completion is judged by each caller — the simulator runs to
+/// idle, a UDP run answers to a wall-clock deadline.
 [[nodiscard]] inline bool honest(const RunMeasurement& m) {
   return m.audit_violations == 0 && m.reconstruction_failures == 0;
 }

@@ -498,13 +498,13 @@ int run_differential_cli(const CliOptions& options) {
     if (!report.ok()) all_ok = false;
     for (const DifferentialRow& row : report.rows) {
       if (!row.ran) {
-        table.add_row({std::to_string(run), to_string(row.protocol),
+        table.add_row({std::to_string(run), row.label,
                        "error: " + row.error, "-", "-", "-", "-", "-"});
         continue;
       }
-      const auto& m = row.measurement;
+      const auto& m = row.outcome.measurement;
       table.add_row(
-          {std::to_string(run), to_string(row.protocol),
+          {std::to_string(run), row.label,
            Table::num(m.mean_completeness), std::to_string(m.survivors),
            std::to_string(m.finished_nodes), Table::num(m.true_value),
            std::to_string(m.audit_violations),

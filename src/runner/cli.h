@@ -35,8 +35,8 @@ struct CliOptions : ServiceCliOptions {
   std::size_t runs = 1;
   std::string csv_path;  ///< empty = no CSV output
   bool show_help = false;
-  /// Differential oracle mode: run all four protocols over the same
-  /// scenario and cross-check their audited estimates (--differential).
+  /// --differential: the differential oracle's protocol axis, all four
+  /// protocols over one scenario (runner/differential.h; exit 2 on divergence).
   bool differential = false;
 
   /// --metrics: collect per-run metric snapshots and print the merged
@@ -84,8 +84,8 @@ struct NodeCliOptions : ServiceCliOptions {
   /// from gridbox_sim's: crash-free (pf 0) and audited.
   UdpRunConfig udp;
   bool show_help = false;
-  /// --differential: also run the simulator and cross-check (exit 2 on
-  /// divergence; per instance in service mode).
+  /// --differential: also run the simulator, judged on the differential
+  /// oracle's substrate axis (exit 2 on divergence; per instance in service).
   bool differential = false;
   /// --report-dir DIR: write summary, chaos spec and manifest artifacts.
   std::string report_dir;

@@ -4,8 +4,8 @@
 // one world builder, world_setup.h) but wires the nodes to a UdpMesh
 // (udp_mesh.h: reactor threads and UDP transports, shard ownership, no
 // dispatch lock) instead of the simulator. Protocol code is byte-for-byte
-// the same; only the NodeEnv seams differ. The UDP-vs-simulator
-// differential harness (udp_differential.h) is built on exactly that: any
+// the same; only the NodeEnv seams differ. The differential oracle's
+// substrate axis (differential.h) is built on exactly that: any
 // disagreement is a transport or timing bug, never a world-construction
 // artifact.
 //

@@ -4,10 +4,10 @@
 // All of them must derive *bit-identical* ground truth from the same
 // (ExperimentConfig, root Rng): the same votes, views, hash salt,
 // hierarchy, audit bit order, and per-node RNG streams. That equality is
-// what makes the UDP-vs-simulator differential harnesses meaningful — any
-// divergence they report is a transport or protocol bug, never a
-// world-construction artifact. World, make_nodes and make_checker are the
-// one place each of those decisions is made.
+// what makes the differential oracle's substrate axis (differential.h)
+// meaningful — any divergence it reports is a transport or protocol bug,
+// never a world-construction artifact. World, make_nodes and make_checker
+// are the one place each of those decisions is made.
 //
 // RNG discipline: every stream is derived from the root seed by a fixed tag
 // (streams::*), so adding a consumer never perturbs another stream and the

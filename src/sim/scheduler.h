@@ -16,7 +16,7 @@
 // run-loop entry points (schedule_frame_after, run, step): those belong to
 // the transport and the host, not to protocol code. Keeping the surface this
 // narrow is what lets one protocol implementation run unmodified in both
-// worlds — the differential harness (docs/udp_runtime.md) depends on it.
+// worlds — the differential oracle (src/runner/differential.h) depends on it.
 #pragma once
 
 #include <cstdint>

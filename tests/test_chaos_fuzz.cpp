@@ -52,9 +52,9 @@ TEST(ChaosFuzz, DifferentialOracleAgreesUnderRandomChaos) {
     base.chaos_spec = spec.to_text();
     const runner::DifferentialReport report = runner::run_differential(base);
     EXPECT_TRUE(report.ok()) << "protocols diverged under spec " << i << ":\n"
-                             << spec.to_text();
+                             << spec.to_text() << report.describe();
     for (const runner::DifferentialRow& row : report.rows) {
-      EXPECT_TRUE(row.ran) << to_string(row.protocol) << " threw under spec "
+      EXPECT_TRUE(row.ran) << row.label << " threw under spec "
                            << i << ": " << row.error << "\n"
                            << spec.to_text();
     }
@@ -90,7 +90,7 @@ TEST(ChaosFuzz, AdversarialHandPickedScripts) {
     base.chaos_spec = script;
     const runner::DifferentialReport report = runner::run_differential(base);
     EXPECT_TRUE(report.ok()) << "divergence under hand-picked script:\n"
-                             << script;
+                             << script << report.describe();
   }
 }
 

@@ -42,6 +42,15 @@ TEST(CliRun, SmallRunSucceedsAndWritesCsv) {
   std::remove(path.c_str());
 }
 
+// The gridbox_sim --differential path end to end: all four protocols agree
+// on a small lossy world, so the exit code is 0 (2 would be a divergence).
+TEST(CliRun, DifferentialAgreesAndReturnsZero) {
+  CliOptions options;
+  options.config.group_size = 24;
+  options.differential = true;
+  EXPECT_EQ(run_cli(options), 0);
+}
+
 TEST(CliRun, UnwritableCsvPathFails) {
   CliOptions options;
   options.config.group_size = 16;

@@ -1,8 +1,8 @@
 // UDP-vs-simulator differential oracle at tier-1 scale.
 //
 // Runs the same (config, seed) world through the discrete-event simulator
-// and over real UDP sockets on loopback, and asserts the agreement
-// definition of udp_differential.h: both runs complete, both are
+// and over real UDP sockets on loopback, and asserts the substrate-axis
+// agreement rule of differential.h: both runs complete, both are
 // audit-clean, both reconstruct every estimate, and both report the
 // bit-identical ground-truth value. The N=1000 version of this check lives
 // in test_udp_scale.cpp (gridbox_udp_tests); here N stays small enough for
@@ -11,7 +11,7 @@
 // Port discipline: this binary's tests own the 44xxx window.
 #include <gtest/gtest.h>
 
-#include "src/runner/udp_differential.h"
+#include "src/runner/differential.h"
 
 namespace gridbox {
 namespace {
@@ -35,10 +35,11 @@ TEST(UdpDifferential, HierGossipAgreesWithTheSimulatorUnderLoss) {
   EXPECT_EQ(report.udp_run.invariant_violations, 0u)
       << report.udp_run.first_violation;
   // Bit-identical world: the ground truth is shared, not merely close.
-  EXPECT_EQ(report.sim.measurement.true_value,
-            report.udp.measurement.true_value);
-  EXPECT_EQ(report.udp.measurement.finished_nodes,
-            report.udp.measurement.survivors);
+  ASSERT_EQ(report.rows.size(), 2u);
+  const protocols::RunMeasurement& sim = report.rows[0].outcome.measurement;
+  const protocols::RunMeasurement& udp = report.rows[1].outcome.measurement;
+  EXPECT_EQ(sim.true_value, udp.true_value);
+  EXPECT_EQ(udp.finished_nodes, udp.survivors);
 }
 
 TEST(UdpDifferential, AgreesUnderAChaosSpec) {

@@ -9,7 +9,7 @@
 // Port discipline: this binary's shard sockets start in the 45xxx window.
 #include <gtest/gtest.h>
 
-#include "src/runner/udp_differential.h"
+#include "src/runner/differential.h"
 #include "src/runner/udp_runtime.h"
 
 // ThreadSanitizer slows every shard several-fold; the N = 10^4 gate is about
@@ -59,8 +59,9 @@ TEST(UdpScale, ThousandMemberHierGossipIsAuditCleanOverLoopback) {
 TEST(UdpScale, ThousandMemberDifferentialAgreesWithTheSimulator) {
   const auto report = runner::run_udp_differential(scale_config(46000, 22));
   EXPECT_TRUE(report.ok()) << report.describe();
-  EXPECT_EQ(report.sim.measurement.true_value,
-            report.udp.measurement.true_value);
+  ASSERT_EQ(report.rows.size(), 2u);
+  EXPECT_EQ(report.rows[0].outcome.measurement.true_value,
+            report.rows[1].outcome.measurement.true_value);
 }
 
 TEST(UdpScale, ThousandMemberDifferentialSurvivesChaos) {

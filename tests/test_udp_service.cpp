@@ -7,6 +7,7 @@
 // shard-count invariance of the service stream.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -14,6 +15,7 @@
 
 #include "src/common/ensure.h"
 #include "src/protocols/protocol_stats.h"
+#include "src/runner/differential.h"
 #include "src/runner/udp_runtime.h"
 #include "src/service/udp_service.h"
 
@@ -48,12 +50,17 @@ TEST(UdpService, SixtyFourInstanceDifferentialUnderLossAndChurn) {
   config.service.max_in_flight = 8;
   config.port_base = 42000;
 
-  const service::ServiceDifferentialReport report =
-      service::run_service_differential(config);
+  const runner::DifferentialReport report =
+      runner::run_service_differential(config);
   EXPECT_TRUE(report.ok()) << report.describe();
-  EXPECT_EQ(report.sim.metrics.completed, 64u);
-  EXPECT_EQ(report.udp.result.metrics.completed, 64u);
-  EXPECT_EQ(report.rows.size(), 64u);
+  ASSERT_EQ(report.rows.size(), 128u);  // one per instance and substrate
+  const auto sim_completed = std::count_if(
+      report.rows.begin(), report.rows.end(), [](const auto& row) {
+        return row.label == "sim" && row.ran && row.outcome.completed;
+      });
+  EXPECT_EQ(sim_completed, 64);
+  const service::UdpServiceResult& udp = report.udp_service;
+  EXPECT_EQ(udp.result.metrics.completed, 64u);
 
   // The stream genuinely pipelined: an instance takes several times the
   // launch cadence, so successive epochs overlapped in flight. Proven by
@@ -61,23 +68,22 @@ TEST(UdpService, SixtyFourInstanceDifferentialUnderLossAndChurn) {
   // [launched_at, completed_at) intersect — rather than by asserting the
   // window never filled: deferral depends on wall-clock completion speed,
   // which a loaded CI host legitimately varies.
-  EXPECT_GT(report.udp.result.metrics.p50_completion,
+  EXPECT_GT(udp.result.metrics.p50_completion,
             config.service.epoch_interval);
   std::size_t overlapped = 0;
-  const std::vector<service::InstanceResult>& rows =
-      report.udp.result.instances;
+  const std::vector<service::InstanceResult>& rows = udp.result.instances;
   for (std::size_t i = 0; i + 1 < rows.size(); ++i) {
     if (rows[i + 1].launched_at < rows[i].completed_at) ++overlapped;
   }
   EXPECT_GT(overlapped, rows.size() / 2)
       << "only " << overlapped << " of " << rows.size() - 1
       << " consecutive instance pairs overlapped in flight";
-  EXPECT_GT(report.udp.result.metrics.instances_per_sec, 0.0);
+  EXPECT_GT(udp.result.metrics.instances_per_sec, 0.0);
   // One socket set served the whole stream; the demux rejected nothing a
   // healthy run should deliver.
-  EXPECT_GT(report.udp.result.metrics.demux.delivered, 0u);
-  EXPECT_EQ(report.udp.result.metrics.demux.malformed_envelope, 0u);
-  EXPECT_EQ(report.udp.result.metrics.demux.unknown_instance, 0u);
+  EXPECT_GT(udp.result.metrics.demux.delivered, 0u);
+  EXPECT_EQ(udp.result.metrics.demux.malformed_envelope, 0u);
+  EXPECT_EQ(udp.result.metrics.demux.unknown_instance, 0u);
 }
 
 // Sharding is an execution detail of the service too: the same 8-instance

@@ -4,8 +4,9 @@
 // sharded over a few reactor threads, each shard with one nonblocking UDP
 // socket that serves all of its members — the deployable counterpart of
 // gridbox_sim (docs/udp_runtime.md). With --differential the same config
-// also runs in the simulator and the two results are cross-checked; exit
-// status 2 signals divergence, matching `gridbox_sim --differential`.
+// also runs in the simulator and the differential oracle
+// (src/runner/differential.h) judges both; exit status 2 signals
+// divergence, matching `gridbox_sim --differential`.
 //
 // Exit codes: 0 success / agreement, 1 usage or run error, 2 divergence.
 #include <filesystem>
@@ -20,7 +21,7 @@
 #include "src/obs/manifest.h"
 #include "src/runner/cli.h"
 #include "src/runner/config.h"
-#include "src/runner/udp_differential.h"
+#include "src/runner/differential.h"
 #include "src/runner/udp_runtime.h"
 #include "src/service/udp_service.h"
 
@@ -69,16 +70,18 @@ telemetry (docs/observability.md)
 
 harness
   --differential         also run the simulator; exit 2 unless both runs
-                         are audit-clean, reconstruct, and agree on ground
-                         truth (see docs/udp_runtime.md). In service mode
-                         the check applies per instance.
+                         complete, are honest and invariant-clean, and
+                         agree on ground truth and cohort (docs/udp_runtime.md).
+                         In service mode the check applies per instance.
   --report-dir DIR       write summary.txt, chaos.spec, and manifest.json
                          (CI failure artifacts)
   --help
 )";
 }
 
-void write_report(const runner::NodeCliOptions& options, const std::string& summary) {
+/// `shards` ran; 0 (no mesh was built) records the --threads value.
+void write_report(const runner::NodeCliOptions& options,
+                  const std::string& summary, std::size_t shards) {
   if (options.report_dir.empty()) return;
   const std::string dir = options.report_dir;
   std::error_code ec;
@@ -93,7 +96,7 @@ void write_report(const runner::NodeCliOptions& options, const std::string& summ
       runner::config_canonical_text(options.udp.experiment);
   manifest.chaos_spec = options.udp.experiment.chaos_spec;
   manifest.base_seed = options.udp.experiment.seed;
-  manifest.jobs = options.udp.shards;
+  manifest.jobs = shards != 0 ? shards : options.udp.shards;
   (void)manifest.write(dir + "/manifest.json");
 }
 
@@ -113,27 +116,33 @@ int main(int argc, char** argv) {
   }
 
   // Prints the summary, writes the report artifacts, returns `code`.
-  const auto finish = [&options](const std::string& summary, int code) {
+  const auto finish = [&options](const std::string& summary,
+                                 std::size_t shards, int code) {
     std::cout << summary;
-    write_report(options, summary);
+    write_report(options, summary, shards);
     return code;
   };
+  service::UdpServiceConfig sc;
+  sc.service.experiment = options.udp.experiment;
+  sc.service.instances = options.instances;
+  sc.service.epoch_interval = options.epoch_interval;
+  sc.service.max_in_flight = options.in_flight;
+  sc.service.deadline_factor = options.udp.deadline_factor;
+  sc.service.min_deadline = options.udp.min_deadline;
+  sc.port_base = options.udp.port_base;
+  sc.shards = options.udp.shards;
   try {
+    if (options.differential) {
+      const bool streamed = options.instances > 0;
+      const runner::DifferentialReport report =
+          streamed ? runner::run_service_differential(sc)
+                   : runner::run_udp_differential(options.udp);
+      return finish(report.describe(),
+                    streamed ? report.udp_service.shards
+                             : report.udp_run.shards,
+                    report.ok() ? 0 : 2);
+    }
     if (options.instances > 0) {
-      service::UdpServiceConfig sc;
-      sc.service.experiment = options.udp.experiment;
-      sc.service.instances = options.instances;
-      sc.service.epoch_interval = options.epoch_interval;
-      sc.service.max_in_flight = options.in_flight;
-      sc.service.deadline_factor = options.udp.deadline_factor;
-      sc.service.min_deadline = options.udp.min_deadline;
-      sc.port_base = options.udp.port_base;
-      sc.shards = options.udp.shards;
-      if (options.differential) {
-        const service::ServiceDifferentialReport report =
-            service::run_service_differential(sc);
-        return finish(report.describe(), report.ok() ? 0 : 2);
-      }
       const service::UdpServiceResult result = service::run_udp_service(sc);
       const service::ServiceMetrics& m = result.result.metrics;
       std::ostringstream out;
@@ -149,12 +158,7 @@ int main(int argc, char** argv) {
           << " demux_retired=" << m.demux.retired_instance
           << " closed_sends=" << m.demux.closed_sends
           << " elapsed_ms=" << result.result.elapsed.ticks() / 1000 << "\n";
-      return finish(out.str(), result.result.clean() ? 0 : 1);
-    }
-    if (options.differential) {
-      const runner::UdpDifferentialReport report =
-          runner::run_udp_differential(options.udp);
-      return finish(report.describe(), report.ok() ? 0 : 2);
+      return finish(out.str(), result.shards, result.result.clean() ? 0 : 1);
     }
     const runner::UdpRunResult result =
         runner::run_udp_experiment(options.udp);
@@ -173,10 +177,10 @@ int main(int argc, char** argv) {
         << " elapsed_ms=" << result.elapsed.ticks() / 1000 << "\n";
     const bool clean = result.completed && protocols::honest(m) &&
                        result.invariant_violations == 0;
-    return finish(out.str(), clean ? 0 : 1);
+    return finish(out.str(), result.shards, clean ? 0 : 1);
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";
-    write_report(options, std::string("error: ") + e.what() + "\n");
+    write_report(options, std::string("error: ") + e.what() + "\n", 0);
     return 1;
   }
 }
