@@ -29,7 +29,9 @@ class InvariantError : public std::logic_error {
 /// The string-literal overload is the hot-path form: when the condition
 /// holds it does no work at all (the std::string overload would otherwise
 /// materialise its message — a heap allocation — on every *passing* check,
-/// which the zero-allocation message path cannot afford).
+/// which the zero-allocation message path cannot afford). A failed check's
+/// message names its file relative to the source root ("src/sim/...:42:
+/// precondition failed: ..."), so it reads the same in every checkout.
 [[noreturn]] void detail_throw_precondition(const char* what,
                                             std::source_location loc);
 [[noreturn]] void detail_throw_invariant(const char* what,
@@ -42,11 +44,7 @@ inline void expects(bool condition, const char* what,
 
 inline void expects(bool condition, const std::string& what,
                     std::source_location loc = std::source_location::current()) {
-  if (!condition) {
-    throw PreconditionError(std::string(loc.file_name()) + ":" +
-                            std::to_string(loc.line()) + ": precondition failed: " +
-                            what);
-  }
+  if (!condition) detail_throw_precondition(what.c_str(), loc);
 }
 
 /// Check an internal invariant.
@@ -57,10 +55,7 @@ inline void ensures(bool condition, const char* what,
 
 inline void ensures(bool condition, const std::string& what,
                     std::source_location loc = std::source_location::current()) {
-  if (!condition) {
-    throw InvariantError(std::string(loc.file_name()) + ":" +
-                         std::to_string(loc.line()) + ": invariant failed: " + what);
-  }
+  if (!condition) detail_throw_invariant(what.c_str(), loc);
 }
 
 }  // namespace gridbox

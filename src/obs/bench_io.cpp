@@ -42,9 +42,6 @@ std::string BenchReport::to_json() const {
     if (e.p99_completion_ms > 0.0) {
       w.key("p99_completion_ms").value(e.p99_completion_ms);
     }
-    if (e.shards > 0) {
-      w.key("shards").value(e.shards);
-    }
     w.end_object();
   }
   w.end_array();
@@ -89,7 +86,6 @@ BenchReport BenchReport::parse(const std::string& json_text) {
     e.rss_per_member_b = v.number_or("rss_per_member_b", 0.0);
     e.instances_per_s = v.number_or("instances_per_s", 0.0);
     e.p99_completion_ms = v.number_or("p99_completion_ms", 0.0);
-    e.shards = static_cast<std::uint64_t>(v.number_or("shards", 0));
     report.entries.push_back(std::move(e));
   }
   return report;
@@ -136,31 +132,33 @@ std::string BenchDiffReport::render() const {
     } else {
       p99[0] = '\0';
     }
-    // Shard count of the udp-suite cases: informational like B/member (a
-    // baseline captured at one shard count legitimately compares against a
-    // rerun at another; only the wall ratio gates).
-    char shards[32];
-    if (row.old_shards > 0 || row.new_shards > 0) {
-      std::snprintf(shards, sizeof(shards), " %llu->%llu shard(s)",
-                    static_cast<unsigned long long>(row.old_shards),
-                    static_cast<unsigned long long>(row.new_shards));
+    // Counted work that differs between the builds: printed, never gated.
+    char work[96];
+    if (row.work_changed()) {
+      std::snprintf(work, sizeof(work),
+                    "  work changed (events %llu->%llu, msgs %llu->%llu)",
+                    static_cast<unsigned long long>(row.old_sim_events),
+                    static_cast<unsigned long long>(row.new_sim_events),
+                    static_cast<unsigned long long>(row.old_network_messages),
+                    static_cast<unsigned long long>(row.new_network_messages));
     } else {
-      shards[0] = '\0';
+      work[0] = '\0';
     }
     std::snprintf(line, sizeof(line),
                   "%-32s %12.6f %12.6f %7.3fx %+8.1f%% %+8.1f%%%s%s%s%s%s\n",
                   row.name.c_str(), row.old_wall_s, row.new_wall_s,
                   row.wall_ratio, (row.events_ratio - 1.0) * 100.0,
-                  (row.msgs_ratio - 1.0) * 100.0, rss, svc, p99, shards,
-                  row.regressed ? "  REGRESSED" : "");
+                  (row.msgs_ratio - 1.0) * 100.0, rss, svc, p99,
+                  row.regressed ? "  REGRESSED" : "", work);
     out << line;
   }
   for (const std::string& name : only_in_old) {
-    out << name << ": only in old report\n";
+    out << name << ": only in old reports\n";
   }
   for (const std::string& name : only_in_new) {
-    out << name << ": only in new report\n";
+    out << name << ": only in new reports\n";
   }
+  for (const std::string& what : inconsistent) out << what << "\n";
   std::snprintf(line, sizeof(line),
                 "worst ratio %.3fx over %zu case(s), %zu regression(s)\n",
                 worst_ratio, rows.size(), regressions);
@@ -168,49 +166,107 @@ std::string BenchDiffReport::render() const {
   return out.str();
 }
 
-BenchDiffReport bench_diff(const BenchReport& old_report,
-                           const BenchReport& new_report, double threshold) {
-  expects(threshold >= 0.0, "bench diff: threshold must be non-negative");
-  BenchDiffReport report;
-  std::map<std::string, const BenchEntry*> old_by_name;
-  for (const BenchEntry& e : old_report.entries) old_by_name[e.name] = &e;
+namespace {
 
-  for (const BenchEntry& e : new_report.entries) {
+/// One side's reports folded to one entry per case, in first-seen order:
+/// the entry with the minimum wall. A case some report lacks, or whose
+/// counts differ between reports, goes to `inconsistent`.
+std::vector<BenchEntry> fold_side(const std::vector<BenchReport>& reports,
+                                  const std::string& side,
+                                  std::vector<std::string>& inconsistent) {
+  std::vector<std::string> order;
+  std::map<std::string, std::vector<const BenchEntry*>> by_name;
+  for (const BenchReport& report : reports) {
+    for (const BenchEntry& e : report.entries) {
+      auto& seen = by_name[e.name];
+      if (seen.empty()) order.push_back(e.name);
+      seen.push_back(&e);
+    }
+  }
+  std::vector<BenchEntry> folded;
+  for (const std::string& name : order) {
+    const std::vector<const BenchEntry*>& entries = by_name[name];
+    const BenchEntry& first = *entries.front();
+    const bool counts_agree =
+        std::all_of(entries.begin(), entries.end(), [&](const BenchEntry* e) {
+          return e->sim_events == first.sim_events &&
+                 e->network_messages == first.network_messages;
+        });
+    if (entries.size() != reports.size()) {
+      inconsistent.push_back(side + " " + name + ": in " +
+                             std::to_string(entries.size()) + " of " +
+                             std::to_string(reports.size()) + " reports");
+    } else if (!counts_agree) {
+      inconsistent.push_back(side + " " + name +
+                             ": counts differ between reports");
+    }
+    folded.push_back(**std::min_element(
+        entries.begin(), entries.end(),
+        [](const BenchEntry* a, const BenchEntry* b) {
+          return a->wall_s < b->wall_s;
+        }));
+  }
+  return folded;
+}
+
+/// new/old for a rate; 0 -> 0 (a suite that doesn't report the rate)
+/// renders as unchanged, not as a 100% regression.
+double rate_ratio(double old_rate, double new_rate) {
+  return old_rate > 0.0 ? new_rate / old_rate : new_rate > 0.0 ? 0.0 : 1.0;
+}
+
+}  // namespace
+
+BenchDiffReport bench_diff(const std::vector<BenchReport>& old_reports,
+                           const std::vector<BenchReport>& new_reports,
+                           double threshold) {
+  expects(threshold >= 0.0, "bench diff: threshold must be non-negative");
+  expects(!old_reports.empty() && !new_reports.empty(),
+          "bench diff: each side needs at least one report");
+  const std::string& suite = old_reports.front().suite;
+  for (const auto* side : {&old_reports, &new_reports}) {
+    for (const BenchReport& r : *side) {
+      expects(r.suite == suite,
+              "bench diff: suite mismatch: " + suite + " vs " + r.suite);
+    }
+  }
+  BenchDiffReport report;
+  std::map<std::string, BenchEntry> old_by_name;
+  for (BenchEntry& e : fold_side(old_reports, "old", report.inconsistent)) {
+    old_by_name[e.name] = std::move(e);
+  }
+  for (const BenchEntry& e :
+       fold_side(new_reports, "new", report.inconsistent)) {
     const auto it = old_by_name.find(e.name);
     if (it == old_by_name.end()) {
       report.only_in_new.push_back(e.name);
       continue;
     }
+    const BenchEntry& old = it->second;
     BenchDiffRow row;
     row.name = e.name;
-    row.old_wall_s = it->second->wall_s;
+    row.old_wall_s = old.wall_s;
     row.new_wall_s = e.wall_s;
     // A zero old time can only compare as "no regression" or "new cost".
     row.wall_ratio = row.old_wall_s > 0.0 ? row.new_wall_s / row.old_wall_s
                      : row.new_wall_s > 0.0 ? 1.0 + threshold + 1.0
                                             : 1.0;
-    // 0 -> 0 (a suite that doesn't report the rate) renders as unchanged,
-    // not as a 100% regression.
-    row.old_events_per_s = it->second->events_per_s;
+    row.old_events_per_s = old.events_per_s;
     row.new_events_per_s = e.events_per_s;
-    row.events_ratio = row.old_events_per_s > 0.0
-                           ? row.new_events_per_s / row.old_events_per_s
-                       : row.new_events_per_s > 0.0 ? 0.0
-                                                    : 1.0;
-    row.old_msgs_per_s = it->second->msgs_per_s;
+    row.events_ratio = rate_ratio(old.events_per_s, e.events_per_s);
+    row.old_msgs_per_s = old.msgs_per_s;
     row.new_msgs_per_s = e.msgs_per_s;
-    row.msgs_ratio = row.old_msgs_per_s > 0.0
-                         ? row.new_msgs_per_s / row.old_msgs_per_s
-                     : row.new_msgs_per_s > 0.0 ? 0.0
-                                                : 1.0;
-    row.old_rss_per_member_b = it->second->rss_per_member_b;
+    row.msgs_ratio = rate_ratio(old.msgs_per_s, e.msgs_per_s);
+    row.old_rss_per_member_b = old.rss_per_member_b;
     row.new_rss_per_member_b = e.rss_per_member_b;
-    row.old_instances_per_s = it->second->instances_per_s;
+    row.old_instances_per_s = old.instances_per_s;
     row.new_instances_per_s = e.instances_per_s;
-    row.old_p99_completion_ms = it->second->p99_completion_ms;
+    row.old_p99_completion_ms = old.p99_completion_ms;
     row.new_p99_completion_ms = e.p99_completion_ms;
-    row.old_shards = it->second->shards;
-    row.new_shards = e.shards;
+    row.old_sim_events = old.sim_events;
+    row.new_sim_events = e.sim_events;
+    row.old_network_messages = old.network_messages;
+    row.new_network_messages = e.network_messages;
     row.regressed = row.wall_ratio > 1.0 + threshold;
     if (row.regressed) ++report.regressions;
     report.worst_ratio = std::max(report.worst_ratio, row.wall_ratio);

@@ -1,8 +1,5 @@
 #include "src/obs/profile.h"
 
-#include <cstdlib>
-#include <cstring>
-
 #include "src/obs/json.h"
 
 namespace gridbox::obs {
@@ -60,14 +57,6 @@ std::string ProfileSnapshot::to_json() const {
   }
   w.end_object();
   return w.take();
-}
-
-bool profile_requested_by_env() {
-  static const bool requested = [] {
-    const char* env = std::getenv("GRIDBOX_PROFILE");
-    return env != nullptr && *env != '\0' && std::strcmp(env, "0") != 0;
-  }();
-  return requested;
 }
 
 }  // namespace gridbox::obs

@@ -108,10 +108,6 @@ class ScopedTimer {
   std::chrono::steady_clock::time_point start_;
 };
 
-/// True when the GRIDBOX_PROFILE environment variable asks for profiling
-/// (non-empty, not "0"). Read once and cached.
-[[nodiscard]] bool profile_requested_by_env();
-
 }  // namespace gridbox::obs
 
 #define GRIDBOX_PROFILE_CONCAT2(a, b) a##b

@@ -125,7 +125,6 @@ struct ExperimentConfig {
 
   /// Aggregate hot-path scoped timers for this run (RunResult::profile).
   /// Wall-clock telemetry: counts are deterministic, elapsed times are not.
-  /// Defaults to the GRIDBOX_PROFILE environment variable.
   bool profile = false;
 
   /// Chaos spec text (see docs/chaos.md); empty = no chaos. Parsed once per

@@ -203,9 +203,8 @@ RunResult run_experiment(const ExperimentConfig& config) {
   // Hot-path profiling: thread-local collector installed for the run only.
   // Allocated on demand so an unprofiled run never constructs the registry
   // (tests assert exactly that).
-  const bool profiling = config.profile || obs::profile_requested_by_env();
   std::unique_ptr<obs::ProfileCollector> profiler;
-  if (profiling) profiler = std::make_unique<obs::ProfileCollector>();
+  if (config.profile) profiler = std::make_unique<obs::ProfileCollector>();
   obs::ProfileInstallGuard profile_guard(profiler.get());
 
   net::schedule_chaos_crashes(chaos, simulator,
@@ -312,7 +311,7 @@ RunResult run_experiment(const ExperimentConfig& config) {
     };
   }
   if (observer != nullptr) result.timeline = observer->timeline();
-  if (profiling) result.profile = profiler->snapshot();
+  if (profiler != nullptr) result.profile = profiler->snapshot();
   // The run clock dies with this frame; detach it so the caller-owned
   // trackers cannot dangle.
   if (config.lineage != nullptr) config.lineage->set_clock(nullptr);

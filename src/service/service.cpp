@@ -534,6 +534,7 @@ ServiceResult run_service_experiment(const ServiceConfig& config) {
     (void)simulator.step();
   }
   ServiceResult result = engine.collect();
+  result.sim_events = simulator.events_executed();
   // Final sample: the resolved stream's end state always makes the series.
   if (tel_sampler != nullptr) tel_sampler->sample(simulator.now());
   return result;

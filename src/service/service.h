@@ -141,6 +141,9 @@ struct ServiceResult {
   SimTime elapsed = SimTime::zero();
   std::vector<InstanceResult> instances;  ///< sorted by id
   ServiceMetrics metrics;
+  /// Events the simulator executed for the whole stream; 0 on the UDP
+  /// substrate, which has no simulator.
+  std::uint64_t sim_events = 0;
 };
 
 /// The service engine, on the simulator or the UDP reactor mesh

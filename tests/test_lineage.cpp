@@ -300,9 +300,6 @@ class CollectorProbe final : public protocols::gossip::GossipTrace {
 };
 
 TEST(Profile, NoCollectorInstalledWhenProfilingOff) {
-  if (obs::profile_requested_by_env()) {
-    GTEST_SKIP() << "GRIDBOX_PROFILE is set";
-  }
   ExperimentConfig config = curves_config();
   CollectorProbe probe;
   config.gossip.trace = &probe;

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "src/common/ensure.h"
 #include "src/obs/bench_io.h"
@@ -227,15 +228,33 @@ TEST(BenchIo, ParseRejectsSchemaMismatch) {
                PreconditionError);
 }
 
+// A failed check names its file relative to the source root, for both
+// message overloads, so error text is the same in every checkout.
+TEST(Ensure, FailedCheckNamesItsFileRelativeToTheSourceRoot) {
+  std::string root = GRIDBOX_TEST_DATA_DIR;
+  root.erase(root.size() - std::string("tests").size());
+  ASSERT_FALSE(root.empty());
+  for (const char* text : {"[]", R"({"schema":"other/9"})"}) {
+    try {
+      (void)BenchReport::parse(text);
+      ADD_FAILURE() << "parse accepted " << text;
+    } catch (const PreconditionError& e) {
+      const std::string what = e.what();
+      EXPECT_TRUE(what.starts_with("src/obs/bench_io.cpp:")) << what;
+      EXPECT_EQ(what.find(root), std::string::npos) << what;
+    }
+  }
+}
+
 TEST(BenchIo, DiffFlagsOnlyRegressionsPastThreshold) {
   const BenchReport old_report = sample_report();
   BenchReport new_report = sample_report();
   new_report.entries[0].wall_s = 0.55;  // +10%: inside a 20% threshold
-  EXPECT_TRUE(obs::bench_diff(old_report, new_report, 0.2).ok());
+  EXPECT_TRUE(obs::bench_diff({old_report}, {new_report}, 0.2).ok());
 
   new_report.entries[0].wall_s = 0.65;  // +30%: regression
   const obs::BenchDiffReport diff =
-      obs::bench_diff(old_report, new_report, 0.2);
+      obs::bench_diff({old_report}, {new_report}, 0.2);
   EXPECT_FALSE(diff.ok());
   EXPECT_EQ(diff.regressions, 1u);
   EXPECT_NEAR(diff.worst_ratio, 1.3, 1e-9);
@@ -248,7 +267,7 @@ TEST(BenchIo, DiffReportsThroughputDeltas) {
   new_report.entries[0].events_per_s = 1250.0;  // +25%
   new_report.entries[0].msgs_per_s = 400.0;     // -20%
   const obs::BenchDiffReport diff =
-      obs::bench_diff(old_report, new_report, 0.2);
+      obs::bench_diff({old_report}, {new_report}, 0.2);
   ASSERT_EQ(diff.rows.size(), 1u);
   EXPECT_EQ(diff.rows[0].old_events_per_s, 1000.0);
   EXPECT_EQ(diff.rows[0].new_events_per_s, 1250.0);
@@ -266,19 +285,88 @@ TEST(BenchIo, DiffTracksDisappearedAndNewCases) {
   BenchReport new_report = sample_report();
   new_report.entries[0].name = "renamed_case";
   const obs::BenchDiffReport diff =
-      obs::bench_diff(old_report, new_report, 0.2);
-  EXPECT_TRUE(diff.ok());  // nothing compared, nothing regressed
+      obs::bench_diff({old_report}, {new_report}, 0.2);
+  // Nothing regressed, but a case on one side only was never compared.
+  EXPECT_EQ(diff.regressions, 0u);
+  EXPECT_FALSE(diff.ok());
   ASSERT_EQ(diff.only_in_old.size(), 1u);
   ASSERT_EQ(diff.only_in_new.size(), 1u);
   EXPECT_EQ(diff.only_in_old[0], "hier_n200");
   EXPECT_EQ(diff.only_in_new[0], "renamed_case");
+  EXPECT_NE(diff.render().find("hier_n200: only in old reports"),
+            std::string::npos);
 }
 
 TEST(BenchIo, SpeedupsNeverFlagRegression) {
   const BenchReport old_report = sample_report();
   BenchReport new_report = sample_report();
   new_report.entries[0].wall_s = 0.1;  // 5x faster
-  EXPECT_TRUE(obs::bench_diff(old_report, new_report, 0.0).ok());
+  EXPECT_TRUE(obs::bench_diff({old_report}, {new_report}, 0.0).ok());
+}
+
+BenchReport sample_with_wall(double wall_s) {
+  BenchReport report = sample_report();
+  report.entries[0].wall_s = wall_s;
+  return report;
+}
+
+TEST(BenchIo, DiffScoresEachSideByItsMinimumWall) {
+  const std::vector<BenchReport> old_reports = {
+      sample_with_wall(0.9), sample_with_wall(0.5), sample_with_wall(0.7)};
+  // min 0.58 vs min 0.5: +16%, inside 20%, though every new run is slower
+  // than the old minimum and one old run is slower than both.
+  obs::BenchDiffReport diff = obs::bench_diff(
+      old_reports, {sample_with_wall(0.6), sample_with_wall(0.58)}, 0.2);
+  ASSERT_EQ(diff.rows.size(), 1u);
+  EXPECT_EQ(diff.rows[0].old_wall_s, 0.5);
+  EXPECT_EQ(diff.rows[0].new_wall_s, 0.58);
+  EXPECT_TRUE(diff.ok());
+
+  diff = obs::bench_diff(
+      old_reports, {sample_with_wall(0.65), sample_with_wall(0.7)}, 0.2);
+  EXPECT_NEAR(diff.worst_ratio, 1.3, 1e-9);
+  EXPECT_FALSE(diff.ok());
+}
+
+TEST(BenchIo, DiffFailsWhenCountsDisagreeWithinASide) {
+  BenchReport odd = sample_report();
+  odd.entries[0].sim_events = 501;
+  obs::BenchDiffReport diff =
+      obs::bench_diff({sample_report()}, {sample_report(), odd}, 0.2);
+  EXPECT_EQ(diff.regressions, 0u);
+  EXPECT_FALSE(diff.ok());
+  ASSERT_EQ(diff.inconsistent.size(), 1u);
+  EXPECT_EQ(diff.inconsistent[0],
+            "new hier_n200: counts differ between reports");
+
+  // A case missing from one report of a side is the same failure.
+  BenchReport empty = sample_report();
+  empty.entries.clear();
+  diff = obs::bench_diff({sample_report(), empty}, {sample_report()}, 0.2);
+  EXPECT_FALSE(diff.ok());
+  ASSERT_EQ(diff.inconsistent.size(), 1u);
+  EXPECT_EQ(diff.inconsistent[0], "old hier_n200: in 1 of 2 reports");
+}
+
+TEST(BenchIo, WorkChangedBetweenSidesPrintsButDoesNotFail) {
+  BenchReport changed = sample_report();
+  changed.entries[0].sim_events = 600;
+  const obs::BenchDiffReport diff =
+      obs::bench_diff({sample_report()}, {changed, changed}, 0.2);
+  EXPECT_TRUE(diff.ok());
+  ASSERT_EQ(diff.rows.size(), 1u);
+  EXPECT_TRUE(diff.rows[0].work_changed());
+  EXPECT_NE(diff.render().find("work changed (events 500->600, msgs 250->250)"),
+            std::string::npos);
+}
+
+TEST(BenchIo, DiffRejectsMixedSuites) {
+  BenchReport other = sample_report();
+  other.suite = "service";
+  EXPECT_THROW((void)obs::bench_diff({sample_report()}, {other}, 0.2),
+               PreconditionError);
+  EXPECT_THROW((void)obs::bench_diff({}, {sample_report()}, 0.2),
+               PreconditionError);
 }
 
 TEST(BenchIo, PeakRssIsNonZeroOnSupportedPlatforms) {

@@ -6,6 +6,9 @@
 // regression slipped in.
 #include <gtest/gtest.h>
 
+#include <iterator>
+
+#include "bench/micro_cases.h"
 #include "src/runner/experiment.h"
 
 namespace gridbox {
@@ -84,6 +87,40 @@ TEST(RegressionGolden, ConfigFieldChangesChangeTheRun) {
   EXPECT_NE(r0.measurement.network_messages,
             r_crash.measurement.network_messages);
   EXPECT_LT(r_crash.measurement.survivors, r0.measurement.survivors);
+}
+
+// The work gate: what each micro benchmark case counts, pinned exactly.
+// These counts do not depend on the host, so they gate at zero tolerance
+// where wall time cannot (wall time is a same-runner A/B; docs/perf.md). A
+// deliberate behaviour change updates them in the same commit.
+struct MicroWork {
+  const char* name;
+  std::uint64_t sim_events;
+  std::uint64_t network_messages;
+  std::uint64_t bytes_sent;
+};
+
+constexpr MicroWork kMicroWork[] = {
+    {"hier_n200", 15647, 12196, 1566806},
+    {"hier_n200_metrics", 15647, 12196, 1566806},
+    {"hier_n200_audit", 15647, 12196, 1566806},
+    {"hier_n800", 97303, 76446, 10508656},
+    {"all_to_all_n200", 48146, 38042, 798882},
+    {"centralized_n200", 20699, 397, 13113},
+};
+
+TEST(RegressionGolden, MicroBenchCasesCountTheirPinnedWork) {
+  const std::vector<bench::MicroCase> cases = bench::micro_cases();
+  ASSERT_EQ(cases.size(), std::size(kMicroWork));
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    const MicroWork& want = kMicroWork[i];
+    SCOPED_TRACE(want.name);
+    EXPECT_EQ(cases[i].name, want.name);
+    const RunResult r = run_experiment(cases[i].config);
+    EXPECT_EQ(r.sim_events, want.sim_events);
+    EXPECT_EQ(r.measurement.network_messages, want.network_messages);
+    EXPECT_EQ(r.network.bytes_sent, want.bytes_sent);
+  }
 }
 
 }  // namespace

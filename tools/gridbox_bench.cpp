@@ -1,28 +1,26 @@
-// gridbox_bench: the perf-regression harness.
+// gridbox_bench: the benchmark harness.
 //
 // Runs fixed benchmark suites over the simulator and writes one
 // schema-versioned BENCH_<suite>.json per suite (see src/obs/bench_io.h):
 //
-//   micro_core   -> BENCH_core.json    end-to-end runs at paper defaults,
-//                                      with and without instrumentation
+//   micro_core   -> BENCH_core.json    the six end-to-end runs of
+//                                      bench/micro_cases.h
 //   fig06_scale  -> BENCH_scale.json   the Figure 6 scalability slice
 //   chaos_stress -> BENCH_chaos.json   chaos-scripted adversity worlds
 //   service      -> BENCH_service.json streaming-epoch service runs
 //                                      (sustained instances/s, p99
 //                                      completion; both informational in
 //                                      bench_diff, like B/member)
-//   udp          -> BENCH_udp.json     the real-socket runner at 1/2/4
-//                                      reactor shards, N = 1000 (shard
-//                                      scaling of the lock-free dispatch
-//                                      path; binds loopback sockets, so
-//                                      not part of `all`)
 //
-// Wall times are medians over --repeats; sim_events / network_messages are
-// deterministic per case (udp suite: representative, the wire is real), so
-// a diff of two BENCH files (tools/bench_diff) separates "the code got
-// slower" from "the workload changed".
+// Each kind of number has one verdict. Counted work (sim_events,
+// network_messages, bytes on the wire) is deterministic per case, so the
+// tier-1 test tests/test_regression.cpp pins it exactly for the micro
+// cases. Wall time depends on the host, so it is judged only as an A/B on
+// one runner: invocations of two builds interleaved, each case scored by
+// its minimum wall per build (tools/bench_diff; docs/perf.md has the
+// recipe CI runs). Wall times in one report are medians over --repeats.
 //
-// usage: gridbox_bench [--suite micro|scale|chaos|service|udp|all]
+// usage: gridbox_bench [--suite micro|scale|chaos|service|all]
 //                      [--quick] [--repeats R] [--out DIR] [--jobs N]
 #include <algorithm>
 #include <chrono>
@@ -34,6 +32,7 @@
 #include <system_error>
 #include <vector>
 
+#include "bench/micro_cases.h"
 #include "src/obs/bench_io.h"
 #include "src/obs/build_info.h"
 #include "src/obs/curves.h"
@@ -42,15 +41,14 @@
 #include "src/runner/config.h"
 #include "src/runner/experiment.h"
 #include "src/runner/sweep.h"
-#include "src/runner/udp_runtime.h"
 #include "src/service/service.h"
 
 namespace {
 
+using gridbox::bench::paper_config;
 using gridbox::obs::BenchEntry;
 using gridbox::obs::BenchReport;
 using gridbox::runner::ExperimentConfig;
-using gridbox::runner::ProtocolKind;
 using gridbox::runner::RunResult;
 
 struct BenchOptions {
@@ -58,7 +56,6 @@ struct BenchOptions {
   bool scale = true;
   bool chaos = true;
   bool service = true;
-  bool udp = false;  ///< binds loopback sockets; opt-in, not part of `all`
   bool quick = false;
   bool huge = false;  ///< add the 10^6-member scale point
   bool obs_overhead = false;  ///< gate mode instead of the suites
@@ -67,16 +64,6 @@ struct BenchOptions {
   std::string out_dir = ".";
   std::size_t jobs = 0;  ///< sweep-case worker threads; 0 = auto
 };
-
-/// Paper §7 defaults: N = 200, ucastl = 0.25, pf = 0.001, K = 4, M = 2.
-ExperimentConfig paper_config() {
-  ExperimentConfig config;
-  config.group_size = 200;
-  config.ucast_loss = 0.25;
-  config.crash_probability = 0.001;
-  config.seed = 20010701;
-  return config;
-}
 
 double elapsed_s(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -167,29 +154,8 @@ BenchReport run_micro(const BenchOptions& options, std::uint64_t repeats) {
   std::printf("suite micro_core (%llu repeat(s)):\n",
               static_cast<unsigned long long>(repeats));
 
-  ExperimentConfig base = paper_config();
-  run_case(report, "hier_n200", repeats, single_run_body(base));
-
-  ExperimentConfig with_metrics = base;
-  with_metrics.collect_metrics = true;
-  run_case(report, "hier_n200_metrics", repeats, single_run_body(with_metrics));
-
-  ExperimentConfig audited = base;
-  audited.audit = true;
-  run_case(report, "hier_n200_audit", repeats, single_run_body(audited));
-
-  if (!options.quick) {
-    ExperimentConfig big = base;
-    big.group_size = 800;
-    run_case(report, "hier_n800", repeats, single_run_body(big));
-
-    ExperimentConfig flat = base;
-    flat.protocol = ProtocolKind::kFullyDistributed;
-    run_case(report, "all_to_all_n200", repeats, single_run_body(flat));
-
-    ExperimentConfig central = base;
-    central.protocol = ProtocolKind::kCentralized;
-    run_case(report, "centralized_n200", repeats, single_run_body(central));
+  for (const gridbox::bench::MicroCase& c : gridbox::bench::micro_cases()) {
+    run_case(report, c.name, repeats, single_run_body(c.config));
   }
   return report;
 }
@@ -282,10 +248,12 @@ void run_service_case(BenchReport& report, const std::string& name,
   BenchEntry entry;
   entry.name = name;
   entry.wall_s = walls[walls.size() / 2];
+  entry.sim_events = last.sim_events;
   for (const auto& inst : last.instances) {
     entry.network_messages += inst.network.messages_sent;
   }
   if (entry.wall_s > 0.0) {
+    entry.events_per_s = static_cast<double>(entry.sim_events) / entry.wall_s;
     entry.msgs_per_s =
         static_cast<double>(entry.network_messages) / entry.wall_s;
   }
@@ -334,74 +302,6 @@ BenchReport run_service(const BenchOptions& options, std::uint64_t repeats) {
     wide.instances = 16;
     wide.max_in_flight = 4;
     run_service_case(report, "service_n200_stream", repeats, wide);
-  }
-  return report;
-}
-
-/// Times one real-socket run `repeats` times and appends the median-wall
-/// entry, stamped with its shard count. "Events" here are what the reactor
-/// mesh actually dispatched — timers fired, posted actions run, datagrams
-/// delivered — so events/s is the shard-scaling figure of merit for the
-/// lock-free dispatch path. The wire is real: totals are representative,
-/// not bit-deterministic like the simulator suites.
-void run_udp_case(BenchReport& report, const std::string& name,
-                  std::uint64_t repeats,
-                  const gridbox::runner::UdpRunConfig& config) {
-  std::vector<double> walls;
-  gridbox::runner::UdpRunResult last;
-  for (std::uint64_t r = 0; r < repeats; ++r) {
-    const auto start = std::chrono::steady_clock::now();
-    last = gridbox::runner::run_udp_experiment(config);
-    walls.push_back(elapsed_s(start));
-  }
-  std::sort(walls.begin(), walls.end());
-  BenchEntry entry;
-  entry.name = name;
-  entry.wall_s = walls[walls.size() / 2];
-  entry.sim_events = last.timers_fired + last.network.messages_delivered;
-  entry.network_messages = last.network.messages_sent;
-  if (entry.wall_s > 0.0) {
-    entry.events_per_s =
-        static_cast<double>(entry.sim_events) / entry.wall_s;
-    entry.msgs_per_s =
-        static_cast<double>(entry.network_messages) / entry.wall_s;
-  }
-  entry.peak_rss_mb =
-      static_cast<double>(gridbox::obs::peak_rss_bytes()) / (1024.0 * 1024.0);
-  entry.shards = last.shards;
-  std::printf(
-      "  %-28s wall %8.4f s   %10.0f events/s   %9.0f msgs/s   %zu shard(s)"
-      "%s\n",
-      name.c_str(), entry.wall_s, entry.events_per_s, entry.msgs_per_s,
-      last.shards, last.completed ? "" : "   INCOMPLETE");
-  report.entries.push_back(std::move(entry));
-}
-
-BenchReport run_udp(const BenchOptions& options, std::uint64_t repeats) {
-  BenchReport report = new_report("udp", options, repeats);
-  std::printf("suite udp (%llu repeat(s)):\n",
-              static_cast<unsigned long long>(repeats));
-
-  // N = 1000 lossless, audit and invariant checking off: the measured cost
-  // is the dispatch path itself (sockets, timers, lock-free delivery), not
-  // the verification machinery. One shard is the baseline the checked-in
-  // BENCH_udp.json captures; 2 and 4 shards show the scaling headroom on
-  // hosts that have the cores (on a single-core host all three serialize).
-  for (const std::size_t shards : {std::size_t{1}, std::size_t{2},
-                                   std::size_t{4}}) {
-    gridbox::runner::UdpRunConfig config;
-    config.experiment.group_size = 1000;
-    config.experiment.ucast_loss = 0.0;
-    config.experiment.crash_probability = 0.0;
-    config.experiment.audit = false;
-    config.experiment.check_invariants = false;
-    config.experiment.gossip.round_duration = gridbox::SimTime::millis(5);
-    config.experiment.seed = 20010701;
-    config.port_base = 39000;
-    config.shards = shards;
-    run_udp_case(report,
-                 "udp_n1000_" + std::to_string(shards) + "shard", repeats,
-                 config);
   }
   return report;
 }
@@ -524,13 +424,12 @@ int run_obs_overhead(std::uint64_t repeats, double threshold_pct) {
 
 int usage(int code) {
   std::fputs(
-      "gridbox_bench — perf-regression suites emitting BENCH_*.json\n"
+      "gridbox_bench — benchmark suites emitting BENCH_*.json\n"
       "\n"
       "usage: gridbox_bench [flags]\n"
-      "  --suite NAME   micro | scale | chaos | service | udp | all\n"
-      "                 (default all; udp binds loopback sockets and only\n"
-      "                 runs when named)\n"
-      "  --quick        smaller case list and fewer repeats (CI smoke)\n"
+      "  --suite NAME   micro | scale | chaos | service | all (default all)\n"
+      "  --quick        fewer repeats; scale, chaos and service also run\n"
+      "                 fewer or smaller cases (micro runs all six)\n"
       "  --huge         add the 10^6-member scale point (scale suite only)\n"
       "  --repeats R    wall-time repeats per case (default 5; --quick 2)\n"
       "  --out DIR      output directory for BENCH_*.json (default .)\n"
@@ -576,7 +475,6 @@ int main(int argc, char** argv) {
         return usage(1);
       }
       options.micro = options.scale = options.chaos = options.service = false;
-      options.udp = false;
       if (std::strcmp(value, "micro") == 0) {
         options.micro = true;
       } else if (std::strcmp(value, "scale") == 0) {
@@ -585,11 +483,7 @@ int main(int argc, char** argv) {
         options.chaos = true;
       } else if (std::strcmp(value, "service") == 0) {
         options.service = true;
-      } else if (std::strcmp(value, "udp") == 0) {
-        options.udp = true;
       } else if (std::strcmp(value, "all") == 0) {
-        // `all` stays socket-free: the udp suite binds a 1000-port loopback
-        // window, so it runs only when asked for by name.
         options.micro = options.scale = options.chaos = options.service =
             true;
       } else {
@@ -653,6 +547,5 @@ int main(int argc, char** argv) {
   if (options.service) {
     ok = emit(run_service(options, repeats), "BENCH_service.json") && ok;
   }
-  if (options.udp) ok = emit(run_udp(options, repeats), "BENCH_udp.json") && ok;
   return ok ? 0 : 1;
 }
