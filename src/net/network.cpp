@@ -45,7 +45,7 @@ void SimNetwork::install_chaos(std::unique_ptr<ChaosSchedule> chaos) {
 }
 
 void SimNetwork::send(Message message) {
-  GRIDBOX_PROFILE_SCOPE("net.send");
+  const obs::LayerScope layer(obs::Layer::kNetSend);
   ++stats_.messages_sent;
   stats_.bytes_sent += message.frame.size();
   if (distance_) {

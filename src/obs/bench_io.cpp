@@ -99,6 +99,22 @@ BenchReport BenchReport::load(const std::string& path) {
   return parse(content.str());
 }
 
+namespace {
+
+/// One throughput cell: the change in percent (none when neither side
+/// reports the rate), or "new"/"gone" when only one side does (a ratio
+/// against zero would read -100%).
+std::string rate_cell(double old_rate, double new_rate) {
+  if (old_rate <= 0.0 && new_rate > 0.0) return "new";
+  if (old_rate > 0.0 && new_rate <= 0.0) return "gone";
+  const double ratio = old_rate > 0.0 ? new_rate / old_rate : 1.0;
+  char cell[32];
+  std::snprintf(cell, sizeof(cell), "%+.1f%%", (ratio - 1.0) * 100.0);
+  return cell;
+}
+
+}  // namespace
+
 std::string BenchDiffReport::render() const {
   std::ostringstream out;
   char line[320];
@@ -145,10 +161,12 @@ std::string BenchDiffReport::render() const {
       work[0] = '\0';
     }
     std::snprintf(line, sizeof(line),
-                  "%-32s %12.6f %12.6f %7.3fx %+8.1f%% %+8.1f%%%s%s%s%s%s\n",
+                  "%-32s %12.6f %12.6f %7.3fx %9s %9s%s%s%s%s%s\n",
                   row.name.c_str(), row.old_wall_s, row.new_wall_s,
-                  row.wall_ratio, (row.events_ratio - 1.0) * 100.0,
-                  (row.msgs_ratio - 1.0) * 100.0, rss, svc, p99,
+                  row.wall_ratio,
+                  rate_cell(row.old_events_per_s, row.new_events_per_s).c_str(),
+                  rate_cell(row.old_msgs_per_s, row.new_msgs_per_s).c_str(),
+                  rss, svc, p99,
                   row.regressed ? "  REGRESSED" : "", work);
     out << line;
   }
@@ -209,12 +227,6 @@ std::vector<BenchEntry> fold_side(const std::vector<BenchReport>& reports,
   return folded;
 }
 
-/// new/old for a rate; 0 -> 0 (a suite that doesn't report the rate)
-/// renders as unchanged, not as a 100% regression.
-double rate_ratio(double old_rate, double new_rate) {
-  return old_rate > 0.0 ? new_rate / old_rate : new_rate > 0.0 ? 0.0 : 1.0;
-}
-
 }  // namespace
 
 BenchDiffReport bench_diff(const std::vector<BenchReport>& old_reports,
@@ -253,10 +265,8 @@ BenchDiffReport bench_diff(const std::vector<BenchReport>& old_reports,
                                             : 1.0;
     row.old_events_per_s = old.events_per_s;
     row.new_events_per_s = e.events_per_s;
-    row.events_ratio = rate_ratio(old.events_per_s, e.events_per_s);
     row.old_msgs_per_s = old.msgs_per_s;
     row.new_msgs_per_s = e.msgs_per_s;
-    row.msgs_ratio = rate_ratio(old.msgs_per_s, e.msgs_per_s);
     row.old_rss_per_member_b = old.rss_per_member_b;
     row.new_rss_per_member_b = e.rss_per_member_b;
     row.old_instances_per_s = old.instances_per_s;

@@ -61,8 +61,7 @@ struct BenchReport {
 /// One compared case, each side scored by its minimum wall over that
 /// side's reports: noise only ever adds time, so the minimum estimates the
 /// cost. ratio = new/old, so > 1 is a regression for wall_s. Throughput
-/// ratios run the other way (> 1 is an improvement); they are reported for
-/// context but only the wall ratio gates.
+/// changes are rendered for context; only the wall ratio gates.
 struct BenchDiffRow {
   std::string name;
   double old_wall_s = 0.0;
@@ -70,10 +69,8 @@ struct BenchDiffRow {
   double wall_ratio = 1.0;
   double old_events_per_s = 0.0;
   double new_events_per_s = 0.0;
-  double events_ratio = 1.0;  ///< new/old events/s (0 when old was 0)
   double old_msgs_per_s = 0.0;
   double new_msgs_per_s = 0.0;
-  double msgs_ratio = 1.0;  ///< new/old msgs/s (0 when old was 0)
   double old_rss_per_member_b = 0.0;  ///< informational, never gates
   double new_rss_per_member_b = 0.0;
   double old_instances_per_s = 0.0;  ///< informational, never gates

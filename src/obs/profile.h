@@ -1,118 +1,154 @@
-// Scoped profiling timers for the simulation hot paths.
+// Exclusive per-layer profiling for a simulated run (`--profile`).
 //
-// Deliberately a leaf utility (depends only on the standard library) so the
-// sim/net layers can include it without a layering cycle through obs.
+// A leaf utility (standard library and the TSC intrinsic), so the sim, net
+// and protocols layers can include it without a cycle through obs. A
+// LayerClock installed on the thread (a thread-local pointer, null unless
+// profiling is on) tracks the current layer. A LayerScope at a seam reads
+// the clock on entry and on exit, and each read charges the time since the
+// previous read to the layer that was current. So every tick of the window
+// lands in exactly one layer, and the layers sum to the window by
+// construction. With no clock installed a scope is one thread-local load
+// and a branch.
 //
-// Model: a ProfileCollector is installed per run on the executing thread
-// (thread_local current pointer). GRIDBOX_PROFILE_SCOPE(name) at a hot-path
-// entry reads that pointer; when none is installed — the default — the cost
-// is one thread-local load and a branch, no clock reads. When installed, the
-// scope records count and elapsed nanoseconds into the collector, keyed by
-// the (static) section name. Each run's collector is snapshotted into its
-// RunResult and the sweep reducer merges snapshots in slot order, so the
-// *structure* of the merged profile (section names, counts) is deterministic
-// at any --jobs; elapsed times are wall-clock measurements and are reported,
-// like wall_s, as throughput telemetry rather than replayable output.
+// A layer's count is the number of times control crossed into it (a scope
+// for the current layer is free and uncounted). Counts are a pure function
+// of (config, seed) and merge identically at any --jobs; self times are
+// wall-clock, like wall_s.
 #pragma once
 
+#include <array>
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
-#include <map>
 #include <string>
+
+#if defined(__x86_64__) || defined(__i386__)
+#include <x86intrin.h>
+#endif
 
 namespace gridbox::obs {
 
-struct ProfileEntry {
-  std::uint64_t count = 0;
-  std::uint64_t total_ns = 0;
+enum class Layer : std::uint8_t {
+  kRunner,          ///< setup, final check and measure
+  kSimLoop,         ///< event queue and dispatch
+  kProtocolsRound,  ///< timer and action events: round logic
+  kProtocolsRecv,   ///< frame deliveries: decode and merge
+  kCodecEncode,     ///< building gossip frames
+  kNetSend,         ///< fault model, latency draw and enqueue
+  kProtocolsCheck,  ///< the run invariant checker's hooks
+  kObs,             ///< observer hooks and telemetry sampling
 };
 
-/// Per-section totals, detached from the collector. Name-ordered.
+inline constexpr std::size_t kLayerCount = 8;
+
+/// Output names, indexed by Layer.
+inline constexpr std::array<const char*, kLayerCount> kLayerNames = {
+    "runner",       "sim.loop", "protocols.round", "protocols.recv",
+    "codec.encode", "net.send", "protocols.check", "obs"};
+
+struct ProfileEntry {
+  std::uint64_t count = 0;
+  std::uint64_t self_ns = 0;
+};
+
+/// Per-layer totals: the unit the sweep merges and the CLI and manifest
+/// print. Empty unless the run was profiled.
 struct ProfileSnapshot {
-  std::map<std::string, ProfileEntry> sections;
+  std::array<ProfileEntry, kLayerCount> layers{};
 
-  [[nodiscard]] bool empty() const { return sections.empty(); }
-
-  /// Adds counts and times section-wise (associative).
-  void merge(const ProfileSnapshot& other);
-
-  /// {"name":{"count":N,"total_ns":T},...}
+  [[nodiscard]] const ProfileEntry& at(Layer layer) const {
+    return layers[static_cast<std::size_t>(layer)];
+  }
+  /// A profiled run always opens the runner layer.
+  [[nodiscard]] bool empty() const { return at(Layer::kRunner).count == 0; }
+  [[nodiscard]] std::uint64_t total_ns() const;  ///< the profiled window
+  void merge(const ProfileSnapshot& other);      ///< layer-wise sums
+  /// {"runner":{"count":N,"self_ns":T},...} in table order.
   [[nodiscard]] std::string to_json() const;
 };
 
-/// One run's (one thread's) profile accumulator.
-class ProfileCollector {
+class LayerClock;
+
+namespace detail {
+inline thread_local LayerClock* t_layer_clock = nullptr;
+}  // namespace detail
+
+/// One thread's profiling window. Construction installs the clock on this
+/// thread and opens the `runner` layer; destruction restores the clock
+/// installed before.
+class LayerClock {
  public:
-  ProfileCollector() = default;
-  ProfileCollector(const ProfileCollector&) = delete;
-  ProfileCollector& operator=(const ProfileCollector&) = delete;
+  LayerClock();
+  ~LayerClock() { detail::t_layer_clock = previous_; }
+  LayerClock(const LayerClock&) = delete;
+  LayerClock& operator=(const LayerClock&) = delete;
 
-  /// The collector scoped timers on this thread record into (may be null).
-  [[nodiscard]] static ProfileCollector* current();
+  [[nodiscard]] static LayerClock* current() { return detail::t_layer_clock; }
 
-  void record(const char* section, std::uint64_t ns);
-  [[nodiscard]] ProfileSnapshot snapshot() const;
-
- private:
-  friend class ProfileInstallGuard;
-  // Keyed by the section-name pointer: scope names are string literals, so
-  // within one translation unit pointer identity is name identity and the
-  // hot-path lookup avoids string hashing. The same literal in different
-  // TUs can land at different addresses (no string pooling guarantee), so
-  // snapshot() re-keys by *content* and merges entries whose names collide —
-  // keying output by pointer would split identical sections into duplicate
-  // rows with address-dependent order.
-  std::map<const char*, ProfileEntry> entries_;
-};
-
-/// Installs `collector` as the thread's current collector for its lifetime
-/// (restores the previous one on destruction). Null is allowed: profiling
-/// stays off and scopes stay free.
-class ProfileInstallGuard {
- public:
-  explicit ProfileInstallGuard(ProfileCollector* collector);
-  ~ProfileInstallGuard();
-  ProfileInstallGuard(const ProfileInstallGuard&) = delete;
-  ProfileInstallGuard& operator=(const ProfileInstallGuard&) = delete;
-
- private:
-  ProfileCollector* previous_;
-};
-
-/// Times one lexical scope into the thread's current collector, if any.
-/// `section` must be a string literal (or otherwise outlive the collector).
-class ScopedTimer {
- public:
-  explicit ScopedTimer(const char* section)
-      : collector_(ProfileCollector::current()), section_(section) {
-    if (collector_ != nullptr) {
-      start_ = std::chrono::steady_clock::now();
+  /// Makes `layer` current; returns the layer it interrupts.
+  Layer enter(Layer layer) {
+    const Layer outer = current_;
+    if (layer != outer) {
+      charge();
+      current_ = layer;
+      ++count_[static_cast<std::size_t>(layer)];
+    }
+    return outer;
+  }
+  /// Returns to `outer`, the layer the matching enter() returned.
+  void leave(Layer outer) {
+    if (outer != current_) {
+      charge();
+      current_ = outer;
     }
   }
-  ~ScopedTimer() {
-    if (collector_ != nullptr) {
-      const auto elapsed = std::chrono::steady_clock::now() - start_;
-      collector_->record(
-          section_,
-          static_cast<std::uint64_t>(
-              std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed)
-                  .count()));
-    }
-  }
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
+
+  /// Closes the window here; the self times sum exactly to window_ns().
+  [[nodiscard]] ProfileSnapshot snapshot();
+  /// Wall nanoseconds from construction to the last snapshot().
+  [[nodiscard]] std::uint64_t window_ns() const { return window_ns_; }
 
  private:
-  ProfileCollector* collector_;
-  const char* section_;
+  /// The TSC where there is one (half the cost of a steady_clock read).
+  static std::uint64_t ticks() {
+#if defined(__x86_64__) || defined(__i386__)
+    return __rdtsc();
+#else
+    return static_cast<std::uint64_t>(
+        std::chrono::steady_clock::now().time_since_epoch().count());
+#endif
+  }
+  void charge() {
+    const std::uint64_t now = ticks();
+    self_ticks_[static_cast<std::size_t>(current_)] += now - mark_;
+    mark_ = now;
+  }
+
+  LayerClock* previous_;
+  Layer current_ = Layer::kRunner;
+  std::uint64_t mark_;
+  std::uint64_t start_ticks_;
   std::chrono::steady_clock::time_point start_;
+  std::uint64_t window_ns_ = 0;
+  std::array<std::uint64_t, kLayerCount> self_ticks_{};
+  std::array<std::uint64_t, kLayerCount> count_{};
+};
+
+/// Charges the enclosing scope to `layer` on this thread's clock, if any.
+class LayerScope {
+ public:
+  explicit LayerScope(Layer layer) : clock_(LayerClock::current()) {
+    if (clock_ != nullptr) outer_ = clock_->enter(layer);
+  }
+  ~LayerScope() {
+    if (clock_ != nullptr) clock_->leave(outer_);
+  }
+  LayerScope(const LayerScope&) = delete;
+  LayerScope& operator=(const LayerScope&) = delete;
+
+ private:
+  LayerClock* clock_;
+  Layer outer_ = Layer::kRunner;
 };
 
 }  // namespace gridbox::obs
-
-#define GRIDBOX_PROFILE_CONCAT2(a, b) a##b
-#define GRIDBOX_PROFILE_CONCAT(a, b) GRIDBOX_PROFILE_CONCAT2(a, b)
-/// Times the enclosing scope under `name` (a string literal).
-#define GRIDBOX_PROFILE_SCOPE(name)                       \
-  ::gridbox::obs::ScopedTimer GRIDBOX_PROFILE_CONCAT(     \
-      gridbox_profile_scope_, __LINE__)(name)

@@ -6,6 +6,7 @@
 #include "src/obs/curves.h"
 #include "src/obs/flight_recorder.h"
 #include "src/obs/lineage.h"
+#include "src/obs/profile.h"
 
 namespace gridbox::obs {
 
@@ -24,16 +25,24 @@ const char* how_name(protocols::gossip::PhaseEnd how) {
   return "?";
 }
 
-/// Message-shaped flight event.
-FlightRecorder::Event flight_msg(FlightRecorder::EventKind kind,
-                                 const net::Message& message, SimTime t) {
-  FlightRecorder::Event e;
-  e.at = t;
-  e.kind = kind;
-  e.a = message.source.value();
-  e.b = message.destination.value();
-  e.value = static_cast<std::uint32_t>(message.frame.size());
-  return e;
+/// A network hook's trace line and message-shaped flight event.
+void message_event(const RunObserver::Options& options, const char* name,
+                   FlightRecorder::EventKind kind, const net::Message& message,
+                   SimTime t) {
+  const LayerScope layer(Layer::kObs);
+  if (options.sink != nullptr) {
+    options.sink->message_event(name, t, message.source, message.destination,
+                                message.frame.size());
+  }
+  if (options.flight != nullptr) {
+    FlightRecorder::Event e;
+    e.at = t;
+    e.kind = kind;
+    e.a = message.source.value();
+    e.b = message.destination.value();
+    e.value = static_cast<std::uint32_t>(message.frame.size());
+    options.flight->record(e);
+  }
 }
 
 }  // namespace
@@ -76,83 +85,43 @@ MetricsSnapshot RunObserver::metrics(const net::NetworkStats& network) const {
 }
 
 void RunObserver::on_send(const net::Message& message, SimTime t) {
+  const LayerScope layer(Layer::kObs);
   const std::size_t phase =
       message.source.value() < member_phase_.size()
           ? member_phase_[message.source.value()]
           : 0;
   timeline_.at_phase(phase).msgs_sent += 1;
-  if (options_.sink != nullptr) {
-    options_.sink->message_event("send", t, message.source,
-                                 message.destination,
-                                 message.frame.size());
-  }
-  if (options_.flight != nullptr) {
-    options_.flight->record(
-        flight_msg(FlightRecorder::EventKind::kSend, message, t));
-  }
+  message_event(options_, "send", FlightRecorder::EventKind::kSend, message,
+                t);
 }
 
 void RunObserver::on_drop(const net::Message& message, SimTime t) {
-  if (options_.sink != nullptr) {
-    options_.sink->message_event("drop", t, message.source,
-                                 message.destination,
-                                 message.frame.size());
-  }
-  if (options_.flight != nullptr) {
-    options_.flight->record(
-        flight_msg(FlightRecorder::EventKind::kDrop, message, t));
-  }
+  message_event(options_, "drop", FlightRecorder::EventKind::kDrop, message,
+                t);
 }
 
 void RunObserver::on_duplicate(const net::Message& message, SimTime t) {
-  if (options_.sink != nullptr) {
-    options_.sink->message_event("dup", t, message.source,
-                                 message.destination,
-                                 message.frame.size());
-  }
-  if (options_.flight != nullptr) {
-    options_.flight->record(
-        flight_msg(FlightRecorder::EventKind::kDuplicate, message, t));
-  }
+  message_event(options_, "dup", FlightRecorder::EventKind::kDuplicate,
+                message, t);
 }
 
 void RunObserver::on_deliver(const net::Message& message, SimTime t) {
-  if (options_.sink != nullptr) {
-    options_.sink->message_event("recv", t, message.source,
-                                 message.destination,
-                                 message.frame.size());
-  }
-  if (options_.flight != nullptr) {
-    options_.flight->record(
-        flight_msg(FlightRecorder::EventKind::kDeliver, message, t));
-  }
+  message_event(options_, "recv", FlightRecorder::EventKind::kDeliver,
+                message, t);
 }
 
 void RunObserver::on_dead_destination(const net::Message& message, SimTime t) {
-  if (options_.sink != nullptr) {
-    options_.sink->message_event("dead", t, message.source,
-                                 message.destination,
-                                 message.frame.size());
-  }
-  if (options_.flight != nullptr) {
-    options_.flight->record(
-        flight_msg(FlightRecorder::EventKind::kDeadDest, message, t));
-  }
+  message_event(options_, "dead", FlightRecorder::EventKind::kDeadDest,
+                message, t);
 }
 
 void RunObserver::on_malformed(const net::Message& message, SimTime t) {
-  if (options_.sink != nullptr) {
-    options_.sink->message_event("malformed", t, message.source,
-                                 message.destination,
-                                 message.frame.size());
-  }
-  if (options_.flight != nullptr) {
-    options_.flight->record(
-        flight_msg(FlightRecorder::EventKind::kMalformed, message, t));
-  }
+  message_event(options_, "malformed", FlightRecorder::EventKind::kMalformed,
+                message, t);
 }
 
 void RunObserver::on_phase_entered(MemberId member, std::size_t phase) {
+  const LayerScope layer(Layer::kObs);
   if (options_.next != nullptr) options_.next->on_phase_entered(member, phase);
   if (member.value() < member_phase_.size()) {
     member_phase_[member.value()] = phase;
@@ -179,6 +148,7 @@ void RunObserver::on_phase_entered(MemberId member, std::size_t phase) {
 
 void RunObserver::on_round_gossiped(MemberId member, std::size_t phase,
                                     std::uint32_t fanout) {
+  const LayerScope layer(Layer::kObs);
   if (options_.next != nullptr) {
     options_.next->on_round_gossiped(member, phase, fanout);
   }
@@ -204,6 +174,7 @@ void RunObserver::on_round_gossiped(MemberId member, std::size_t phase,
 
 void RunObserver::on_value_learned(MemberId member, std::size_t phase,
                                    std::uint32_t index) {
+  const LayerScope layer(Layer::kObs);
   if (options_.next != nullptr) {
     options_.next->on_value_learned(member, phase, index);
   }
@@ -218,6 +189,7 @@ void RunObserver::on_knowledge_gained(MemberId member, std::size_t phase,
                                       std::uint32_t index, MemberId from,
                                       std::uint32_t votes,
                                       protocols::gossip::GainKind kind) {
+  const LayerScope layer(Layer::kObs);
   if (options_.next != nullptr) {
     options_.next->on_knowledge_gained(member, phase, index, from, votes,
                                        kind);
@@ -253,6 +225,7 @@ void RunObserver::on_knowledge_gained(MemberId member, std::size_t phase,
 void RunObserver::on_phase_concluded(MemberId member, std::size_t phase,
                                      protocols::gossip::PhaseEnd how,
                                      std::uint32_t votes) {
+  const LayerScope layer(Layer::kObs);
   if (options_.next != nullptr) {
     options_.next->on_phase_concluded(member, phase, how, votes);
   }
@@ -282,6 +255,7 @@ void RunObserver::on_phase_concluded(MemberId member, std::size_t phase,
 }
 
 void RunObserver::on_finished(MemberId member, std::uint32_t votes) {
+  const LayerScope layer(Layer::kObs);
   if (options_.next != nullptr) options_.next->on_finished(member, votes);
   ++finishes_;
   if (options_.sink != nullptr) {
@@ -302,6 +276,7 @@ void RunObserver::on_finished(MemberId member, std::uint32_t votes) {
 }
 
 void RunObserver::on_crash(MemberId member) {
+  const LayerScope layer(Layer::kObs);
   ++crashes_;
   if (options_.sink != nullptr) {
     options_.sink->member_event("crash", now(), member);

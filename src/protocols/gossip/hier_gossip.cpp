@@ -31,7 +31,7 @@ constexpr std::size_t kChildEntryBytes =
 
 net::Frame HierGossipNode::encode_votes(
     std::uint64_t group_prefix, const std::vector<VoteEntry>& entries) {
-  GRIDBOX_PROFILE_SCOPE("codec.encode");
+  const obs::LayerScope layer(obs::Layer::kCodecEncode);
   agg::ByteWriter w;
   w.u8(kVoteGossip);
   w.u8(1);  // phase
@@ -48,7 +48,7 @@ net::Frame HierGossipNode::encode_votes(
 net::Frame HierGossipNode::encode_children(
     std::uint8_t phase, std::uint64_t group_prefix,
     const std::vector<ChildEntry>& entries) {
-  GRIDBOX_PROFILE_SCOPE("codec.encode");
+  const obs::LayerScope layer(obs::Layer::kCodecEncode);
   agg::ByteWriter w;
   w.u8(kChildGossip);
   w.u8(phase);
@@ -194,7 +194,6 @@ bool HierGossipNode::on_round() {
   }
   if (finished()) return false;
 
-  GRIDBOX_PROFILE_SCOPE("gossip.round");
   count_round();
   ++rounds_in_phase_;
 
@@ -317,7 +316,6 @@ HierGossipNode::Candidate HierGossipNode::pick_value_to_send() {
 
 void HierGossipNode::on_message(const net::Message& message) {
   if (finished() || !alive()) return;
-  GRIDBOX_PROFILE_SCOPE("codec.decode");
   agg::ByteReader r(message.frame);
   const std::uint8_t type = r.u8();
   const std::size_t msg_phase = r.u8();

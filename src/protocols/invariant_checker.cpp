@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "src/common/ensure.h"
+#include "src/obs/profile.h"
 
 namespace gridbox::protocols {
 
@@ -66,6 +67,7 @@ void InvariantChecker::violate(MemberId member, std::size_t phase,
 }
 
 void InvariantChecker::on_phase_entered(MemberId member, std::size_t phase) {
+  const obs::LayerScope layer(obs::Layer::kProtocolsCheck);
   if (config_.next != nullptr) config_.next->on_phase_entered(member, phase);
   MemberState& s = state_of(member);
   check_deadline(member, phase, "phase entered");
@@ -90,6 +92,7 @@ void InvariantChecker::on_phase_entered(MemberId member, std::size_t phase) {
 
 void InvariantChecker::on_round_gossiped(MemberId member, std::size_t phase,
                                          std::uint32_t fanout) {
+  const obs::LayerScope layer(obs::Layer::kProtocolsCheck);
   if (config_.next != nullptr) {
     config_.next->on_round_gossiped(member, phase, fanout);
   }
@@ -106,6 +109,7 @@ void InvariantChecker::on_round_gossiped(MemberId member, std::size_t phase,
 
 void InvariantChecker::on_value_learned(MemberId member, std::size_t phase,
                                         std::uint32_t index) {
+  const obs::LayerScope layer(obs::Layer::kProtocolsCheck);
   if (config_.next != nullptr) {
     config_.next->on_value_learned(member, phase, index);
   }
@@ -116,6 +120,7 @@ void InvariantChecker::on_knowledge_gained(MemberId member, std::size_t phase,
                                            std::uint32_t index, MemberId from,
                                            std::uint32_t votes,
                                            gossip::GainKind kind) {
+  const obs::LayerScope layer(obs::Layer::kProtocolsCheck);
   if (config_.next != nullptr) {
     config_.next->on_knowledge_gained(member, phase, index, from, votes, kind);
   }
@@ -162,6 +167,7 @@ void InvariantChecker::check_learn(MemberId member, std::size_t phase,
 void InvariantChecker::on_phase_concluded(MemberId member, std::size_t phase,
                                           gossip::PhaseEnd how,
                                           std::uint32_t votes) {
+  const obs::LayerScope layer(obs::Layer::kProtocolsCheck);
   if (config_.next != nullptr) {
     config_.next->on_phase_concluded(member, phase, how, votes);
   }
@@ -209,6 +215,7 @@ void InvariantChecker::on_phase_concluded(MemberId member, std::size_t phase,
 }
 
 void InvariantChecker::on_finished(MemberId member, std::uint32_t votes) {
+  const obs::LayerScope layer(obs::Layer::kProtocolsCheck);
   if (config_.next != nullptr) config_.next->on_finished(member, votes);
   MemberState& s = state_of(member);
   check_deadline(member, s.last_concluded, "termination");

@@ -11,6 +11,7 @@
 #include <map>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "src/common/ensure.h"
@@ -284,9 +285,10 @@ observability
   --flight-recorder PATH arm a bounded in-memory event ring per run; when a
                          run dies on an invariant violation, dump config +
                          chaos spec + event tail to PATH for replay
-  --profile              time hot paths (sim.run / net.send / gossip.round /
-                         codec.encode / codec.decode / queue.pop) and print
-                         the aggregate after the summary
+  --profile              exclusive time per layer (runner / sim.loop /
+                         protocols.round / protocols.recv / codec.encode /
+                         net.send / protocols.check / obs), summing to the
+                         run; printed after the summary
   --telemetry-out PATH   stream gridbox-telemetry/1 JSONL health samples
                          (per-lane counters + log2 histograms; view live
                          with gridbox_top --file PATH)
@@ -426,6 +428,27 @@ CliParseResult parse_cli(const std::vector<std::string>& args) {
       (void)p.fail(
           "--instances: the service differential lives in gridbox_node "
           "--instances --differential");
+    }
+  }
+  // Output flags a mode would accept and then never write.
+  if (p.error.empty() && (options.instances > 0 || options.differential)) {
+    const bool diff = options.differential;
+    const std::pair<const char*, bool> outputs[] = {
+        {"--profile", config.profile},
+        {"--metrics", options.metrics},
+        {"--trace-out", !options.trace_out.empty()},
+        {"--run-manifest", !options.manifest_path.empty()},
+        {"--curves-out", !options.curves_out.empty()},
+        {"--flight-recorder", !options.flight_out.empty()},
+        {"--lineage", diff && !options.lineage_out.empty()},
+        {"--csv", diff && !options.csv_path.empty()},
+    };
+    for (const auto& [flag, set] : outputs) {
+      if (set) {
+        (void)p.fail(std::string(flag) + ": not written in " +
+                     (diff ? "--differential" : "--instances") + " mode");
+        break;
+      }
     }
   }
   if (!p.error.empty()) return CliParseResult{std::nullopt, p.error};

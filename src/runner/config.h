@@ -123,8 +123,8 @@ struct ExperimentConfig {
   /// above: excluded from config_canonical_text, never affects results.
   obs::TelemetryConfig telemetry;
 
-  /// Aggregate hot-path scoped timers for this run (RunResult::profile).
-  /// Wall-clock telemetry: counts are deterministic, elapsed times are not.
+  /// Exclusive time per layer for this run (RunResult::profile; layers in
+  /// obs/profile.h). Counts are deterministic, self times are not.
   bool profile = false;
 
   /// Chaos spec text (see docs/chaos.md); empty = no chaos. Parsed once per

@@ -28,26 +28,38 @@ namespace gridbox::runner {
 
 namespace {
 
-/// Members per phase group at `phase`, as (group key, member count) pairs.
-/// One sort + run-length pass instead of a hash map: this runs inside the
+/// One occupied phase group: its members, and (phase >= 2) how many of its
+/// K child slots hold at least one member.
+struct PhaseGroup {
+  std::uint64_t members = 0;
+  std::uint64_t children = 0;
+};
+
+/// The occupied phase groups at `phase`. One sort + run-length pass over
+/// (group, child slot) pairs instead of a hash map: this runs inside the
 /// instrumented window when curves are armed, so it stays cheap.
-[[nodiscard]] std::vector<std::pair<std::uint64_t, std::uint64_t>>
-group_sizes_at(const hierarchy::GridBoxHierarchy& hier,
-               const membership::Group& group, std::size_t phase) {
-  std::vector<std::uint64_t> keys;
+[[nodiscard]] std::vector<PhaseGroup> phase_groups_at(
+    const hierarchy::GridBoxHierarchy& hier, const membership::Group& group,
+    std::size_t phase) {
+  std::vector<std::pair<std::uint64_t, std::uint32_t>> keys;
   keys.reserve(group.members().size());
   for (const MemberId m : group.members()) {
-    keys.push_back(hier.phase_group(m, phase));
+    keys.emplace_back(hier.phase_group(m, phase),
+                      phase >= 2 ? hier.child_slot(m, phase) : 0);
   }
   std::sort(keys.begin(), keys.end());
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> sizes;
+  std::vector<PhaseGroup> groups;
   for (std::size_t i = 0; i < keys.size();) {
+    PhaseGroup g;
     std::size_t j = i;
-    while (j < keys.size() && keys[j] == keys[i]) ++j;
-    sizes.emplace_back(keys[i], j - i);
+    for (; j < keys.size() && keys[j].first == keys[i].first; ++j) {
+      if (j == i || keys[j].second != keys[j - 1].second) ++g.children;
+    }
+    g.members = j - i;
+    groups.push_back(g);
     i = j;
   }
-  return sizes;
+  return groups;
 }
 
 /// Protocol-aware curve setup: the denominators are the maximum number of
@@ -69,14 +81,15 @@ void configure_curves(obs::CurveRecorder& curves,
   switch (config.protocol) {
     case ProtocolKind::kHierGossip: {
       // Phase 1: each of the |g| members of a box can learn all |g| votes.
-      // Phase i >= 2: each member holds up to K child-slot aggregates.
-      std::uint64_t d1 = 0;
-      for (const auto& [key, size] : group_sizes_at(hier, group, 1)) {
-        (void)key;
-        d1 += size * size;
+      // Phase i >= 2: each member can hold one aggregate per child slot
+      // whose subtree is not empty.
+      for (std::size_t p = 1; p <= phases; ++p) {
+        std::uint64_t d = 0;
+        for (const PhaseGroup& g : phase_groups_at(hier, group, p)) {
+          d += g.members * (p == 1 ? g.members : g.children);
+        }
+        denoms.push_back(d);
       }
-      denoms.push_back(d1);
-      for (std::size_t p = 2; p <= phases; ++p) denoms.push_back(n * k);
       break;
     }
     case ProtocolKind::kFullyDistributed:
@@ -97,22 +110,26 @@ void configure_curves(obs::CurveRecorder& curves,
       // |b|-1 other votes of its box.
       std::uint64_t d1 = n;
       std::uint64_t prev_committee = 0;
-      for (const auto& [key, size] : group_sizes_at(hier, group, 1)) {
-        (void)key;
-        const std::uint64_t t = std::min<std::uint64_t>(committee_size, size);
-        d1 += t * (size - 1);
+      for (const PhaseGroup& g : phase_groups_at(hier, group, 1)) {
+        const std::uint64_t t =
+            std::min<std::uint64_t>(committee_size, g.members);
+        d1 += t * (g.members - 1);
         prev_committee += t;
       }
       denoms.push_back(d1);
       // Level p >= 2: level p-1 committee members export their partial (one
-      // kLocal each) and level-p committee members fill up to K child slots.
+      // kLocal each) and level-p committee members fill one slot per
+      // non-empty child subtree.
       for (std::size_t p = 2; p <= phases; ++p) {
         std::uint64_t level_committee = 0;
-        for (const auto& [key, size] : group_sizes_at(hier, group, p)) {
-          (void)key;
-          level_committee += std::min<std::uint64_t>(committee_size, size);
+        std::uint64_t slots = 0;
+        for (const PhaseGroup& g : phase_groups_at(hier, group, p)) {
+          const std::uint64_t t =
+              std::min<std::uint64_t>(committee_size, g.members);
+          level_committee += t;
+          slots += t * g.children;
         }
-        denoms.push_back(prev_committee + level_committee * k);
+        denoms.push_back(prev_committee + slots);
         prev_committee = level_committee;
       }
       result_denom = n;
@@ -133,7 +150,7 @@ void configure_curves(obs::CurveRecorder& curves,
     // v_1 = m_1 = mean occupied-box population, v_i = K child aggregates for
     // i >= 2 while m_i grows by K per level. b is per value in flight.
     for (std::size_t p = 1; p <= phases; ++p) {
-      const auto sizes = group_sizes_at(hier, group, p);
+      const auto sizes = phase_groups_at(hier, group, p);
       const double m =
           sizes.empty() ? 1.0
                         : static_cast<double>(n) /
@@ -154,9 +171,9 @@ void configure_curves(obs::CurveRecorder& curves,
   }
 }
 
-}  // namespace
-
-RunResult run_experiment(const ExperimentConfig& config) {
+/// One run on the calling thread. Its scopes charge whatever LayerClock is
+/// installed here; run_experiment installs one when profiling is on.
+RunResult simulate(const ExperimentConfig& config) {
   const Rng root(config.seed);
   World world(config, root);
   membership::Group& group = world.group;
@@ -199,13 +216,6 @@ RunResult run_experiment(const ExperimentConfig& config) {
     config.curves->set_clock(&simulator);
     configure_curves(*config.curves, config, hier, group);
   }
-
-  // Hot-path profiling: thread-local collector installed for the run only.
-  // Allocated on demand so an unprofiled run never constructs the registry
-  // (tests assert exactly that).
-  std::unique_ptr<obs::ProfileCollector> profiler;
-  if (config.profile) profiler = std::make_unique<obs::ProfileCollector>();
-  obs::ProfileInstallGuard profile_guard(profiler.get());
 
   net::schedule_chaos_crashes(chaos, simulator,
                               [&group](MemberId m) { group.crash(m); });
@@ -276,8 +286,11 @@ RunResult run_experiment(const ExperimentConfig& config) {
 
   std::uint64_t executed = 0;
   if (tel_sampler != nullptr) {
+    // The slices are one pass of the loop, so sim.loop is entered once.
+    const obs::LayerScope loop(obs::Layer::kSimLoop);
     while (!simulator.idle()) {
       executed += simulator.run_until(simulator.now() + tel_sampler->interval());
+      const obs::LayerScope sampling(obs::Layer::kObs);
       tel_sampler->sample(simulator.now());
     }
   } else {
@@ -311,7 +324,6 @@ RunResult run_experiment(const ExperimentConfig& config) {
     };
   }
   if (observer != nullptr) result.timeline = observer->timeline();
-  if (profiler != nullptr) result.profile = profiler->snapshot();
   // The run clock dies with this frame; detach it so the caller-owned
   // trackers cannot dangle.
   if (config.lineage != nullptr) config.lineage->set_clock(nullptr);
@@ -327,6 +339,18 @@ RunResult run_experiment(const ExperimentConfig& config) {
         static_cast<double>(config.gossip.rounds_per_phase(config.group_size)),
         config.gossip.k, config.group_size);
   }
+  return result;
+}
+
+}  // namespace
+
+RunResult run_experiment(const ExperimentConfig& config) {
+  if (!config.profile) return simulate(config);
+  // The clock's window is the whole run, teardown included: its runner
+  // layer is the root scope every other layer nests in.
+  obs::LayerClock clock;
+  RunResult result = simulate(config);
+  result.profile = clock.snapshot();
   return result;
 }
 

@@ -48,7 +48,7 @@ struct SweepResult {
   /// snapshot is bitwise-identical at any jobs value.
   obs::MetricsSnapshot metrics;
 
-  /// Hot-path profiles merged across runs (counts deterministic, elapsed
+  /// Per-layer profiles merged across runs (counts deterministic, self
   /// times wall-clock). Empty unless profiling was on.
   obs::ProfileSnapshot profile;
 };

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "src/common/ensure.h"
-#include "src/obs/profile.h"
 
 namespace gridbox::sim {
 
@@ -37,7 +36,6 @@ void EventQueue::push(SimTime time, EventWork work) {
 }
 
 Event EventQueue::pop() {
-  GRIDBOX_PROFILE_SCOPE("queue.pop");
   expects(!heap_.empty(), "pop on empty event queue");
   std::pop_heap(heap_.begin(), heap_.end(), Later{});
   const std::uint32_t slot = heap_.back().slot;

@@ -60,7 +60,7 @@ void Simulator::schedule_timer_at(SimTime time, TimerTarget& target,
 }
 
 std::uint64_t Simulator::run() {
-  GRIDBOX_PROFILE_SCOPE("sim.run");
+  const obs::LayerScope layer(obs::Layer::kSimLoop);
   std::uint64_t count = 0;
   while (step()) {
     ++count;
@@ -74,6 +74,7 @@ std::uint64_t Simulator::run() {
 }
 
 std::uint64_t Simulator::run_until(SimTime deadline) {
+  const obs::LayerScope layer(obs::Layer::kSimLoop);
   std::uint64_t count = 0;
   while (!queue_.empty() && queue_.next_time() <= deadline) {
     (void)step();
@@ -97,15 +98,19 @@ bool Simulator::step() {
 }
 
 void Simulator::execute(Event& event) {
+  // Each handler runs in its protocol layer (--profile); the queue work
+  // around it stays in sim.loop.
   if (auto* action = std::get_if<Action>(&event.work)) {
     if (telemetry_ != nullptr) {
       telemetry_->actions_run.fetch_add(1, std::memory_order_relaxed);
     }
+    const obs::LayerScope layer(obs::Layer::kProtocolsRound);
     (*action)();
   } else if (auto* deliver = std::get_if<DeliverFrame>(&event.work)) {
     if (telemetry_ != nullptr) {
       telemetry_->frames_delivered.fetch_add(1, std::memory_order_relaxed);
     }
+    const obs::LayerScope layer(obs::Layer::kProtocolsRecv);
     deliver->sink->deliver_frame(deliver->message);
   } else {
     // Mirror Repeater's ordering exactly: the tick runs first, then the next
@@ -114,7 +119,11 @@ void Simulator::execute(Event& event) {
     auto& timer = std::get<TimerFire>(event.work);
     // Virtual-clock fires are exactly on time: lateness 0 by construction.
     if (telemetry_ != nullptr) telemetry_->note_timer_fired(0);
-    const bool again = timer.target->on_timer(timer.timer_id);
+    bool again = false;
+    {
+      const obs::LayerScope layer(obs::Layer::kProtocolsRound);
+      again = timer.target->on_timer(timer.timer_id);
+    }
     if (again && timer.interval.ticks() > 0) {
       queue_.push(now_ + timer.interval, std::move(event.work));
     }

@@ -155,6 +155,43 @@ TEST(Cli, CsvPathIsCaptured) {
   EXPECT_EQ(must_parse({"--csv", "/tmp/out.csv"}).csv_path, "/tmp/out.csv");
 }
 
+TEST(Cli, RejectsOutputFlagsTheModeNeverWrites) {
+  struct Case {
+    std::vector<std::string> output;
+    bool service_writes;  ///< --instances honors it (lineage, csv)
+  };
+  const Case cases[] = {
+      {{"--profile"}, false},
+      {{"--metrics"}, false},
+      {{"--trace-out", "t.jsonl"}, false},
+      {{"--run-manifest", "run.json"}, false},
+      {{"--curves-out", "c.json"}, false},
+      {{"--flight-recorder", "f.txt"}, false},
+      {{"--lineage", "l.json"}, true},
+      {{"--csv", "o.csv"}, true},
+  };
+  for (const Case& c : cases) {
+    for (const std::vector<std::string>& mode :
+         {std::vector<std::string>{"--instances", "2"},
+          std::vector<std::string>{"--differential"}}) {
+      std::vector<std::string> args = mode;
+      args.insert(args.end(), c.output.begin(), c.output.end());
+      const CliParseResult result = parse_cli(args);
+      if (mode[0] == "--instances" && c.service_writes) {
+        EXPECT_TRUE(result.options.has_value())
+            << c.output[0] << ": " << result.error;
+        continue;
+      }
+      ASSERT_FALSE(result.options.has_value()) << mode[0] << " " << c.output[0];
+      EXPECT_NE(result.error.find(c.output[0]), std::string::npos)
+          << result.error;
+      EXPECT_NE(result.error.find(mode[0]), std::string::npos) << result.error;
+    }
+    // A plain run writes every one of them.
+    EXPECT_TRUE(parse_cli(c.output).options.has_value()) << c.output[0];
+  }
+}
+
 TEST(Cli, UsageMentionsEveryFlag) {
   const std::string usage = usage_text();
   for (const char* flag :

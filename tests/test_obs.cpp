@@ -271,13 +271,38 @@ TEST(BenchIo, DiffReportsThroughputDeltas) {
   ASSERT_EQ(diff.rows.size(), 1u);
   EXPECT_EQ(diff.rows[0].old_events_per_s, 1000.0);
   EXPECT_EQ(diff.rows[0].new_events_per_s, 1250.0);
-  EXPECT_NEAR(diff.rows[0].events_ratio, 1.25, 1e-9);
-  EXPECT_NEAR(diff.rows[0].msgs_ratio, 0.8, 1e-9);
   // Throughput changes inform but never gate: only wall time regresses.
   EXPECT_TRUE(diff.ok());
   const std::string table = diff.render();
   EXPECT_NE(table.find("+25.0%"), std::string::npos);
   EXPECT_NE(table.find("-20.0%"), std::string::npos);
+}
+
+TEST(BenchIo, RateOnlyOneSideReportsRendersNewOrGoneNotAPercentage) {
+  BenchReport old_report = sample_report();
+  BenchReport new_report = sample_report();
+  old_report.entries[0].events_per_s = 0.0;  // appears in the new build
+  new_report.entries[0].msgs_per_s = 0.0;    // disappears from it
+  const obs::BenchDiffReport diff =
+      obs::bench_diff({old_report}, {new_report}, 0.2);
+  ASSERT_EQ(diff.rows.size(), 1u);
+  EXPECT_TRUE(diff.ok());
+  // The case's row (the header also says "new").
+  const auto row_of = [](const std::string& table) {
+    const std::size_t at = table.find("\nhier_n200");
+    return at == std::string::npos
+               ? std::string()
+               : table.substr(at + 1, table.find('\n', at + 1) - at - 1);
+  };
+  const std::string row = row_of(diff.render());
+  EXPECT_NE(row.find("      new      gone"), std::string::npos) << row;
+  EXPECT_EQ(row.find('%'), std::string::npos) << row;
+
+  // The same pair the other way round: each rate flips direction.
+  const std::string reverse =
+      row_of(obs::bench_diff({new_report}, {old_report}, 0.2).render());
+  EXPECT_NE(reverse.find("     gone       new"), std::string::npos) << reverse;
+  EXPECT_EQ(reverse.find('%'), std::string::npos) << reverse;
 }
 
 TEST(BenchIo, DiffTracksDisappearedAndNewCases) {

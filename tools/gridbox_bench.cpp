@@ -23,11 +23,15 @@
 // usage: gridbox_bench [--suite micro|scale|chaos|service|all]
 //                      [--quick] [--repeats R] [--out DIR] [--jobs N]
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <functional>
+#include <limits>
+#include <optional>
 #include <string>
 #include <system_error>
 #include <vector>
@@ -310,102 +314,82 @@ BenchReport run_service(const BenchOptions& options, std::uint64_t repeats) {
 /// micro workload bare, with metrics + lineage armed, and with live
 /// telemetry sampling on (the two gated pairs) and fails when either
 /// instrumented time is more than `threshold_pct` percent slower;
-/// metrics-only and metrics+lineage+curves are reported alongside for
-/// context. Repeats interleave the variants so thermal drift and cache
-/// warmth hit all of them equally, and each variant is scored by its
-/// *minimum* wall time: scheduler noise only ever adds time, so the min
+/// metrics-only, metrics+lineage+curves and --profile are reported
+/// alongside for context. Repeats interleave the variants so thermal drift
+/// and cache warmth hit all of them equally, and each variant is scored by
+/// its *minimum* wall time: scheduler noise only ever adds time, so the min
 /// estimates the true cost and keeps a single-digit-percent gate stable on
 /// a ~10 ms workload.
 int run_obs_overhead(std::uint64_t repeats, double threshold_pct) {
   const ExperimentConfig base = paper_config();
-  ExperimentConfig instrumented = base;
-  instrumented.collect_metrics = true;
-
-  const auto timed_bare = [&] {
-    const auto start = std::chrono::steady_clock::now();
-    (void)gridbox::runner::run_experiment(base);
-    return elapsed_s(start);
-  };
-  const auto timed_metrics = [&] {
-    const auto start = std::chrono::steady_clock::now();
-    (void)gridbox::runner::run_experiment(instrumented);
-    return elapsed_s(start);
-  };
-  const auto timed_lineage = [&] {
-    gridbox::obs::LineageTracker::Options lopt;
-    lopt.group_size = instrumented.group_size;
-    gridbox::obs::LineageTracker lineage(lopt);
-    ExperimentConfig config = instrumented;
-    config.lineage = &lineage;
+  const auto timed = [](const ExperimentConfig& config) {
     const auto start = std::chrono::steady_clock::now();
     (void)gridbox::runner::run_experiment(config);
     return elapsed_s(start);
   };
-  const auto timed_full = [&] {
+  // Trackers are built per run, outside the timed window.
+  const auto timed_lineage = [&](bool with_curves) {
+    ExperimentConfig config = base;
+    config.collect_metrics = true;
     gridbox::obs::LineageTracker::Options lopt;
-    lopt.group_size = instrumented.group_size;
+    lopt.group_size = config.group_size;
     gridbox::obs::LineageTracker lineage(lopt);
-    gridbox::obs::CurveRecorder::Options copt;
-    copt.round_us =
-        static_cast<std::uint64_t>(instrumented.round_duration().ticks());
-    gridbox::obs::CurveRecorder curves(copt);
-    ExperimentConfig config = instrumented;
     config.lineage = &lineage;
-    config.curves = &curves;
-    const auto start = std::chrono::steady_clock::now();
-    (void)gridbox::runner::run_experiment(config);
-    return elapsed_s(start);
+    std::optional<gridbox::obs::CurveRecorder> curves;
+    if (with_curves) {
+      gridbox::obs::CurveRecorder::Options copt;
+      copt.round_us =
+          static_cast<std::uint64_t>(config.round_duration().ticks());
+      config.curves = &curves.emplace(copt);
+    }
+    return timed(config);
   };
-
   // Live telemetry on: the sampler streams JSONL into an in-memory sink at
   // the default cadence, so the measured cost is the hooks plus the
   // sampling, with no filesystem noise in the gate.
   const auto timed_telemetry = [&] {
-    ExperimentConfig config = base;
     std::string sink;
+    ExperimentConfig config = base;
     config.telemetry.enabled = true;
     config.telemetry.sink = &sink;
-    const auto start = std::chrono::steady_clock::now();
-    (void)gridbox::runner::run_experiment(config);
-    return elapsed_s(start);
+    return timed(config);
   };
+  ExperimentConfig metrics_config = base;
+  metrics_config.collect_metrics = true;
+  ExperimentConfig profile_config = base;
+  profile_config.profile = true;
 
-  // One untimed warm-up of each variant.
-  (void)timed_bare();
-  (void)timed_metrics();
-  (void)timed_lineage();
-  (void)timed_full();
-  (void)timed_telemetry();
-
-  std::vector<double> off_walls;
-  std::vector<double> metrics_walls;
-  std::vector<double> on_walls;
-  std::vector<double> full_walls;
-  std::vector<double> telemetry_walls;
-  for (std::uint64_t r = 0; r < repeats; ++r) {
-    off_walls.push_back(timed_bare());
-    metrics_walls.push_back(timed_metrics());
-    on_walls.push_back(timed_lineage());
-    full_walls.push_back(timed_full());
-    telemetry_walls.push_back(timed_telemetry());
+  // Variants in run order: bare, metrics, metrics+lineage, +curves,
+  // telemetry, --profile. Repeat 0 is an untimed warm-up.
+  const std::function<double()> variants[] = {
+      [&] { return timed(base); },
+      [&] { return timed(metrics_config); },
+      [&] { return timed_lineage(false); },
+      [&] { return timed_lineage(true); },
+      timed_telemetry,
+      [&] { return timed(profile_config); },
+  };
+  std::array<double, 6> best;
+  best.fill(std::numeric_limits<double>::infinity());
+  for (std::uint64_t r = 0; r <= repeats; ++r) {
+    for (std::size_t v = 0; v < best.size(); ++v) {
+      const double wall = variants[v]();
+      if (r > 0) best[v] = std::min(best[v], wall);
+    }
   }
-  const double off = *std::min_element(off_walls.begin(), off_walls.end());
-  const double metrics =
-      *std::min_element(metrics_walls.begin(), metrics_walls.end());
-  const double on = *std::min_element(on_walls.begin(), on_walls.end());
-  const double full = *std::min_element(full_walls.begin(), full_walls.end());
-  const double telemetry =
-      *std::min_element(telemetry_walls.begin(), telemetry_walls.end());
-  const double overhead_pct = off > 0.0 ? (on / off - 1.0) * 100.0 : 0.0;
-  const double full_pct = off > 0.0 ? (full / off - 1.0) * 100.0 : 0.0;
-  const double telemetry_pct = off > 0.0 ? (telemetry / off - 1.0) * 100.0
-                                         : 0.0;
+  const auto [off, metrics, on, full, telemetry, profile] = best;
+  const auto pct = [off](double wall) {
+    return off > 0.0 ? (wall / off - 1.0) * 100.0 : 0.0;
+  };
+  const double overhead_pct = pct(on);
+  const double telemetry_pct = pct(telemetry);
   std::printf(
       "obs-overhead: bare %.4f s, metrics %.4f s, metrics+lineage %.4f s, "
       "overhead %+.2f%% (threshold +%.1f%%); telemetry %.4f s (%+.2f%%, "
-      "gated); +curves %.4f s (%+.2f%%, informational)\n",
+      "gated); +curves %.4f s (%+.2f%%, informational); --profile %.4f s "
+      "(%+.2f%%, informational)\n",
       off, metrics, on, overhead_pct, threshold_pct, telemetry, telemetry_pct,
-      full, full_pct);
+      full, pct(full), profile, pct(profile));
   int failures = 0;
   if (overhead_pct > threshold_pct) {
     std::fprintf(stderr,
