@@ -39,24 +39,4 @@ bool PartitionLoss::drops(MemberId source, MemberId destination,
   return rng.bernoulli(crosses ? cross_loss_ : within_loss_);
 }
 
-LinkOverrideLoss::LinkOverrideLoss(std::unique_ptr<FaultModel> base)
-    : base_(std::move(base)) {
-  expects(base_ != nullptr, "base fault model required");
-}
-
-void LinkOverrideLoss::set_link(MemberId source, MemberId destination,
-                                double loss_probability) {
-  expects(loss_probability >= 0.0 && loss_probability <= 1.0,
-          "loss probability must be in [0,1]");
-  overrides_[LinkKey{source.value(), destination.value()}] = loss_probability;
-}
-
-bool LinkOverrideLoss::drops(MemberId source, MemberId destination,
-                             Rng& rng) const {
-  const auto it =
-      overrides_.find(LinkKey{source.value(), destination.value()});
-  if (it != overrides_.end()) return rng.bernoulli(it->second);
-  return base_->drops(source, destination, rng);
-}
-
 }  // namespace gridbox::net

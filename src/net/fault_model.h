@@ -9,7 +9,6 @@
 
 #include <functional>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -73,35 +72,6 @@ class PartitionLoss final : public FaultModel {
   std::function<int(MemberId)> side_of_;
   double within_loss_;
   double cross_loss_;
-};
-
-/// Per-link override on top of a base model; used by failure-injection tests
-/// to sever or degrade specific links deterministically.
-class LinkOverrideLoss final : public FaultModel {
- public:
-  explicit LinkOverrideLoss(std::unique_ptr<FaultModel> base);
-
-  /// Sets the loss probability of the directed link source -> destination.
-  void set_link(MemberId source, MemberId destination, double loss_probability);
-
-  [[nodiscard]] bool drops(MemberId source, MemberId destination,
-                           Rng& rng) const override;
-
- private:
-  struct LinkKey {
-    MemberId::underlying source;
-    MemberId::underlying destination;
-    friend bool operator==(const LinkKey&, const LinkKey&) = default;
-  };
-  struct LinkKeyHash {
-    std::size_t operator()(const LinkKey& k) const {
-      return std::hash<std::uint64_t>{}(
-          (static_cast<std::uint64_t>(k.source) << 32) | k.destination);
-    }
-  };
-
-  std::unique_ptr<FaultModel> base_;
-  std::unordered_map<LinkKey, double, LinkKeyHash> overrides_;
 };
 
 }  // namespace gridbox::net

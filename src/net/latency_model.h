@@ -59,9 +59,9 @@ class ExponentialLatency final : public LatencyModel {
 };
 
 /// Delay proportional to the Euclidean distance between member positions,
-/// plus a base: models multihop routing cost in a sensor field. Used by the
-/// topology-awareness ablation to show that a topologically aware hash keeps
-/// early protocol phases on short links (§6.1).
+/// plus a base: models multihop routing cost in a sensor field (the
+/// airplane_wing example, where a topologically aware hash keeps early
+/// protocol phases on short links, §6.1).
 class DistanceLatency final : public LatencyModel {
  public:
   /// `position_of` must return the member's coordinates; `per_unit` is the

@@ -52,7 +52,7 @@ void SimNetwork::send(Message message) {
     stats_.link_distance_sum +=
         distance_(message.source, message.destination);
   }
-  if (observer_ != nullptr) observer_->on_send(message, simulator_.now());
+  observe(obs::RunEventKind::kSend, message);
   // The drop decision happens before the latency draw, so a dropped message
   // consumes nothing from the latency stream — and the chaos pipeline uses
   // its own streams, so installing a no-loss chaos schedule leaves the
@@ -64,14 +64,14 @@ void SimNetwork::send(Message message) {
         chaos_->on_send(message.source, message.destination);
     if (decision.drop) {
       ++stats_.messages_dropped;
-      if (observer_ != nullptr) observer_->on_drop(message, simulator_.now());
+      observe(obs::RunEventKind::kDrop, message);
       return;
     }
     extra = decision.extra_delay;
     duplicates = std::move(decision.duplicate_delays);
   } else if (faults_->drops(message.source, message.destination, rng_)) {
     ++stats_.messages_dropped;
-    if (observer_ != nullptr) observer_->on_drop(message, simulator_.now());
+    observe(obs::RunEventKind::kDrop, message);
     return;
   }
   const SimTime delay =
@@ -86,9 +86,7 @@ void SimNetwork::send(Message message) {
     // A duplicate traverses the wire too: count its bytes exactly once, in
     // lockstep with the observability-layer bytes_on_wire counter.
     stats_.bytes_sent += message.frame.size();
-    if (observer_ != nullptr) {
-      observer_->on_duplicate(message, simulator_.now());
-    }
+    observe(obs::RunEventKind::kDuplicate, message);
     simulator_.schedule_frame_after(delay + offset, message, *this);
   }
 }
@@ -100,13 +98,11 @@ void SimNetwork::deliver_frame(const Message& message) {
   const bool alive = !is_alive_ || is_alive_(message.destination);
   if (endpoint == nullptr || !alive) {
     ++stats_.messages_dead_dest;
-    if (observer_ != nullptr) {
-      observer_->on_dead_destination(message, simulator_.now());
-    }
+    observe(obs::RunEventKind::kDeadDest, message);
     return;
   }
   ++stats_.messages_delivered;
-  if (observer_ != nullptr) observer_->on_deliver(message, simulator_.now());
+  observe(obs::RunEventKind::kDeliver, message);
   try {
     endpoint->on_message(message);
   } catch (const PreconditionError&) {
@@ -114,9 +110,7 @@ void SimNetwork::deliver_frame(const Message& message) {
     // failures surface as PreconditionError (ByteReader, Partial checks);
     // the message is counted and dropped, the node keeps running.
     ++stats_.messages_malformed;
-    if (observer_ != nullptr) {
-      observer_->on_malformed(message, simulator_.now());
-    }
+    observe(obs::RunEventKind::kMalformed, message);
   }
 }
 

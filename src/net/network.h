@@ -84,6 +84,12 @@ class SimNetwork final : public Transport, public sim::FrameSink {
   /// sim::FrameSink: called by the simulator when an in-flight message's
   /// delivery event comes due.
   void deliver_frame(const Message& message) override;
+  /// One transport decision to the observer, if any, at the current time.
+  void observe(obs::RunEventKind kind, const Message& message) {
+    if (observer_ != nullptr) {
+      observer_->on_message(kind, message, simulator_.now());
+    }
+  }
 
   sim::Simulator& simulator_;
   std::unique_ptr<FaultModel> faults_;

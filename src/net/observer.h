@@ -1,18 +1,20 @@
-// Transport-level observability hooks.
+// Transport-level observability hook.
 //
-// A NetworkObserver receives one callback per transport decision, in the
-// exact deterministic order the network makes them: accept (on_send), drop,
-// duplicate scheduling, and the three delivery outcomes. The hooks mirror
-// NetworkStats counters one-to-one, so an observer that counts events must
-// reconcile exactly with net::stats at the end of a run — the obs subsystem
-// tests that invariant to keep the two accounting paths from drifting.
+// A NetworkObserver receives one on_message callback per transport
+// decision, in the exact deterministic order the network makes them:
+// accept (kSend, before the drop decision, so every offered message is
+// seen exactly once), drop, duplicate scheduling, and the three delivery
+// outcomes. The six message kinds mirror NetworkStats counters one-to-one,
+// so an observer that counts events must reconcile exactly with
+// net::stats at the end of a run — the obs subsystem tests that invariant
+// to keep the two accounting paths from drifting.
 //
-// The default implementation is all no-ops; a detached network pays one
-// null-pointer test per event.
+// A detached network pays one null-pointer test per event.
 #pragma once
 
 #include "src/common/types.h"
 #include "src/net/message.h"
+#include "src/obs/run_event.h"
 
 namespace gridbox::net {
 
@@ -20,37 +22,10 @@ class NetworkObserver {
  public:
   virtual ~NetworkObserver() = default;
 
-  /// send() accepted the message (counted in messages_sent; fires before the
-  /// drop decision, so every offered message is seen exactly once).
-  virtual void on_send(const Message& message, SimTime now) {
-    (void)message;
-    (void)now;
-  }
-  /// The fault pipeline dropped the message.
-  virtual void on_drop(const Message& message, SimTime now) {
-    (void)message;
-    (void)now;
-  }
-  /// Chaos scheduled one extra delivery of the message.
-  virtual void on_duplicate(const Message& message, SimTime now) {
-    (void)message;
-    (void)now;
-  }
-  /// The message reached a live, attached endpoint.
-  virtual void on_deliver(const Message& message, SimTime now) {
-    (void)message;
-    (void)now;
-  }
-  /// The destination was detached or crashed at delivery time.
-  virtual void on_dead_destination(const Message& message, SimTime now) {
-    (void)message;
-    (void)now;
-  }
-  /// The receiver's decoder rejected the payload.
-  virtual void on_malformed(const Message& message, SimTime now) {
-    (void)message;
-    (void)now;
-  }
+  /// `kind` is one of obs::RunEventKind's six message kinds (kSend through
+  /// kMalformed); `now` is the network's clock at the decision.
+  virtual void on_message(obs::RunEventKind kind, const Message& message,
+                          SimTime now) = 0;
 };
 
 }  // namespace gridbox::net

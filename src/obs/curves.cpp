@@ -6,6 +6,7 @@
 #include "src/analysis/epidemic.h"
 #include "src/common/ensure.h"
 #include "src/obs/json.h"
+#include "src/protocols/gossip/trace.h"
 
 namespace gridbox::obs {
 
@@ -25,12 +26,8 @@ CurveRecorder::CurveRecorder(Options options) : options_(options) {
   expects(options_.round_us > 0, "curve recorder needs a round duration");
 }
 
-void CurveRecorder::record_gain(std::size_t phase,
-                                protocols::gossip::GainKind kind) {
-  const std::uint64_t t =
-      options_.simulator != nullptr
-          ? static_cast<std::uint64_t>(options_.simulator->now().ticks())
-          : 0;
+void CurveRecorder::record_gain(const RunEvent& gain) {
+  const auto t = static_cast<std::uint64_t>(gain.at.ticks());
   std::uint64_t bucket;
   if (t >= cached_start_ && t < cached_end_) {
     bucket = cached_bucket_;
@@ -41,11 +38,13 @@ void CurveRecorder::record_gain(std::size_t phase,
     cached_end_ = cached_start_ + options_.round_us;
   }
   ++total_gains_;
-  if (kind == protocols::gossip::GainKind::kResult) {
+  using protocols::gossip::GainKind;
+  if (gain.aux == static_cast<std::uint8_t>(GainKind::kResult)) {
     if (bucket >= result_series_.size()) result_series_.resize(bucket + 1);
     ++result_series_[bucket];
     return;
   }
+  const std::size_t phase = gain.phase;
   if (phase == 0) return;  // defensive: phases are 1-based
   if (phase > phase_series_.size()) phase_series_.resize(phase);
   Series& series = phase_series_[phase - 1];

@@ -1,7 +1,8 @@
 // Empirical epidemic curves, with the paper's analytic overlay.
 //
-// A CurveRecorder buckets knowledge-gain events (fed by RunObserver) into
-// per-phase infected-count time series: bucket r of phase i holds how many
+// A CurveRecorder buckets the knowledge-gain RunEvents of one run (fed by
+// RunObserver, each stamped with the run's clock) into per-phase
+// infected-count time series: bucket r of phase i holds how many
 // (member, value) knowledge pairs existed after r gossip rounds. Divided by
 // a protocol-aware denominator (the maximum achievable pairs, computed by
 // run_experiment), that is the run's empirical infection fraction — the
@@ -20,8 +21,7 @@
 #include <string>
 #include <vector>
 
-#include "src/protocols/gossip/trace.h"
-#include "src/sim/simulator.h"
+#include "src/obs/run_event.h"
 
 namespace gridbox::obs {
 
@@ -30,10 +30,6 @@ class CurveRecorder {
   struct Options {
     /// Bucket width in microseconds — one gossip round. Must be > 0.
     std::uint64_t round_us = 1;
-    /// Clock for bucketing (nullable: everything lands in bucket 0). The
-    /// CLI constructs recorders before the simulator exists; run_experiment
-    /// installs the run's clock via set_clock().
-    const sim::Simulator* simulator = nullptr;
   };
 
   /// Bailey logistic parameters for one phase: group size m, per-value
@@ -58,9 +54,15 @@ class CurveRecorder {
 
   explicit CurveRecorder(Options options);
 
-  /// One knowledge gain in `phase` at the current sim time. kResult gains go
-  /// to their own row (result dissemination is not a phase epidemic).
-  void record_gain(std::size_t phase, protocols::gossip::GainKind kind);
+  /// The kinds record() reads.
+  static constexpr RunEventKinds kReads = kind_bit(RunEventKind::kGain);
+
+  /// Buckets a knowledge gain by its time `event.at`; every other kind is
+  /// ignored. kResult gains go to their own row (result dissemination is
+  /// not a phase epidemic).
+  void record(const RunEvent& event) {
+    if ((kReads & kind_bit(event.kind)) != 0) record_gain(event);
+  }
 
   /// Maximum achievable knowledge pairs per phase (index 0 = phase 1) and
   /// for the result row; protocol-aware, set by run_experiment.
@@ -68,9 +70,6 @@ class CurveRecorder {
                         std::uint64_t result_denominator);
   void set_analytic(Analytic analytic);
   void set_meta(std::size_t group_size, std::uint32_t k);
-  void set_clock(const sim::Simulator* simulator) {
-    options_.simulator = simulator;
-  }
 
   [[nodiscard]] std::uint64_t total_gains() const { return total_gains_; }
 
@@ -84,11 +83,13 @@ class CurveRecorder {
   /// buckets are skipped on output, matching the sparse representation.
   using Series = std::vector<std::uint64_t>;
 
+  void record_gain(const RunEvent& gain);
+
   void write_series(class JsonWriter& w, const Series& series,
                     std::uint64_t denominator) const;
 
   Options options_;
-  // Bucket lookup cache: sim time is monotonic, so nearly every gain lands
+  // Bucket lookup cache: run time is monotonic, so nearly every gain lands
   // in the same bucket as the previous one. The division only runs when the
   // clock crosses a bucket edge — once per round, not once per event.
   std::uint64_t cached_bucket_ = 0;

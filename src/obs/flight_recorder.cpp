@@ -8,48 +8,13 @@
 
 namespace gridbox::obs {
 
-namespace {
-
-const char* kind_name(FlightRecorder::EventKind kind) {
-  using EventKind = FlightRecorder::EventKind;
-  switch (kind) {
-    case EventKind::kSend:
-      return "send";
-    case EventKind::kDrop:
-      return "drop";
-    case EventKind::kDuplicate:
-      return "dup";
-    case EventKind::kDeliver:
-      return "recv";
-    case EventKind::kDeadDest:
-      return "dead";
-    case EventKind::kMalformed:
-      return "malformed";
-    case EventKind::kPhaseEntered:
-      return "enter";
-    case EventKind::kRound:
-      return "round";
-    case EventKind::kGain:
-      return "gain";
-    case EventKind::kConcluded:
-      return "conclude";
-    case EventKind::kFinished:
-      return "finish";
-    case EventKind::kCrash:
-      return "crash";
-  }
-  return "?";
-}
-
-}  // namespace
-
 FlightRecorder::FlightRecorder(Options options)
     : options_(std::move(options)) {
   expects(options_.capacity > 0, "flight recorder needs a capacity");
   ring_.reserve(options_.capacity);
 }
 
-void FlightRecorder::record(const Event& event) {
+void FlightRecorder::record(const RunEvent& event) {
   if (ring_.size() < options_.capacity) {
     ring_.push_back(event);
   } else {
@@ -84,51 +49,51 @@ std::string FlightRecorder::dump() const {
       total_ > n ? static_cast<std::size_t>(total_ % options_.capacity) : 0;
   char line[160];
   for (std::size_t i = 0; i < n; ++i) {
-    const Event& e = ring_[(start + i) % n];
+    const RunEvent& e = ring_[(start + i) % n];
     switch (e.kind) {
-      case EventKind::kSend:
-      case EventKind::kDrop:
-      case EventKind::kDuplicate:
-      case EventKind::kDeliver:
-      case EventKind::kDeadDest:
-      case EventKind::kMalformed:
+      case RunEventKind::kSend:
+      case RunEventKind::kDrop:
+      case RunEventKind::kDuplicate:
+      case RunEventKind::kDeliver:
+      case RunEventKind::kDeadDest:
+      case RunEventKind::kMalformed:
         std::snprintf(line, sizeof(line),
                       "t=%lluus %s src=%u dst=%u bytes=%u\n",
                       static_cast<unsigned long long>(e.at.ticks()),
-                      kind_name(e.kind), e.a, e.b, e.value);
+                      kind_name(e.kind), e.member, e.peer, e.value);
         break;
-      case EventKind::kPhaseEntered:
+      case RunEventKind::kEnter:
         std::snprintf(line, sizeof(line), "t=%lluus enter m=%u phase=%u\n",
-                      static_cast<unsigned long long>(e.at.ticks()), e.a,
+                      static_cast<unsigned long long>(e.at.ticks()), e.member,
                       e.phase);
         break;
-      case EventKind::kRound:
+      case RunEventKind::kRound:
         std::snprintf(line, sizeof(line),
                       "t=%lluus round m=%u phase=%u fanout=%u\n",
-                      static_cast<unsigned long long>(e.at.ticks()), e.a,
+                      static_cast<unsigned long long>(e.at.ticks()), e.member,
                       e.phase, e.value);
         break;
-      case EventKind::kGain:
+      case RunEventKind::kGain:
         std::snprintf(line, sizeof(line),
                       "t=%lluus gain m=%u phase=%u index=%u from=%u votes=%u "
                       "kind=%u\n",
-                      static_cast<unsigned long long>(e.at.ticks()), e.a,
-                      e.phase, e.value, e.b, e.votes, e.aux);
+                      static_cast<unsigned long long>(e.at.ticks()), e.member,
+                      e.phase, e.value, e.peer, e.votes, e.aux);
         break;
-      case EventKind::kConcluded:
+      case RunEventKind::kConclude:
         std::snprintf(line, sizeof(line),
                       "t=%lluus conclude m=%u phase=%u votes=%u how=%u\n",
-                      static_cast<unsigned long long>(e.at.ticks()), e.a,
+                      static_cast<unsigned long long>(e.at.ticks()), e.member,
                       e.phase, e.votes, e.aux);
         break;
-      case EventKind::kFinished:
+      case RunEventKind::kFinish:
         std::snprintf(line, sizeof(line), "t=%lluus finish m=%u votes=%u\n",
-                      static_cast<unsigned long long>(e.at.ticks()), e.a,
+                      static_cast<unsigned long long>(e.at.ticks()), e.member,
                       e.votes);
         break;
-      case EventKind::kCrash:
+      case RunEventKind::kCrash:
         std::snprintf(line, sizeof(line), "t=%lluus crash m=%u\n",
-                      static_cast<unsigned long long>(e.at.ticks()), e.a);
+                      static_cast<unsigned long long>(e.at.ticks()), e.member);
         break;
     }
     out += line;

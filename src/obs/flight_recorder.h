@@ -8,16 +8,16 @@
 // leading up to the failure — so "what was the network doing right before
 // member M violated the phase monotone?" has an answer without re-running.
 //
-// Events are plain structs (no strings, no heap per event after the ring
-// reaches capacity); recording is a ring-slot write.
+// The ring holds RunObserver's RunEvents by copy (no strings, no heap per
+// event once the ring reaches capacity): recording is a ring-slot write,
+// and every kind the observer emits is kept.
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
-#include "src/common/types.h"
-#include "src/sim/simulator.h"
+#include "src/obs/run_event.h"
 
 namespace gridbox::obs {
 
@@ -32,36 +32,13 @@ class FlightRecorder {
     std::uint64_t seed = 0;
   };
 
-  enum class EventKind : std::uint8_t {
-    kSend = 0,
-    kDrop = 1,
-    kDuplicate = 2,
-    kDeliver = 3,
-    kDeadDest = 4,
-    kMalformed = 5,
-    kPhaseEntered = 6,
-    kRound = 7,
-    kGain = 8,
-    kConcluded = 9,
-    kFinished = 10,
-    kCrash = 11,
-  };
-
-  struct Event {
-    SimTime at = SimTime::zero();
-    EventKind kind = EventKind::kSend;
-    std::uint8_t aux = 0;    ///< GainKind / PhaseEnd, depending on kind
-    std::uint32_t a = 0;     ///< member / source
-    std::uint32_t b = 0;     ///< from / destination
-    std::uint32_t phase = 0;
-    std::uint32_t value = 0; ///< index / fanout / bytes
-    std::uint32_t votes = 0;
-  };
-
   explicit FlightRecorder(Options options);
 
+  /// The kinds record() keeps: all of them.
+  static constexpr RunEventKinds kReads = kAllKinds;
+
   /// Ring-slot write; O(1), allocation-free once the ring is full.
-  void record(const Event& event);
+  void record(const RunEvent& event);
 
   [[nodiscard]] std::uint64_t total_recorded() const { return total_; }
   [[nodiscard]] std::size_t kept() const;
@@ -76,7 +53,7 @@ class FlightRecorder {
 
  private:
   Options options_;
-  std::vector<Event> ring_;
+  std::vector<RunEvent> ring_;
   std::uint64_t total_ = 0;
 };
 

@@ -6,6 +6,7 @@
 
 #include "src/common/ensure.h"
 #include "src/obs/json.h"
+#include "src/protocols/gossip/trace.h"
 
 namespace gridbox::obs {
 
@@ -39,11 +40,6 @@ LineageTracker::LineageTracker(Options options) : options_(options) {
   // page faults for the log.
   log_.resize(options_.group_size * 24);
   log_.clear();
-}
-
-SimTime LineageTracker::now() const {
-  return options_.simulator != nullptr ? options_.simulator->now()
-                                       : SimTime::zero();
 }
 
 LineageTracker::MemberState& LineageTracker::state_of(MemberId member) const {
@@ -101,71 +97,14 @@ std::int64_t LineageTracker::resolve_sender(MemberId sender, std::size_t phase,
   return cell->held;
 }
 
-void LineageTracker::on_phase_entered(MemberId member, std::size_t phase) {
-  (void)member;
-  (void)phase;
-}
-
-// --- Hot path: append-only. -----------------------------------------------
-
-void LineageTracker::on_knowledge_gained(MemberId member, std::size_t phase,
-                                         std::uint32_t index, MemberId from,
-                                         std::uint32_t votes,
-                                         protocols::gossip::GainKind kind) {
-  RawEvent e;
-  e.type = RawEvent::Type::kGain;
-  e.aux = static_cast<std::uint8_t>(kind);
-  e.member = member.value();
-  e.from = from.value();
-  e.phase = static_cast<std::uint32_t>(phase);
-  e.index = index;
-  e.votes = votes;
-  e.at = now();
-  log_.push_back(e);
-  finalized_ = false;
-}
-
-void LineageTracker::on_phase_concluded(MemberId member, std::size_t phase,
-                                        protocols::gossip::PhaseEnd how,
-                                        std::uint32_t votes) {
-  RawEvent e;
-  e.type = RawEvent::Type::kConclude;
-  e.aux = static_cast<std::uint8_t>(how);
-  e.member = member.value();
-  e.phase = static_cast<std::uint32_t>(phase);
-  e.votes = votes;
-  e.at = now();
-  log_.push_back(e);
-  finalized_ = false;
-}
-
-void LineageTracker::on_finished(MemberId member, std::uint32_t votes) {
-  RawEvent e;
-  e.type = RawEvent::Type::kFinish;
-  e.member = member.value();
-  e.votes = votes;
-  e.at = now();
-  log_.push_back(e);
-  finalized_ = false;
-}
-
-void LineageTracker::on_crash(MemberId member) {
-  RawEvent e;
-  e.type = RawEvent::Type::kCrash;
-  e.member = member.value();
-  e.at = now();
-  log_.push_back(e);
-  finalized_ = false;
-}
-
 // --- Replay: the original incremental bookkeeping, run over the log. ------
 
-void LineageTracker::replay_gain(const RawEvent& e) const {
+void LineageTracker::replay_gain(const RunEvent& e) const {
   using protocols::gossip::GainKind;
   const MemberId member(e.member);
-  const MemberId from(e.from);
+  const MemberId from(e.peer);
   const std::size_t phase = e.phase;
-  const std::uint32_t index = e.index;
+  const std::uint32_t index = e.value;
   const std::uint32_t votes = e.votes;
   const auto kind = static_cast<GainKind>(e.aux);
   MemberState& s = state_of(member);
@@ -244,7 +183,7 @@ void LineageTracker::replay_gain(const RawEvent& e) const {
   }
 }
 
-void LineageTracker::replay_conclude(const RawEvent& e) const {
+void LineageTracker::replay_conclude(const RunEvent& e) const {
   const MemberId member(e.member);
   const std::size_t phase = e.phase;
   const std::uint32_t votes = e.votes;
@@ -296,7 +235,7 @@ void LineageTracker::replay_conclude(const RawEvent& e) const {
   s.carry = add_node(std::move(node));
 }
 
-void LineageTracker::replay_finish(const RawEvent& e) const {
+void LineageTracker::replay_finish(const RunEvent& e) const {
   const MemberId member(e.member);
   const std::uint32_t votes = e.votes;
   MemberState& s = state_of(member);
@@ -328,20 +267,22 @@ void LineageTracker::finalize() const {
   nodes_.reserve(log_.size());
   errors_.clear();
   finished_count_ = 0;
-  for (const RawEvent& e : log_) {
-    switch (e.type) {
-      case RawEvent::Type::kGain:
+  for (const RunEvent& e : log_) {
+    switch (e.kind) {
+      case RunEventKind::kGain:
         replay_gain(e);
         break;
-      case RawEvent::Type::kConclude:
+      case RunEventKind::kConclude:
         replay_conclude(e);
         break;
-      case RawEvent::Type::kFinish:
+      case RunEventKind::kFinish:
         replay_finish(e);
         break;
-      case RawEvent::Type::kCrash:
+      case RunEventKind::kCrash:
         state_of(MemberId(e.member)).crashed = true;
         break;
+      default:
+        break;  // record() keeps no other kind
     }
   }
   finalized_ = true;

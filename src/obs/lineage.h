@@ -1,26 +1,28 @@
 // Causal vote lineage: who learned what from whom.
 //
-// A LineageTracker consumes the rich knowledge-gain events emitted by every
-// protocol (GossipTrace::on_knowledge_gained) and reconstructs, per member,
-// the dissemination tree behind its final estimate: each gain node points at
-// the sender-side node it was decoded from, each phase conclusion records
-// exactly the cells it merged, and a member's final estimate resolves to a
-// result push or its last conclusion. Because the tracker replays the same
-// first-received-wins / merge bookkeeping the protocols perform, the vote
-// count it derives for every member — and hence the run's mean completeness
-// — must equal the protocol's own `completeness_bp` *exactly*. That makes
-// lineage an independent accounting next to the protocol's own
-// measurement, and any divergence is recorded in errors().
+// A LineageTracker reads the knowledge-gain, conclusion, finish and crash
+// RunEvents of one run and reconstructs, per member, the dissemination tree
+// behind its final estimate: each gain node points at the sender-side node
+// it was decoded from, each phase conclusion records exactly the cells it
+// merged, and a member's final estimate resolves to a result push or its
+// last conclusion. Because the tracker replays the same first-received-wins
+// / merge bookkeeping the protocols perform, the vote count it derives for
+// every member — and hence the run's mean completeness — must equal the
+// protocol's own `completeness_bp` *exactly*. That makes lineage an
+// independent accounting next to the protocol's own measurement, and any
+// divergence is recorded in errors().
 //
-// The tracker is pull-fed by RunObserver (never chained as `next`), costs
-// nothing when not constructed, and is queryable offline via to_json()
-// ("gridbox-lineage/1") — the input of tools/gridbox_explain.
+// Its one feed is record(), called by the RunObserver it is armed on (one
+// per one-shot run and one per service instance alike), which stamps each
+// event with the run's clock. It costs nothing when not constructed, and is
+// queryable offline via to_json() ("gridbox-lineage/1") — the input of
+// tools/gridbox_explain.
 //
 // Two-stage design: during the run, events are only appended to a flat raw
-// log (32 bytes each, no random access — the run pays a few nanoseconds per
-// event). The forest, the per-member accounting, and the error checks are
-// resolved lazily by replaying that log in order the first time any reader
-// asks (completeness_bp / nodes / errors / to_json).
+// log (one 32-byte RunEvent each, no random access — the run pays a few
+// nanoseconds per event). The forest, the per-member accounting, and the
+// error checks are resolved lazily by replaying that log in order the first
+// time any reader asks (completeness_bp / nodes / errors / to_json).
 #pragma once
 
 #include <cstdint>
@@ -29,20 +31,14 @@
 
 #include "src/common/types.h"
 #include "src/hierarchy/hierarchy.h"
-#include "src/protocols/gossip/trace.h"
-#include "src/sim/simulator.h"
+#include "src/obs/run_event.h"
 
 namespace gridbox::obs {
 
-class LineageTracker final : public protocols::gossip::GossipTrace {
+class LineageTracker {
  public:
   struct Options {
     std::size_t group_size = 0;
-    /// Clock for gain timestamps (nullable: times come out as 0). Callers
-    /// that construct the tracker before the simulator exists (the CLI)
-    /// leave this null; run_experiment installs the run's clock via
-    /// set_clock().
-    const sim::Simulator* simulator = nullptr;
   };
 
   /// What a lineage node records. Gains mirror GainKind; kConclude nodes are
@@ -72,24 +68,17 @@ class LineageTracker final : public protocols::gossip::GossipTrace {
 
   explicit LineageTracker(Options options);
 
-  // GossipTrace (fed by RunObserver).
-  void on_phase_entered(MemberId member, std::size_t phase) override;
-  void on_knowledge_gained(MemberId member, std::size_t phase,
-                           std::uint32_t index, MemberId from,
-                           std::uint32_t votes,
-                           protocols::gossip::GainKind kind) override;
-  void on_phase_concluded(MemberId member, std::size_t phase,
-                          protocols::gossip::PhaseEnd how,
-                          std::uint32_t votes) override;
-  void on_finished(MemberId member, std::uint32_t votes) override;
+  /// The kinds record() keeps.
+  static constexpr RunEventKinds kReads =
+      kind_bit(RunEventKind::kGain) | kind_bit(RunEventKind::kConclude) |
+      kind_bit(RunEventKind::kFinish) | kind_bit(RunEventKind::kCrash);
 
-  /// Membership event (no GossipTrace hook exists for it).
-  void on_crash(MemberId member);
-
-  /// Installs (or clears) the clock used to stamp nodes. Only valid to
-  /// change between runs; the clock must outlive every event fed while set.
-  void set_clock(const sim::Simulator* simulator) {
-    options_.simulator = simulator;
+  /// Appends an event of a kind in kReads to the raw log; every other kind
+  /// is ignored. The hot path: one test and an amortized push_back.
+  void record(const RunEvent& event) {
+    if ((kReads & kind_bit(event.kind)) == 0) return;
+    log_.push_back(event);
+    finalized_ = false;
   }
 
   /// Mean completeness over surviving members, replicating measure_run's
@@ -120,24 +109,6 @@ class LineageTracker final : public protocols::gossip::GossipTrace {
   [[nodiscard]] std::string to_json() const;
 
  private:
-  /// One raw event, recorded on the hot path. 32 bytes, append-only: the
-  /// per-event cost during the run is filling this struct and one amortized
-  /// push_back — no tree building, no per-member state, no random access.
-  /// The forest is resolved from the log lazily (finalize()), off the run's
-  /// critical path, by replaying events in order: replay order equals event
-  /// order, so the reconstruction is exact.
-  struct RawEvent {
-    enum class Type : std::uint8_t { kGain, kConclude, kFinish, kCrash };
-    Type type = Type::kGain;
-    std::uint8_t aux = 0;  ///< GainKind (kGain) / PhaseEnd (kConclude)
-    std::uint32_t member = 0;
-    std::uint32_t from = 0;
-    std::uint32_t phase = 0;
-    std::uint32_t index = 0;
-    std::uint32_t votes = 0;
-    SimTime at = SimTime::zero();
-  };
-
   /// Both sides of one knowledge cell during replay. `held` is what occupies
   /// the cell (first-received-wins, mirroring the protocols); `exported` is
   /// what the member would *send* for it, which differs when a locally
@@ -171,8 +142,6 @@ class LineageTracker final : public protocols::gossip::GossipTrace {
                                              std::size_t phase,
                                              std::uint32_t index);
 
-  [[nodiscard]] SimTime now() const;
-
   /// Replays the raw log into the forest + per-member accounting. Runs at
   /// most once per log generation; every reader funnels through this.
   void finalize() const;
@@ -182,13 +151,16 @@ class LineageTracker final : public protocols::gossip::GossipTrace {
   [[nodiscard]] std::int64_t resolve_sender(MemberId sender, std::size_t phase,
                                             std::uint32_t index) const;
   std::int64_t add_node(Node node) const;
-  void replay_gain(const RawEvent& e) const;
-  void replay_conclude(const RawEvent& e) const;
-  void replay_finish(const RawEvent& e) const;
+  void replay_gain(const RunEvent& e) const;
+  void replay_conclude(const RunEvent& e) const;
+  void replay_finish(const RunEvent& e) const;
   void error(std::string what) const;
 
   Options options_;
-  std::vector<RawEvent> log_;  ///< hot-path append target
+  /// The raw log: the kReads events in run order, replayed by
+  /// finalize() off the run's critical path (replay order equals event
+  /// order, so the reconstruction is exact).
+  std::vector<RunEvent> log_;
 
   // Replay products, rebuilt by finalize() when the log has grown.
   mutable bool finalized_ = false;

@@ -7,11 +7,6 @@
 
 namespace gridbox::obs {
 
-void MetricsSnapshot::HistogramData::observe(std::uint64_t v) {
-  const auto it = std::lower_bound(bounds.begin(), bounds.end(), v);
-  ++counts[static_cast<std::size_t>(it - bounds.begin())];
-}
-
 void MetricsSnapshot::merge(const MetricsSnapshot& other) {
   for (const auto& [name, value] : other.counters) counters[name] += value;
   for (const auto& [name, value] : other.gauges) {

@@ -10,6 +10,7 @@
 // value.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -28,7 +29,10 @@ struct MetricsSnapshot {
     std::vector<std::uint64_t> bounds;  ///< ascending upper bounds
     std::vector<std::uint64_t> counts;  ///< bounds.size() + 1 buckets
 
-    void observe(std::uint64_t v);
+    void observe(std::uint64_t v) {
+      const auto it = std::lower_bound(bounds.begin(), bounds.end(), v);
+      ++counts[static_cast<std::size_t>(it - bounds.begin())];
+    }
   };
   std::map<std::string, HistogramData> histograms;
 

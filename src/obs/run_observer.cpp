@@ -7,52 +7,33 @@
 #include "src/obs/flight_recorder.h"
 #include "src/obs/lineage.h"
 #include "src/obs/profile.h"
+#include "src/obs/trace_sink.h"
 
 namespace gridbox::obs {
 
 namespace {
 
-const char* how_name(protocols::gossip::PhaseEnd how) {
-  using protocols::gossip::PhaseEnd;
-  switch (how) {
-    case PhaseEnd::kTimeout:
-      return "timeout";
-    case PhaseEnd::kSaturated:
-      return "saturated";
-    case PhaseEnd::kAdopted:
-      return "adopted";
-  }
-  return "?";
-}
-
-/// A network hook's trace line and message-shaped flight event.
-void message_event(const RunObserver::Options& options, const char* name,
-                   FlightRecorder::EventKind kind, const net::Message& message,
-                   SimTime t) {
-  const LayerScope layer(Layer::kObs);
-  if (options.sink != nullptr) {
-    options.sink->message_event(name, t, message.source, message.destination,
-                                message.frame.size());
-  }
-  if (options.flight != nullptr) {
-    FlightRecorder::Event e;
-    e.at = t;
-    e.kind = kind;
-    e.a = message.source.value();
-    e.b = message.destination.value();
-    e.value = static_cast<std::uint32_t>(message.frame.size());
-    options.flight->record(e);
-  }
+/// A phase-machine or crash event with its common fields set.
+RunEvent member_event(RunEventKind kind, SimTime at, MemberId member,
+                      std::size_t phase = 0) {
+  RunEvent e;
+  e.at = at;
+  e.kind = kind;
+  e.member = member.value();
+  e.phase = static_cast<std::uint32_t>(phase);
+  return e;
 }
 
 }  // namespace
 
 RunObserver::RunObserver(Options options) : options_(options) {
-  expects(options_.simulator != nullptr, "run observer: simulator required");
+  expects(options_.clock != nullptr, "run observer: clock required");
   member_phase_.assign(options_.group_size, 0);
+  if (options_.sink != nullptr) reads_ |= TraceSink::kReads;
+  if (options_.flight != nullptr) reads_ |= FlightRecorder::kReads;
+  if (options_.lineage != nullptr) reads_ |= LineageTracker::kReads;
+  if (options_.curves != nullptr) reads_ |= CurveRecorder::kReads;
 }
-
-SimTime RunObserver::now() const { return options_.simulator->now(); }
 
 MetricsSnapshot RunObserver::metrics(const net::NetworkStats& network) const {
   MetricsSnapshot m;
@@ -84,66 +65,47 @@ MetricsSnapshot RunObserver::metrics(const net::NetworkStats& network) const {
   return m;
 }
 
-void RunObserver::on_send(const net::Message& message, SimTime t) {
+void RunObserver::emit(const RunEvent& e) {
+  if (options_.sink != nullptr) options_.sink->write(e);
+  if (options_.flight != nullptr) options_.flight->record(e);
+  if (options_.lineage != nullptr) options_.lineage->record(e);
+  if (options_.curves != nullptr) options_.curves->record(e);
+}
+
+void RunObserver::on_message(RunEventKind kind, const net::Message& message,
+                             SimTime now) {
   const LayerScope layer(Layer::kObs);
-  const std::size_t phase =
-      message.source.value() < member_phase_.size()
-          ? member_phase_[message.source.value()]
-          : 0;
-  timeline_.at_phase(phase).msgs_sent += 1;
-  message_event(options_, "send", FlightRecorder::EventKind::kSend, message,
-                t);
-}
-
-void RunObserver::on_drop(const net::Message& message, SimTime t) {
-  message_event(options_, "drop", FlightRecorder::EventKind::kDrop, message,
-                t);
-}
-
-void RunObserver::on_duplicate(const net::Message& message, SimTime t) {
-  message_event(options_, "dup", FlightRecorder::EventKind::kDuplicate,
-                message, t);
-}
-
-void RunObserver::on_deliver(const net::Message& message, SimTime t) {
-  message_event(options_, "recv", FlightRecorder::EventKind::kDeliver,
-                message, t);
-}
-
-void RunObserver::on_dead_destination(const net::Message& message, SimTime t) {
-  message_event(options_, "dead", FlightRecorder::EventKind::kDeadDest,
-                message, t);
-}
-
-void RunObserver::on_malformed(const net::Message& message, SimTime t) {
-  message_event(options_, "malformed", FlightRecorder::EventKind::kMalformed,
-                message, t);
+  if (kind == RunEventKind::kSend) {
+    const std::size_t source = message.source.value();
+    timeline_.at_phase(source < member_phase_.size() ? member_phase_[source]
+                                                     : 0)
+        .msgs_sent += 1;
+  }
+  if (!reads(kind)) return;
+  RunEvent e;
+  e.at = now;
+  e.kind = kind;
+  e.member = message.source.value();
+  e.peer = message.destination.value();
+  e.value = static_cast<std::uint32_t>(message.frame.size());
+  emit(e);
 }
 
 void RunObserver::on_phase_entered(MemberId member, std::size_t phase) {
   const LayerScope layer(Layer::kObs);
   if (options_.next != nullptr) options_.next->on_phase_entered(member, phase);
+  const SimTime at = options_.clock->now();
   if (member.value() < member_phase_.size()) {
     member_phase_[member.value()] = phase;
   }
   PhaseSpan& span = timeline_.at_phase(phase);
   span.entered += 1;
-  if (!span.any_entered || now() < span.first_entered) {
-    span.first_entered = now();
+  if (!span.any_entered || at < span.first_entered) {
+    span.first_entered = at;
     span.any_entered = true;
   }
-  if (options_.sink != nullptr) {
-    options_.sink->member_event("enter", now(), member,
-                                static_cast<std::int64_t>(phase));
-  }
-  if (options_.flight != nullptr) {
-    FlightRecorder::Event e;
-    e.at = now();
-    e.kind = FlightRecorder::EventKind::kPhaseEntered;
-    e.a = member.value();
-    e.phase = static_cast<std::uint32_t>(phase);
-    options_.flight->record(e);
-  }
+  if (!reads(RunEventKind::kEnter)) return;
+  emit(member_event(RunEventKind::kEnter, at, member, phase));
 }
 
 void RunObserver::on_round_gossiped(MemberId member, std::size_t phase,
@@ -154,35 +116,11 @@ void RunObserver::on_round_gossiped(MemberId member, std::size_t phase,
   }
   fanout_.observe(fanout);
   timeline_.at_phase(phase).rounds += 1;
-  // Rounds are the bulk of the stream; traced with the fanout so a timeline
-  // reader can see gossip pressure per phase.
-  if (options_.sink != nullptr) {
-    options_.sink->member_event("round", now(), member,
-                                static_cast<std::int64_t>(phase),
-                                static_cast<std::int64_t>(fanout), "fanout");
-  }
-  if (options_.flight != nullptr) {
-    FlightRecorder::Event e;
-    e.at = now();
-    e.kind = FlightRecorder::EventKind::kRound;
-    e.a = member.value();
-    e.phase = static_cast<std::uint32_t>(phase);
-    e.value = fanout;
-    options_.flight->record(e);
-  }
-}
-
-void RunObserver::on_value_learned(MemberId member, std::size_t phase,
-                                   std::uint32_t index) {
-  const LayerScope layer(Layer::kObs);
-  if (options_.next != nullptr) {
-    options_.next->on_value_learned(member, phase, index);
-  }
-  if (options_.sink != nullptr) {
-    options_.sink->member_event("learn", now(), member,
-                                static_cast<std::int64_t>(phase),
-                                static_cast<std::int64_t>(index), "index");
-  }
+  if (!reads(RunEventKind::kRound)) return;
+  RunEvent e = member_event(RunEventKind::kRound, options_.clock->now(),
+                            member, phase);
+  e.value = fanout;
+  emit(e);
 }
 
 void RunObserver::on_knowledge_gained(MemberId member, std::size_t phase,
@@ -194,32 +132,14 @@ void RunObserver::on_knowledge_gained(MemberId member, std::size_t phase,
     options_.next->on_knowledge_gained(member, phase, index, from, votes,
                                        kind);
   }
-  // The JSONL stream keeps its historical shape: one "learn" line per
-  // remote gain, byte-identical to the pre-lineage traces. Local seeds,
-  // adoptions and result pushes are visible through lineage/flight instead.
-  if (options_.sink != nullptr &&
-      kind == protocols::gossip::GainKind::kRemote) {
-    options_.sink->member_event("learn", now(), member,
-                                static_cast<std::int64_t>(phase),
-                                static_cast<std::int64_t>(index), "index");
-  }
-  if (options_.lineage != nullptr) {
-    options_.lineage->on_knowledge_gained(member, phase, index, from, votes,
-                                          kind);
-  }
-  if (options_.curves != nullptr) options_.curves->record_gain(phase, kind);
-  if (options_.flight != nullptr) {
-    FlightRecorder::Event e;
-    e.at = now();
-    e.kind = FlightRecorder::EventKind::kGain;
-    e.aux = static_cast<std::uint8_t>(kind);
-    e.a = member.value();
-    e.b = from.value();
-    e.phase = static_cast<std::uint32_t>(phase);
-    e.value = index;
-    e.votes = votes;
-    options_.flight->record(e);
-  }
+  if (!reads(RunEventKind::kGain)) return;
+  RunEvent e = member_event(RunEventKind::kGain, options_.clock->now(),
+                            member, phase);
+  e.aux = static_cast<std::uint8_t>(kind);
+  e.peer = from.value();
+  e.value = index;
+  e.votes = votes;
+  emit(e);
 }
 
 void RunObserver::on_phase_concluded(MemberId member, std::size_t phase,
@@ -229,66 +149,34 @@ void RunObserver::on_phase_concluded(MemberId member, std::size_t phase,
   if (options_.next != nullptr) {
     options_.next->on_phase_concluded(member, phase, how, votes);
   }
+  const SimTime at = options_.clock->now();
   PhaseSpan& span = timeline_.at_phase(phase);
   span.concluded += 1;
   span.votes_concluded_sum += votes;
-  if (now() > span.last_concluded) span.last_concluded = now();
-  if (options_.sink != nullptr) {
-    options_.sink->member_event("conclude", now(), member,
-                                static_cast<std::int64_t>(phase),
-                                static_cast<std::int64_t>(votes), "votes",
-                                how_name(how));
-  }
-  if (options_.lineage != nullptr) {
-    options_.lineage->on_phase_concluded(member, phase, how, votes);
-  }
-  if (options_.flight != nullptr) {
-    FlightRecorder::Event e;
-    e.at = now();
-    e.kind = FlightRecorder::EventKind::kConcluded;
-    e.aux = static_cast<std::uint8_t>(how);
-    e.a = member.value();
-    e.phase = static_cast<std::uint32_t>(phase);
-    e.votes = votes;
-    options_.flight->record(e);
-  }
+  if (at > span.last_concluded) span.last_concluded = at;
+  if (!reads(RunEventKind::kConclude)) return;
+  RunEvent e = member_event(RunEventKind::kConclude, at, member, phase);
+  e.aux = static_cast<std::uint8_t>(how);
+  e.votes = votes;
+  emit(e);
 }
 
 void RunObserver::on_finished(MemberId member, std::uint32_t votes) {
   const LayerScope layer(Layer::kObs);
   if (options_.next != nullptr) options_.next->on_finished(member, votes);
   ++finishes_;
-  if (options_.sink != nullptr) {
-    options_.sink->member_event("finish", now(), member, TraceSink::kOmitted,
-                                static_cast<std::int64_t>(votes), "votes");
-  }
-  if (options_.lineage != nullptr) {
-    options_.lineage->on_finished(member, votes);
-  }
-  if (options_.flight != nullptr) {
-    FlightRecorder::Event e;
-    e.at = now();
-    e.kind = FlightRecorder::EventKind::kFinished;
-    e.a = member.value();
-    e.votes = votes;
-    options_.flight->record(e);
-  }
+  if (!reads(RunEventKind::kFinish)) return;
+  RunEvent e = member_event(RunEventKind::kFinish, options_.clock->now(),
+                            member);
+  e.votes = votes;
+  emit(e);
 }
 
 void RunObserver::on_crash(MemberId member) {
   const LayerScope layer(Layer::kObs);
   ++crashes_;
-  if (options_.sink != nullptr) {
-    options_.sink->member_event("crash", now(), member);
-  }
-  if (options_.lineage != nullptr) options_.lineage->on_crash(member);
-  if (options_.flight != nullptr) {
-    FlightRecorder::Event e;
-    e.at = now();
-    e.kind = FlightRecorder::EventKind::kCrash;
-    e.a = member.value();
-    options_.flight->record(e);
-  }
+  if (!reads(RunEventKind::kCrash)) return;
+  emit(member_event(RunEventKind::kCrash, options_.clock->now(), member));
 }
 
 }  // namespace gridbox::obs

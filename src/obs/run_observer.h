@@ -2,10 +2,12 @@
 //
 // Implements both instrumentation interfaces the substrates expose —
 // net::NetworkObserver (transport decisions) and gossip::GossipTrace (phase
-// machine) — and fans each event into the PhaseTimeline (per-phase spans
-// and message totals) and the optional sinks (JSONL trace, lineage, curves,
-// flight recorder). A RunObserver is only installed when something wants
-// events.
+// machine) — plus on_crash for membership. Each hook folds its event into
+// the PhaseTimeline (per-phase spans and message totals) and, when an armed
+// consumer reads its kind, builds exactly one RunEvent, stamped by the
+// run's one clock, and hands that record to every armed consumer: the
+// JSONL trace, the flight recorder, lineage and curves. A RunObserver is
+// only installed when something wants events.
 //
 // It counts only what no other structure counts: finishes, crashes and the
 // per-round fanout histogram. metrics() derives everything else from the
@@ -24,13 +26,14 @@
 #include "src/net/observer.h"
 #include "src/net/stats.h"
 #include "src/obs/metrics.h"
+#include "src/obs/run_event.h"
 #include "src/obs/timeline.h"
-#include "src/obs/trace_sink.h"
 #include "src/protocols/gossip/trace.h"
-#include "src/sim/simulator.h"
+#include "src/sim/scheduler.h"
 
 namespace gridbox::obs {
 
+class TraceSink;
 class LineageTracker;
 class CurveRecorder;
 class FlightRecorder;
@@ -39,31 +42,28 @@ class RunObserver final : public net::NetworkObserver,
                           public protocols::gossip::GossipTrace {
  public:
   struct Options {
-    TraceSink* sink = nullptr;                    ///< nullable
-    const sim::Simulator* simulator = nullptr;    ///< clock for trace stamps
+    /// The run's clock: stamps every phase-machine and crash event
+    /// (transport events carry the network's own `now`). Required.
+    const sim::Scheduler* clock = nullptr;
     std::size_t group_size = 0;
     protocols::gossip::GossipTrace* next = nullptr;  ///< chain tail
-    LineageTracker* lineage = nullptr;            ///< nullable
-    CurveRecorder* curves = nullptr;              ///< nullable
-    FlightRecorder* flight = nullptr;             ///< nullable
+    // Consumers; each is nullable.
+    TraceSink* sink = nullptr;
+    LineageTracker* lineage = nullptr;
+    CurveRecorder* curves = nullptr;
+    FlightRecorder* flight = nullptr;
   };
 
   explicit RunObserver(Options options);
 
   // net::NetworkObserver
-  void on_send(const net::Message& message, SimTime now) override;
-  void on_drop(const net::Message& message, SimTime now) override;
-  void on_duplicate(const net::Message& message, SimTime now) override;
-  void on_deliver(const net::Message& message, SimTime now) override;
-  void on_dead_destination(const net::Message& message, SimTime now) override;
-  void on_malformed(const net::Message& message, SimTime now) override;
+  void on_message(RunEventKind kind, const net::Message& message,
+                  SimTime now) override;
 
   // gossip::GossipTrace
   void on_phase_entered(MemberId member, std::size_t phase) override;
   void on_round_gossiped(MemberId member, std::size_t phase,
                          std::uint32_t fanout) override;
-  void on_value_learned(MemberId member, std::size_t phase,
-                        std::uint32_t index) override;
   void on_knowledge_gained(MemberId member, std::size_t phase,
                            std::uint32_t index, MemberId from,
                            std::uint32_t votes,
@@ -73,8 +73,9 @@ class RunObserver final : public net::NetworkObserver,
                           std::uint32_t votes) override;
   void on_finished(MemberId member, std::uint32_t votes) override;
 
-  /// Membership event (wired by the experiment's crash clock and chaos
-  /// schedule; there is no substrate interface for it).
+  /// Membership event (wired by the crash clock and chaos schedule of a
+  /// one-shot run, and by the service for its instances; there is no
+  /// substrate interface for it).
   void on_crash(MemberId member);
 
   /// The run's counters and fanout histogram: msgs_* and bytes_on_wire
@@ -94,9 +95,16 @@ class RunObserver final : public net::NetworkObserver,
   }
 
  private:
-  [[nodiscard]] SimTime now() const;
+  /// Whether an armed consumer reads `kind`; a hook builds its event only
+  /// then.
+  [[nodiscard]] bool reads(RunEventKind kind) const {
+    return (reads_ & kind_bit(kind)) != 0;
+  }
+  /// Hands `event` to every armed consumer.
+  void emit(const RunEvent& event);
 
   Options options_;
+  RunEventKinds reads_ = 0;  ///< union of the armed consumers' kReads
   PhaseTimeline timeline_;
   std::vector<std::size_t> member_phase_;  ///< current phase per member
 

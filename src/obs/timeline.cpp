@@ -6,11 +6,6 @@
 
 namespace gridbox::obs {
 
-PhaseSpan& PhaseTimeline::at_phase(std::size_t phase) {
-  if (phase >= phases.size()) phases.resize(phase + 1);
-  return phases[phase];
-}
-
 void PhaseTimeline::merge(const PhaseTimeline& other) {
   if (other.phases.size() > phases.size()) {
     phases.resize(other.phases.size());

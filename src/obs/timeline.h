@@ -28,7 +28,10 @@ struct PhaseTimeline {
   [[nodiscard]] bool empty() const { return phases.empty(); }
 
   /// Grows to cover `phase` and returns its span.
-  PhaseSpan& at_phase(std::size_t phase);
+  PhaseSpan& at_phase(std::size_t phase) {
+    if (phase >= phases.size()) phases.resize(phase + 1);
+    return phases[phase];
+  }
 
   /// Element-wise fold: counts add, first_entered takes the min, last
   /// concluded the max. Associative, so sweep reduction order is free.

@@ -3,6 +3,7 @@
 #include <fstream>
 
 #include "src/common/ensure.h"
+#include "src/protocols/gossip/trace.h"
 
 namespace gridbox::obs {
 
@@ -21,6 +22,20 @@ class FileTraceSink final : public TraceSink {
   std::ofstream file_;
 };
 
+/// A conclusion's PhaseEnd, by name.
+const char* how_name(std::uint8_t how) {
+  using protocols::gossip::PhaseEnd;
+  switch (static_cast<PhaseEnd>(how)) {
+    case PhaseEnd::kTimeout:
+      return "timeout";
+    case PhaseEnd::kSaturated:
+      return "saturated";
+    case PhaseEnd::kAdopted:
+      return "adopted";
+  }
+  return "?";
+}
+
 }  // namespace
 
 std::unique_ptr<TraceSink> TraceSink::to_file(const std::string& path) {
@@ -33,45 +48,54 @@ void TraceSink::write_line(const std::string& line) {
   ++lines_;
 }
 
-void TraceSink::message_event(const char* event, SimTime t, MemberId source,
-                              MemberId destination, std::size_t bytes) {
-  std::string line = "{\"t\":";
-  line += std::to_string(t.ticks());
-  line += ",\"ev\":\"";
-  line += event;
-  line += "\",\"src\":";
-  line += std::to_string(source.value());
-  line += ",\"dst\":";
-  line += std::to_string(destination.value());
-  line += ",\"bytes\":";
-  line += std::to_string(bytes);
-  line += '}';
-  write_line(line);
-}
-
-void TraceSink::member_event(const char* event, SimTime t, MemberId member,
-                             std::int64_t phase, std::int64_t value,
-                             const char* value_key, const char* detail) {
-  std::string line = "{\"t\":";
-  line += std::to_string(t.ticks());
-  line += ",\"ev\":\"";
-  line += event;
-  line += "\",\"m\":";
-  line += std::to_string(member.value());
-  if (phase != kOmitted) {
-    line += ",\"phase\":";
-    line += std::to_string(phase);
+void TraceSink::write(const RunEvent& e) {
+  using protocols::gossip::GainKind;
+  if (e.kind == RunEventKind::kGain &&
+      e.aux != static_cast<std::uint8_t>(GainKind::kRemote)) {
+    return;
   }
-  if (value != kOmitted) {
+  std::string line = "{\"t\":";
+  line += std::to_string(e.at.ticks());
+  line += ",\"ev\":\"";
+  line += e.kind == RunEventKind::kGain ? "learn" : kind_name(e.kind);
+  line += '"';
+  const auto field = [&line](const char* key, std::uint32_t value) {
     line += ",\"";
-    line += value_key;
+    line += key;
     line += "\":";
     line += std::to_string(value);
-  }
-  if (detail != nullptr) {
-    line += ",\"how\":\"";
-    line += detail;
-    line += '"';
+  };
+  if (is_message(e.kind)) {
+    field("src", e.member);
+    field("dst", e.peer);
+    field("bytes", e.value);
+  } else {
+    field("m", e.member);
+    switch (e.kind) {
+      case RunEventKind::kEnter:
+        field("phase", e.phase);
+        break;
+      case RunEventKind::kRound:
+        field("phase", e.phase);
+        field("fanout", e.value);
+        break;
+      case RunEventKind::kGain:
+        field("phase", e.phase);
+        field("index", e.value);
+        break;
+      case RunEventKind::kConclude:
+        field("phase", e.phase);
+        field("votes", e.votes);
+        line += ",\"how\":\"";
+        line += how_name(e.aux);
+        line += '"';
+        break;
+      case RunEventKind::kFinish:
+        field("votes", e.votes);
+        break;
+      default:
+        break;
+    }
   }
   line += '}';
   write_line(line);

@@ -7,7 +7,7 @@
 // of the same (config, seed) produces byte-identical output — the trace
 // golden tests pin that property.
 //
-// Event vocabulary (docs/observability.md):
+// Event vocabulary (docs/observability.md), one line per RunEvent kind:
 //   send / drop / dup / recv / dead / malformed   — transport decisions
 //   enter / round / learn / conclude / finish     — gossip phase machine
 //   crash                                         — membership
@@ -18,7 +18,7 @@
 #include <ostream>
 #include <string>
 
-#include "src/common/types.h"
+#include "src/obs/run_event.h"
 
 namespace gridbox::obs {
 
@@ -37,17 +37,14 @@ class TraceSink {
   TraceSink& operator=(const TraceSink&) = delete;
   virtual ~TraceSink() = default;
 
-  /// Transport event over a (source, destination) pair.
-  void message_event(const char* event, SimTime t, MemberId source,
-                     MemberId destination, std::size_t bytes);
-  /// Phase-machine event at one member. Fields with value
-  /// kOmitted are left out of the line.
-  static constexpr std::int64_t kOmitted = -1;
-  void member_event(const char* event, SimTime t, MemberId member,
-                    std::int64_t phase = kOmitted,
-                    std::int64_t value = kOmitted,
-                    const char* value_key = "v",
-                    const char* detail = nullptr);
+  /// The kinds write() reads: all of them.
+  static constexpr RunEventKinds kReads = kAllKinds;
+
+  /// One line per event in the vocabulary above. A gain is written as a
+  /// "learn" line only when it came over the wire (GainKind::kRemote): the
+  /// stream keeps its pre-lineage shape, and local seeds, adoptions and
+  /// result pushes are visible through lineage and the flight recorder.
+  void write(const RunEvent& event);
 
   [[nodiscard]] std::uint64_t lines_written() const { return lines_; }
 

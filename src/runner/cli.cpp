@@ -223,7 +223,8 @@ usage: gridbox_sim [flags]
 protocol
   --protocol NAME        hier-gossip (default) | all-to-all | centralized |
                          leader | committee
-  --committee-size N     committee size K' for --protocol committee (default 3)
+  --committee-size N     committee size K' for --protocol committee (default 1,
+                         which runs exactly the leader protocol)
 
 group & hierarchy
   --n N                  group size (default 200)

@@ -119,7 +119,9 @@ void configure_curves(obs::CurveRecorder& curves,
       denoms.push_back(d1);
       // Level p >= 2: level p-1 committee members export their partial (one
       // kLocal each) and level-p committee members fill one slot per
-      // non-empty child subtree.
+      // non-empty child subtree, except their own child's slot: a level-p
+      // member is also a level p-1 exporter, and that export already fills
+      // it locally with no second event.
       for (std::size_t p = 2; p <= phases; ++p) {
         std::uint64_t level_committee = 0;
         std::uint64_t slots = 0;
@@ -129,7 +131,7 @@ void configure_curves(obs::CurveRecorder& curves,
           level_committee += t;
           slots += t * g.children;
         }
-        denoms.push_back(prev_committee + slots);
+        denoms.push_back(prev_committee + slots - level_committee);
         prev_committee = level_committee;
       }
       result_denom = n;
@@ -196,10 +198,10 @@ RunResult simulate(const ExperimentConfig& config) {
       config.lineage != nullptr || config.curves != nullptr ||
       config.flight != nullptr) {
     obs::RunObserver::Options oopt;
-    oopt.sink = config.trace_sink;
-    oopt.simulator = &simulator;
+    oopt.clock = &simulator;
     oopt.group_size = config.group_size;
     oopt.next = config.gossip.trace;
+    oopt.sink = config.trace_sink;
     oopt.lineage = config.lineage;
     oopt.curves = config.curves;
     oopt.flight = config.flight;
@@ -208,12 +210,8 @@ RunResult simulate(const ExperimentConfig& config) {
     group.set_crash_listener(
         [&observer](MemberId m) { observer->on_crash(m); });
   }
-  if (config.lineage != nullptr) {
-    config.lineage->set_clock(&simulator);
-    config.lineage->capture_hierarchy(hier);
-  }
+  if (config.lineage != nullptr) config.lineage->capture_hierarchy(hier);
   if (config.curves != nullptr) {
-    config.curves->set_clock(&simulator);
     configure_curves(*config.curves, config, hier, group);
   }
 
@@ -324,10 +322,6 @@ RunResult simulate(const ExperimentConfig& config) {
     };
   }
   if (observer != nullptr) result.timeline = observer->timeline();
-  // The run clock dies with this frame; detach it so the caller-owned
-  // trackers cannot dangle.
-  if (config.lineage != nullptr) config.lineage->set_clock(nullptr);
-  if (config.curves != nullptr) config.curves->set_clock(nullptr);
   if (group.has_positions() && network->stats().messages_sent > 0) {
     result.mean_link_distance =
         network->stats().link_distance_sum /

@@ -24,6 +24,12 @@ SimTime percentile(const std::vector<SimTime>& sorted, double p) {
 
 }  // namespace
 
+ServiceEngine::Lineage::Lineage(std::size_t group_size,
+                                const sim::Scheduler& clock)
+    : tracker({.group_size = group_size}),
+      observer({.clock = &clock, .group_size = group_size,
+                .lineage = &tracker}) {}
+
 ServiceEngine::ServiceEngine(const ServiceConfig& config, InstanceMux& mux,
                              membership::Group& shared_group,
                              Substrate substrate)
@@ -120,7 +126,7 @@ void ServiceEngine::fan_crash(MemberId member) {
   for (auto& [id, inst] : live_) {
     if (inst->state == State::kRunning && inst->world.group.is_alive(member)) {
       inst->world.group.crash(member);
-      if (inst->lineage) inst->lineage->on_crash(member);
+      if (inst->lineage) inst->lineage->observer.on_crash(member);
     }
   }
 }
@@ -193,17 +199,20 @@ void ServiceEngine::launch(const Due& due) {
   inst->launched_at = now;
   inst->deadline = now + instance_deadline_;
 
-  // Observability chain: node -> checker -> lineage (the checker forwards
-  // before checking, so lineage keeps the offending event too).
+  // Observability chain: node -> checker -> observer -> lineage (the
+  // checker forwards before checking, so lineage keeps the offending event
+  // too). The members the instance starts without are reported crashed,
+  // since measure_run counts them as crashed too.
   protocols::gossip::GossipTrace* tail = nullptr;
   if (config_.collect_lineage && substrate_.simulator != nullptr &&
       xc.protocol == runner::ProtocolKind::kHierGossip) {
-    obs::LineageTracker::Options lopt;
-    lopt.group_size = xc.group_size;
-    lopt.simulator = substrate_.simulator;
-    inst->lineage = std::make_unique<obs::LineageTracker>(lopt);
-    inst->lineage->capture_hierarchy(world.hier);
-    tail = inst->lineage.get();
+    inst->lineage =
+        std::make_unique<Lineage>(xc.group_size, *substrate_.simulator);
+    inst->lineage->tracker.capture_hierarchy(world.hier);
+    for (const MemberId m : world.group.members()) {
+      if (!world.group.is_alive(m)) inst->lineage->observer.on_crash(m);
+    }
+    tail = &inst->lineage->observer;
   }
   // Theorem 1 is meaningful on the virtual clock; on a real host the
   // instance deadline (a generous multiple of the horizon) plays that
@@ -350,7 +359,7 @@ void ServiceEngine::finalize(Instance& inst, bool teardown) {
   row.measurement = protocols::measure_run(
       inst.world.group, inst.nodes, inst.world.votes,
       config_.experiment.aggregate, inst.network, inst.world.audit.get());
-  if (inst.lineage) row.lineage_json = inst.lineage->to_json();
+  if (inst.lineage) row.lineage_json = inst.lineage->tracker.to_json();
   results_.push_back(std::move(row));
   if (teardown) {
     inst.nodes.clear();

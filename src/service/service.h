@@ -54,6 +54,7 @@
 #include "src/net/chaos.h"
 #include "src/net/stats.h"
 #include "src/obs/lineage.h"
+#include "src/obs/run_observer.h"
 #include "src/obs/telemetry.h"
 #include "src/protocols/arena.h"
 #include "src/protocols/invariant_checker.h"
@@ -204,6 +205,16 @@ class ServiceEngine {
  private:
   enum class State : std::uint8_t { kRunning, kDraining, kFailed };
 
+  /// An instance's lineage tracker and the RunObserver that feeds it
+  /// (collect_lineage runs on the simulator substrate).
+  struct Lineage {
+    Lineage(std::size_t group_size, const sim::Scheduler& clock);
+    Lineage(const Lineage&) = delete;  // the observer points at tracker
+    Lineage& operator=(const Lineage&) = delete;
+    obs::LineageTracker tracker;
+    obs::RunObserver observer;
+  };
+
   /// One live instance: its own world over the shared members.
   struct Instance {
     Instance(std::uint32_t instance_id, const runner::ExperimentConfig& config,
@@ -222,7 +233,7 @@ class ServiceEngine {
     /// measurement is stable).
     runner::World world;
     std::unique_ptr<protocols::StateArena> arena;
-    std::unique_ptr<obs::LineageTracker> lineage;
+    std::unique_ptr<Lineage> lineage;
     std::unique_ptr<protocols::InvariantChecker> checker;
     std::unique_ptr<InstanceSender> sender;
     std::vector<std::unique_ptr<protocols::ProtocolNode>> nodes;

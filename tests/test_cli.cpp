@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "src/protocols/baseline/committee.h"
+
 namespace gridbox::runner {
 namespace {
 
@@ -203,6 +207,17 @@ TEST(Cli, UsageMentionsEveryFlag) {
         "--lineage", "--curves-out", "--flight-recorder", "--help"}) {
     EXPECT_NE(usage.find(flag), std::string::npos) << flag;
   }
+}
+
+// The help text states the committee size a bare --protocol committee runs.
+TEST(Cli, UsageNamesTheRealCommitteeSizeDefault) {
+  const std::string want =
+      "(default " +
+      std::to_string(protocols::baseline::CommitteeConfig{}.committee_size);
+  const std::string usage = usage_text();
+  const std::size_t flag = usage.find("--committee-size");
+  ASSERT_NE(flag, std::string::npos);
+  EXPECT_EQ(usage.find(want, flag), usage.find("(default", flag)) << want;
 }
 
 // gridbox_node's parser shares gridbox_sim's flag-value validation.

@@ -181,27 +181,40 @@ TEST(Curves, GoldenDocumentReplaysByteIdentical) {
 
 // With no loss, no crashes and long phases every member learns every
 // aggregate its phase can produce, so each phase's curve must end at its
-// ceiling. At N = 1000 some phase-2 child slots have empty subtrees: a
-// denominator that counted all K slots ended phase 2 at 9843 bp.
+// ceiling, for hier-gossip and for the leader/committee baselines. At
+// N = 1000 some phase-2 child slots have empty subtrees: a denominator that
+// counted all K slots ended hier-gossip's phase 2 at 9843 bp. A level-p
+// leader fills its own child's slot with its level p-1 export: counting
+// that slot again ended leader's phase 2 at 8725 bp and committee's at
+// 8655 bp.
 TEST(Curves, EveryPhaseEndsAtItsCeilingWithoutLossOrCrashes) {
-  ExperimentConfig config;
-  config.group_size = 1000;
-  config.ucast_loss = 0.0;
-  config.crash_probability = 0.0;
-  config.gossip.round_multiplier_c = 8.0;
-  config.gossip.early_bump = false;
-  config.seed = 7;
-  const JsonValue root = obs::json_parse(record_curves_json(config));
-  const JsonValue* phases = root.find("phases");
-  ASSERT_NE(phases, nullptr);
-  ASSERT_EQ(phases->array.size(), 5u);
-  for (const JsonValue& phase : phases->array) {
-    const JsonValue* samples = phase.find("samples");
-    ASSERT_NE(samples, nullptr);
-    ASSERT_FALSE(samples->array.empty());
-    EXPECT_EQ(samples->array.back().number_or("frac_bp", 0), 10000.0)
-        << "phase " << phase.number_or("phase", 0) << " of denominator "
-        << phase.number_or("denominator", 0);
+  ExperimentConfig lossless;
+  lossless.group_size = 1000;
+  lossless.ucast_loss = 0.0;
+  lossless.crash_probability = 0.0;
+  lossless.seed = 7;
+  ExperimentConfig hier = lossless;
+  hier.gossip.round_multiplier_c = 8.0;
+  hier.gossip.early_bump = false;
+  ExperimentConfig leader = lossless;
+  leader.protocol = ProtocolKind::kLeaderElection;
+  ExperimentConfig committee = lossless;
+  committee.protocol = ProtocolKind::kCommittee;
+  committee.committee.committee_size = 3;
+  for (const ExperimentConfig& config : {hier, leader, committee}) {
+    const std::string name = runner::to_string(config.protocol);
+    const JsonValue root = obs::json_parse(record_curves_json(config));
+    const JsonValue* phases = root.find("phases");
+    ASSERT_NE(phases, nullptr) << name;
+    ASSERT_EQ(phases->array.size(), 5u) << name;
+    for (const JsonValue& phase : phases->array) {
+      const JsonValue* samples = phase.find("samples");
+      ASSERT_NE(samples, nullptr) << name;
+      ASSERT_FALSE(samples->array.empty()) << name;
+      EXPECT_EQ(samples->array.back().number_or("frac_bp", 0), 10000.0)
+          << name << " phase " << phase.number_or("phase", 0)
+          << " of denominator " << phase.number_or("denominator", 0);
+    }
   }
 }
 
@@ -256,11 +269,11 @@ TEST(Curves, BaselineDocumentsHaveNoAnalyticOverlay) {
 // ---------------------------------------------------------------------------
 // Flight recorder.
 
-FlightRecorder::Event crash_event(std::uint64_t t, std::uint32_t member) {
-  FlightRecorder::Event e;
+obs::RunEvent crash_event(std::uint64_t t, std::uint32_t member) {
+  obs::RunEvent e;
   e.at = SimTime::micros(static_cast<SimTime::underlying>(t));
-  e.kind = FlightRecorder::EventKind::kCrash;
-  e.a = member;
+  e.kind = obs::RunEventKind::kCrash;
+  e.member = member;
   return e;
 }
 

@@ -124,15 +124,6 @@ TEST(PartitionLoss, EmpiricalCrossRate) {
   EXPECT_NEAR(static_cast<double>(cross) / kTrials, 0.6, 0.01);
 }
 
-TEST(LinkOverrideLoss, OverridesOnlyConfiguredLinks) {
-  auto model = std::make_unique<LinkOverrideLoss>(std::make_unique<NoLoss>());
-  model->set_link(MemberId{1}, MemberId{2}, 1.0);
-  Rng rng(6);
-  EXPECT_TRUE(model->drops(MemberId{1}, MemberId{2}, rng));
-  EXPECT_FALSE(model->drops(MemberId{2}, MemberId{1}, rng));  // directed
-  EXPECT_FALSE(model->drops(MemberId{3}, MemberId{4}, rng));
-}
-
 TEST(ConstantLatency, ReturnsConfiguredDelay) {
   ConstantLatency model(SimTime{123});
   Rng rng(7);

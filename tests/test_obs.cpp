@@ -12,6 +12,7 @@
 #include "src/obs/json.h"
 #include "src/obs/manifest.h"
 #include "src/obs/trace_sink.h"
+#include "src/protocols/gossip/trace.h"
 #include "src/runner/cli.h"
 #include "src/runner/config.h"
 #include "src/runner/experiment.h"
@@ -69,14 +70,28 @@ TEST(Json, ParseRejectsMalformedInput) {
   EXPECT_THROW((void)obs::json_parse(""), PreconditionError);
 }
 
+obs::RunEvent event(obs::RunEventKind kind, std::int64_t t,
+                   std::uint32_t member) {
+  obs::RunEvent e;
+  e.at = SimTime::micros(t);
+  e.kind = kind;
+  e.member = member;
+  return e;
+}
+
 TEST(TraceSinkTest, LineFormatsAreIntegerOnlyAndStable) {
   std::ostringstream out;
   TraceSink sink(out);
-  sink.message_event("send", SimTime::micros(12), MemberId{3}, MemberId{7},
-                     21);
-  sink.member_event("conclude", SimTime::micros(40), MemberId{5}, 2, 4,
-                    "votes", "timeout");
-  sink.member_event("crash", SimTime::micros(50), MemberId{9});
+  obs::RunEvent send = event(obs::RunEventKind::kSend, 12, 3);
+  send.peer = 7;
+  send.value = 21;
+  sink.write(send);
+  obs::RunEvent conclude = event(obs::RunEventKind::kConclude, 40, 5);
+  conclude.phase = 2;
+  conclude.votes = 4;
+  conclude.aux = static_cast<std::uint8_t>(protocols::gossip::PhaseEnd::kTimeout);
+  sink.write(conclude);
+  sink.write(event(obs::RunEventKind::kCrash, 50, 9));
   EXPECT_EQ(out.str(),
             "{\"t\":12,\"ev\":\"send\",\"src\":3,\"dst\":7,\"bytes\":21}\n"
             "{\"t\":40,\"ev\":\"conclude\",\"m\":5,\"phase\":2,\"votes\":4,"
@@ -85,11 +100,37 @@ TEST(TraceSinkTest, LineFormatsAreIntegerOnlyAndStable) {
   EXPECT_EQ(sink.lines_written(), 3u);
 }
 
+// Only a gain over the wire is a "learn" line; local seeds, adoptions and
+// result pushes leave the JSONL stream as it was before lineage existed.
+TEST(TraceSinkTest, OnlyARemoteGainIsALearnLine) {
+  using protocols::gossip::GainKind;
+  std::ostringstream out;
+  TraceSink sink(out);
+  for (const GainKind kind : {GainKind::kLocal, GainKind::kRemote,
+                              GainKind::kAdopted, GainKind::kResult}) {
+    obs::RunEvent gain = event(obs::RunEventKind::kGain, 8, 2);
+    gain.aux = static_cast<std::uint8_t>(kind);
+    gain.peer = 6;
+    gain.phase = 1;
+    gain.value = 6;
+    gain.votes = 1;
+    sink.write(gain);
+  }
+  EXPECT_EQ(out.str(),
+            "{\"t\":8,\"ev\":\"learn\",\"m\":2,\"phase\":1,\"index\":6}\n");
+}
+
 TEST(TraceSinkTest, EveryLineParsesAsJson) {
   std::ostringstream out;
   TraceSink sink(out);
-  sink.message_event("drop", SimTime::micros(1), MemberId{0}, MemberId{1}, 9);
-  sink.member_event("round", SimTime::micros(2), MemberId{1}, 1, 2, "fanout");
+  obs::RunEvent drop = event(obs::RunEventKind::kDrop, 1, 0);
+  drop.peer = 1;
+  drop.value = 9;
+  sink.write(drop);
+  obs::RunEvent round = event(obs::RunEventKind::kRound, 2, 1);
+  round.phase = 1;
+  round.value = 2;
+  sink.write(round);
   std::istringstream lines(out.str());
   std::string line;
   while (std::getline(lines, line)) {

@@ -7,6 +7,7 @@
 // lineage container.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -15,6 +16,7 @@
 #include "src/common/ensure.h"
 #include "src/net/chaos.h"
 #include "src/net/fault_model.h"
+#include "src/obs/json.h"
 #include "src/runner/experiment.h"
 #include "src/service/envelope.h"
 #include "src/service/mux.h"
@@ -451,6 +453,36 @@ TEST(ServiceEngine, LineageCollectsOneDocumentPerInstance) {
   EXPECT_NE(multi.find("gridbox-lineage-multi/1"), std::string::npos);
   EXPECT_NE(multi.find("\"id\":0"), std::string::npos);
   EXPECT_NE(multi.find("\"id\":1"), std::string::npos);
+}
+
+// Lineage reproduces every instance's measured completeness bit for bit,
+// also when its cohort is smaller than N: the members an instance starts
+// without are crashed to lineage as they are to measure_run.
+TEST(ServiceEngine, LineageCompletenessMatchesEveryInstancesMeasurement) {
+  for (const char* chaos : {"", "join M7 at=12ms\n", "crash M3 at=3ms\n"}) {
+    service::ServiceConfig sc = small_service();
+    sc.experiment.chaos_spec = chaos;
+    sc.collect_lineage = true;
+    const service::ServiceResult result = service::run_service_experiment(sc);
+    ASSERT_TRUE(result.completed) << chaos;
+    std::size_t smallest_cohort = sc.experiment.group_size;
+    for (const service::InstanceResult& inst : result.instances) {
+      smallest_cohort = std::min(smallest_cohort, inst.participants);
+      const obs::JsonValue doc = obs::json_parse(inst.lineage_json);
+      const auto want_bp = static_cast<std::uint64_t>(
+          inst.measurement.mean_completeness * 10'000.0 + 0.5);
+      EXPECT_EQ(doc.number_or("completeness_bp", -1),
+                static_cast<double>(want_bp))
+          << "chaos '" << chaos << "' instance " << inst.id;
+      const obs::JsonValue* errors = doc.find("errors");
+      ASSERT_NE(errors, nullptr);
+      EXPECT_TRUE(errors->array.empty()) << "instance " << inst.id;
+    }
+    // The churn streams do run instances without the whole group.
+    if (*chaos != '\0') {
+      EXPECT_LT(smallest_cohort, sc.experiment.group_size) << chaos;
+    }
+  }
 }
 
 }  // namespace
