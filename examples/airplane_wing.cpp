@@ -56,7 +56,7 @@ int main() {
   // On-wing network: short-range links, mild loss, distance-driven latency.
   sim::Simulator simulator;
   net::SimNetwork network(
-      simulator, std::make_unique<net::IndependentLoss>(0.10),
+      simulator, net::FaultModel::iid(0.10),
       std::make_unique<net::DistanceLatency>(position_of, SimTime::micros(50),
                                              SimTime::micros(3000)),
       root.derive(3));

@@ -41,7 +41,7 @@ EpochResult run_epoch(membership::Group& processes,
                       double throttle_threshold) {
   sim::Simulator simulator;
   net::SimNetwork network(
-      simulator, std::make_unique<net::IndependentLoss>(0.15),
+      simulator, net::FaultModel::iid(0.15),
       std::make_unique<net::ExponentialLatency>(SimTime::micros(500),
                                                 SimTime::micros(1500),
                                                 SimTime::micros(8000)),

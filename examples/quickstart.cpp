@@ -38,7 +38,7 @@ int main() {
   // 3. A lossy asynchronous network: 20%% unicast loss, 0.2-2ms latency.
   sim::Simulator simulator;
   net::SimNetwork network(
-      simulator, std::make_unique<net::IndependentLoss>(0.20),
+      simulator, net::FaultModel::iid(0.20),
       std::make_unique<net::UniformLatency>(SimTime::micros(200),
                                             SimTime::micros(2000)),
       root.derive(2));

@@ -41,7 +41,7 @@ int main() {
   // messages, same-side traffic 30%.
   sim::Simulator simulator;
   net::SimNetwork network(
-      simulator, net::PartitionLoss::split_at(kMotes / 2, 0.30, 0.60),
+      simulator, net::FaultModel::split_at(kMotes / 2, 0.30, 0.60),
       std::make_unique<net::UniformLatency>(SimTime::micros(500),
                                             SimTime::micros(5000)),
       root.derive(2));

@@ -109,13 +109,6 @@ class AuditRegistry {
     return unknown_tokens_.load(std::memory_order_acquire);
   }
 
-  [[nodiscard]] std::size_t universe() const { return universe_; }
-
-  /// Distinct stored records (post-dedup) and pooled words — storage
-  /// telemetry for the scale benches.
-  [[nodiscard]] std::size_t record_count() const { return records_.size(); }
-  [[nodiscard]] std::size_t pool_words() const { return pool_.size(); }
-
  private:
   struct Record {
     std::uint32_t first_word = 0;  ///< absolute word offset of the window

@@ -28,14 +28,6 @@ bool MemberBitset::test(std::size_t i) const {
   return (words_[i / kBits] >> (i % kBits)) & 1U;
 }
 
-void MemberBitset::set_all() {
-  if (size_ == 0) return;
-  std::fill(words_.begin(), words_.end(), ~std::uint64_t{0});
-  const std::size_t tail = size_ % kBits;
-  if (tail != 0) words_.back() &= (std::uint64_t{1} << tail) - 1;
-  used_words_ = words_.size();
-}
-
 void MemberBitset::grow_universe(std::size_t universe_size) {
   if (universe_size <= size_) return;
   size_ = universe_size;

@@ -31,9 +31,6 @@ class MemberBitset {
   void reset(std::size_t i);
   [[nodiscard]] bool test(std::size_t i) const;
 
-  /// Sets every bit in the universe.
-  void set_all();
-
   /// Grows the universe to at least `universe_size` bits, preserving set
   /// bits. No-op when already at least that large.
   void grow_universe(std::size_t universe_size);
@@ -62,11 +59,6 @@ class MemberBitset {
       }
     }
   }
-
-  /// Direct word access (ascending, little-endian bit order within a word).
-  /// `used_words()` is the scan bound: every word at or past it is zero.
-  [[nodiscard]] std::size_t used_words() const { return used_words_; }
-  [[nodiscard]] std::uint64_t word(std::size_t wi) const { return words_[wi]; }
 
   friend bool operator==(const MemberBitset&, const MemberBitset&);
 

@@ -1,58 +1,34 @@
-// Member crash models.
+// Member crash model.
 //
 // Paper §7: "Members were prone to crashes (without recovery) in every gossip
-// round with probability pf." The model is consulted once per member per
-// round by the experiment driver; alternative models support deterministic
-// failure injection and crash-recovery testing.
+// round with probability pf." The model is consulted once per alive member
+// per round by the crash clock. Scripted crashes at chosen times are the
+// chaos grammar's (`crash M at=T`).
 #pragma once
 
-#include <cstdint>
-#include <unordered_map>
-#include <vector>
-
+#include "src/common/ensure.h"
 #include "src/common/rng.h"
-#include "src/common/types.h"
 
 namespace gridbox::membership {
 
-class CrashModel {
- public:
-  virtual ~CrashModel() = default;
-
-  /// Whether `member` crashes during gossip round `round` (0-based).
-  [[nodiscard]] virtual bool crashes(MemberId member, std::uint64_t round,
-                                     Rng& rng) const = 0;
-};
-
-class NoCrash final : public CrashModel {
- public:
-  [[nodiscard]] bool crashes(MemberId, std::uint64_t, Rng&) const override {
-    return false;
-  }
-};
-
 /// Independent crash with fixed per-round probability — the paper's `pf`.
-class PerRoundCrash final : public CrashModel {
+class PerRoundCrash {
  public:
-  explicit PerRoundCrash(double probability);
-  [[nodiscard]] bool crashes(MemberId, std::uint64_t, Rng& rng) const override;
+  explicit PerRoundCrash(double probability) : probability_(probability) {
+    expects(probability >= 0.0 && probability <= 1.0,
+            "crash probability must be in [0,1]");
+  }
+
+  /// Whether one member crashes this round; draws from `rng` only for a
+  /// probability strictly between 0 and 1.
+  [[nodiscard]] bool crashes(Rng& rng) const {
+    return rng.bernoulli(probability_);
+  }
+
   [[nodiscard]] double probability() const { return probability_; }
 
  private:
   double probability_;
-};
-
-/// Deterministic schedule: member m crashes at exactly round r. Used by
-/// failure-injection tests (e.g. kill the would-be leader of a subtree and
-/// check which votes are lost).
-class ScheduledCrash final : public CrashModel {
- public:
-  void add(MemberId member, std::uint64_t round);
-  [[nodiscard]] bool crashes(MemberId member, std::uint64_t round,
-                             Rng&) const override;
-
- private:
-  std::unordered_map<MemberId, std::uint64_t> schedule_;
 };
 
 }  // namespace gridbox::membership

@@ -76,11 +76,11 @@ std::vector<MemberId> Group::alive_members() const {
   return alive;
 }
 
-std::size_t Group::apply_round_crashes(const CrashModel& model,
-                                       std::uint64_t round, Rng& rng) {
+std::size_t Group::apply_round_crashes(const PerRoundCrash& model,
+                                       std::uint64_t /*round*/, Rng& rng) {
   std::size_t crashed = 0;
   for (const MemberId m : members()) {
-    if (is_alive(m) && model.crashes(m, round, rng)) {
+    if (is_alive(m) && model.crashes(rng)) {
       crash(m);
       ++crashed;
     }

@@ -74,9 +74,10 @@ class Group {
   void recover(MemberId id);
 
   /// Applies one round of the crash model to every currently-alive member.
-  /// Returns the number of members that crashed this round.
-  std::size_t apply_round_crashes(const CrashModel& model, std::uint64_t round,
-                                  Rng& rng);
+  /// Returns the number of members that crashed this round. The model does
+  /// not depend on `round`; callers still pass the round they apply.
+  std::size_t apply_round_crashes(const PerRoundCrash& model,
+                                  std::uint64_t round, Rng& rng);
 
   /// Members alive right now, ascending.
   [[nodiscard]] std::vector<MemberId> alive_members() const;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <charconv>
+#include <memory>
 #include <sstream>
 #include <utility>
 
@@ -367,20 +368,19 @@ ChaosSpec random_chaos_spec(Rng& rng, std::size_t group_size,
   return spec;
 }
 
-ChaosSchedule::ChaosSchedule(ChaosSpec spec, std::unique_ptr<FaultModel> base,
+ChaosSchedule::ChaosSchedule(ChaosSpec spec, FaultModel base,
                              std::size_t group_size, Rng rng)
     : spec_(std::move(spec)),
-      base_(std::move(base)),
+      base_(base),
       group_size_(group_size),
       drop_rng_(rng.derive(kDropStream)),
       jitter_rng_(rng.derive(kJitterStream)),
       dup_rng_(rng.derive(kDupStream)),
       burst_bad_(spec_.bursts.size(), false),
       burst_active_(spec_.bursts.size(), false) {
-  expects(base_ != nullptr, "base fault model required (use NoLoss)");
   expects(group_size_ >= 1, "group size required to resolve boundaries");
   if (spec_.base_loss.has_value()) {
-    base_ = std::make_unique<IndependentLoss>(*spec_.base_loss);
+    base_ = FaultModel::iid(*spec_.base_loss);
   }
   for (const LinkLoss& l : spec_.links) {
     link_loss_[link_key(l.source, l.destination)] = l.loss;
@@ -434,7 +434,7 @@ bool ChaosSchedule::decide_drop(MemberId source, MemberId destination,
     return drop;
   }
 
-  return base_->drops(source, destination, drop_rng_);
+  return base_.drops(source, destination, drop_rng_);
 }
 
 ChaosDecision ChaosSchedule::on_send(MemberId source, MemberId destination) {

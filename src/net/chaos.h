@@ -16,7 +16,6 @@
 #pragma once
 
 #include <functional>
-#include <memory>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -137,7 +136,7 @@ struct ChurnEvent {
 /// Times accept `us`, `ms`, or `s` suffixes (bare integers are µs) and
 /// serialize canonically in µs.
 struct ChaosSpec {
-  std::optional<double> base_loss;  ///< replaces the wrapped base fault model
+  std::optional<double> base_loss;  ///< replaces the run's static FaultModel
   std::vector<BurstEpoch> bursts;
   std::vector<LinkLoss> links;
   JitterSpec jitter;
@@ -182,17 +181,18 @@ struct ChaosDecision {
   std::vector<SimTime> duplicate_delays;
 };
 
-/// Runtime engine for a ChaosSpec: wraps a base FaultModel and scripts
-/// time-varying adversity from the simulator clock. Owned and consulted by
-/// SimNetwork (install_chaos); per-run construction keeps multi-run sweeps
-/// bitwise deterministic at any --jobs.
+/// Runtime engine for a ChaosSpec: holds the run's static FaultModel and
+/// scripts time-varying adversity on top of it from the simulator clock.
+/// Owned and consulted by SimNetwork (install_chaos); per-run construction
+/// keeps multi-run sweeps bitwise deterministic at any --jobs.
 class ChaosSchedule {
  public:
-  /// `base` is the fallback loss model consulted when no directive claims a
-  /// message (required; pass NoLoss for none). `group_size` resolves
-  /// `boundary=half`. `rng` seeds the three independent decision streams.
-  ChaosSchedule(ChaosSpec spec, std::unique_ptr<FaultModel> base,
-                std::size_t group_size, Rng rng);
+  /// `base` is the static loss consulted when no directive claims a message
+  /// (the zero value for none); a `loss` directive replaces it with iid loss.
+  /// `group_size` resolves `boundary=half`. `rng` seeds the three
+  /// independent decision streams.
+  ChaosSchedule(ChaosSpec spec, FaultModel base, std::size_t group_size,
+                Rng rng);
 
   /// Clock used to evaluate time-varying epochs; SimNetwork binds this to
   /// its simulator on install.
@@ -208,7 +208,7 @@ class ChaosSchedule {
                                  SimTime now);
 
   ChaosSpec spec_;
-  std::unique_ptr<FaultModel> base_;
+  FaultModel base_;
   std::size_t group_size_;
   Rng drop_rng_;
   Rng jitter_rng_;

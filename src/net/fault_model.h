@@ -1,77 +1,48 @@
-// Message-delivery fault models.
+// Message-delivery fault model.
 //
 // The paper evaluates under (a) independent unicast loss with probability
 // `ucastl` and (b) a soft network partition where cross-partition messages
 // are dropped with probability `partl` while intra-partition messages see
-// `ucastl` (§7, Figure 9). Both are implemented here behind one interface so
-// protocols are fault-model agnostic.
+// `ucastl` (§7, Figure 9). Both are one value: members with id < `boundary`
+// are one side, the rest the other; a message crossing the boundary is lost
+// with `cross`, any other with `within`. The zero value is lossless and
+// draws nothing from the RNG. Everything richer is the chaos grammar's.
 #pragma once
 
-#include <functional>
-#include <memory>
-#include <vector>
-
+#include "src/common/ensure.h"
 #include "src/common/rng.h"
 #include "src/common/types.h"
 
 namespace gridbox::net {
 
-/// Decides, per message, whether the network drops it.
-class FaultModel {
- public:
-  virtual ~FaultModel() = default;
+struct FaultModel {
+  double within = 0.0;  ///< loss within one side: the paper's ucastl
+  double cross = 0.0;   ///< loss across the boundary: the paper's partl
+  /// Members with id < boundary are side 0, others side 1; 0 = no partition.
+  MemberId::underlying boundary = 0;
+
+  /// Independent (iid) unicast loss with a fixed probability.
+  [[nodiscard]] static FaultModel iid(double loss) {
+    return split_at(0, loss, 0.0);
+  }
+
+  /// Soft partition at `boundary` (Figure 9).
+  [[nodiscard]] static FaultModel split_at(MemberId::underlying boundary,
+                                           double within, double cross) {
+    expects(within >= 0.0 && within <= 1.0, "within loss must be in [0,1]");
+    expects(cross >= 0.0 && cross <= 1.0, "cross loss must be in [0,1]");
+    return FaultModel{within, cross, boundary};
+  }
 
   /// Returns true if a message from `source` to `destination` is lost.
-  /// Called exactly once per send; implementations may consume randomness.
-  [[nodiscard]] virtual bool drops(MemberId source, MemberId destination,
-                                   Rng& rng) const = 0;
-};
-
-/// Lossless network (used by correctness tests: with no faults the protocol
-/// must achieve completeness exactly 1).
-class NoLoss final : public FaultModel {
- public:
-  [[nodiscard]] bool drops(MemberId, MemberId, Rng&) const override {
-    return false;
-  }
-};
-
-/// Independent (iid) unicast loss with a fixed probability — the paper's
-/// `ucastl`.
-class IndependentLoss final : public FaultModel {
- public:
-  explicit IndependentLoss(double loss_probability);
-
-  [[nodiscard]] bool drops(MemberId, MemberId, Rng& rng) const override;
-
-  [[nodiscard]] double loss_probability() const { return loss_probability_; }
-
- private:
-  double loss_probability_;
-};
-
-/// Soft partition: the group is split into two halves; messages crossing the
-/// partition are dropped with `cross_loss`, messages within a half with
-/// `within_loss`. Models correlated failures / congestion (Figure 9).
-class PartitionLoss final : public FaultModel {
- public:
-  /// `side_of` maps a member to its partition side (any integer; unequal
-  /// sides mean the message crosses the partition).
-  PartitionLoss(std::function<int(MemberId)> side_of, double within_loss,
-                double cross_loss);
-
-  /// Convenience: members with id value < `boundary` are side 0, others 1.
-  static std::unique_ptr<PartitionLoss> split_at(MemberId::underlying boundary,
-                                                 double within_loss,
-                                                 double cross_loss);
-
+  /// Called exactly once per send; draws from `rng` only for a loss
+  /// probability strictly between 0 and 1.
   [[nodiscard]] bool drops(MemberId source, MemberId destination,
-                           Rng& rng) const override;
-
- private:
-  std::function<int(MemberId)> side_of_;
-  double within_loss_;
-  double cross_loss_;
+                           Rng& rng) const {
+    const bool crosses =
+        (source.value() < boundary) != (destination.value() < boundary);
+    return rng.bernoulli(crosses ? cross : within);
+  }
 };
 
 }  // namespace gridbox::net

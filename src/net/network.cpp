@@ -8,13 +8,12 @@
 namespace gridbox::net {
 
 SimNetwork::SimNetwork(sim::Simulator& simulator,
-                       std::unique_ptr<FaultModel> faults,
+                       FaultModel faults,
                        std::unique_ptr<LatencyModel> latency, Rng rng)
     : simulator_(simulator),
-      faults_(std::move(faults)),
+      faults_(faults),
       latency_(std::move(latency)),
       rng_(rng) {
-  expects(faults_ != nullptr, "fault model required");
   expects(latency_ != nullptr, "latency model required");
 }
 
@@ -69,7 +68,7 @@ void SimNetwork::send(Message message) {
     }
     extra = decision.extra_delay;
     duplicates = std::move(decision.duplicate_delays);
-  } else if (faults_->drops(message.source, message.destination, rng_)) {
+  } else if (faults_.drops(message.source, message.destination, rng_)) {
     ++stats_.messages_dropped;
     observe(obs::RunEventKind::kDrop, message);
     return;

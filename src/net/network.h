@@ -1,9 +1,10 @@
 // The simulated unreliable asynchronous network.
 //
-// Connects protocol endpoints over a point-to-point transport with pluggable
-// loss (FaultModel) and delay (LatencyModel). This is the substrate the paper
-// assumes: "an underlying routing mechanism ... that enables any member to
-// send messages to any other member" (§2), unreliable and asynchronous.
+// Connects protocol endpoints over a point-to-point transport with the
+// paper's loss model (FaultModel) and pluggable delay (LatencyModel). This
+// is the substrate the paper assumes: "an underlying routing mechanism ...
+// that enables any member to send messages to any other member" (§2),
+// unreliable and asynchronous.
 #pragma once
 
 #include <functional>
@@ -33,7 +34,7 @@ namespace gridbox::net {
 class SimNetwork final : public Transport, public sim::FrameSink {
  public:
   /// The network does not own the simulator; it must outlive the network.
-  SimNetwork(sim::Simulator& simulator, std::unique_ptr<FaultModel> faults,
+  SimNetwork(sim::Simulator& simulator, FaultModel faults,
              std::unique_ptr<LatencyModel> latency, Rng rng);
 
   SimNetwork(const SimNetwork&) = delete;
@@ -76,7 +77,6 @@ class SimNetwork final : public Transport, public sim::FrameSink {
   void send(Message message) override;
 
   [[nodiscard]] const NetworkStats& stats() const override { return stats_; }
-  void reset_stats() { stats_.reset(); }
 
   [[nodiscard]] sim::Simulator& simulator() { return simulator_; }
 
@@ -92,7 +92,7 @@ class SimNetwork final : public Transport, public sim::FrameSink {
   }
 
   sim::Simulator& simulator_;
-  std::unique_ptr<FaultModel> faults_;
+  FaultModel faults_;
   std::unique_ptr<ChaosSchedule> chaos_;
   std::unique_ptr<LatencyModel> latency_;
   Rng rng_;

@@ -29,8 +29,6 @@ struct NetworkStats {
                : static_cast<double>(messages_delivered) /
                      static_cast<double>(messages_sent);
   }
-
-  void reset() { *this = NetworkStats{}; }
 };
 
 }  // namespace gridbox::net

@@ -121,15 +121,6 @@ class StateArena {
     return table(phase).order[index];
   }
 
-  /// Whether `id` falls inside the segment (same phase group).
-  [[nodiscard]] bool in_segment(const Segment& seg, std::size_t phase,
-                                MemberId id) const {
-    if (id.value() >= size()) return false;
-    const PhaseTable& t = table(phase);
-    const std::uint32_t idx = t.offset[id.value()];
-    return idx == seg.offset;  // same group <=> same segment start
-  }
-
   /// Position of `id` within its own segment at `phase`.
   [[nodiscard]] std::uint32_t pos_in_segment(std::size_t phase,
                                              MemberId id) const {

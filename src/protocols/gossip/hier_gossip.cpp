@@ -6,7 +6,6 @@
 
 #include "src/agg/codec.h"
 #include "src/common/ensure.h"
-#include "src/common/log.h"
 #include "src/obs/profile.h"
 
 namespace gridbox::protocols::gossip {

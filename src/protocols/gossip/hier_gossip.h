@@ -43,12 +43,6 @@ class HierGossipNode final : public protocols::ProtocolNode {
   void start(SimTime at) override;
   void on_message(const net::Message& message) override;
 
-  /// 1-based phase currently executing; num_phases()+1 once finished.
-  [[nodiscard]] std::size_t current_phase() const { return phase_; }
-
-  /// Rounds spent in the current phase so far.
-  [[nodiscard]] std::uint64_t rounds_in_phase() const { return rounds_in_phase_; }
-
   [[nodiscard]] const GossipConfig& config() const { return config_; }
 
   /// Simulated time at which each phase completed (index 0 = phase 1).

@@ -465,7 +465,6 @@ NodeCliParseResult parse_node_cli(const std::vector<std::string>& args) {
 
   for (; p.i < args.size(); ++p.i) {
     const std::string& flag = args[p.i];
-    std::string value;
     std::uint64_t u = 0;
     bool shared = false;
 
@@ -481,8 +480,6 @@ NodeCliParseResult parse_node_cli(const std::vector<std::string>& args) {
     } else if (flag == "--threads") {
       if (!p.parse_uint(flag, &u)) break;
       options.udp.shards = static_cast<std::size_t>(u);
-    } else if (flag == "--chaos-spec") {
-      if (!p.value(flag, &value) || !p.set_chaos(flag, value, config)) break;
     } else if (flag == "--round-us") {
       if (!p.parse_positive(flag, &u, UINT32_MAX)) break;
       config.gossip.round_duration =

@@ -14,9 +14,6 @@ struct SummaryStats {
   double max = 0.0;
   double median = 0.0;
   double ci95_half_width = 0.0;  ///< 1.96 · stderr (normal approximation)
-
-  [[nodiscard]] double ci95_lo() const { return mean - ci95_half_width; }
-  [[nodiscard]] double ci95_hi() const { return mean + ci95_half_width; }
 };
 
 /// Computes summary statistics of `samples`. Requires non-empty input.

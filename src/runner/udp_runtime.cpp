@@ -129,7 +129,7 @@ UdpRunResult run_udp_experiment(const UdpRunConfig& udp_config) {
   // never throws across reactor threads: it collects, reported post-join.
   const SimTime deadline =
       scaled_deadline(protocol_horizon(config, world.hier.num_phases()),
-                      udp_config.deadline_factor, udp_config.min_deadline);
+                      udp_config.deadline_factor, kDeadlineFloor);
   const std::unique_ptr<protocols::InvariantChecker> checker =
       make_checker(config, world.hier, world.audit.get(), &mesh.control(),
                    deadline, /*fail_fast=*/false, concurrent, nullptr);
@@ -150,12 +150,9 @@ UdpRunResult run_udp_experiment(const UdpRunConfig& udp_config) {
   // everything built so far to the shard threads.
   for (const auto& node : nodes) node->start(SimTime::zero());
 
-  // Crash clock (paper §7 pf) on the control shard. It reads only
-  // cross-thread-safe state: atomic node finished() flags, atomic
-  // liveness, and crash() publication.
-  CrashClock crash_clock(config, group, [&nodes, &group]() {
-    return !settled(nodes, group);
-  });
+  // Crash clock (paper §7 pf) on the control shard. It ticks until the
+  // board settles: one atomic read, the same question mesh.run() asks.
+  CrashClock crash_clock(config, group, [&board]() { return !board.done(); });
   crash_clock.arm(mesh.control());
 
   UdpRunResult result;

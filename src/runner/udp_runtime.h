@@ -41,11 +41,10 @@ struct UdpRunConfig {
   /// Reactor shard threads; 0 = the UdpMesh default, min(4, cores, N).
   std::size_t shards = 0;
 
-  /// Wall-clock completion deadline = max(min_deadline, deadline_factor ×
+  /// Wall-clock completion deadline = max(kDeadlineFloor, deadline_factor ×
   /// the protocol's theoretical horizon). Generous by default: a missed
   /// deadline means "did not complete", never a flaky margin.
   double deadline_factor = 20.0;
-  SimTime min_deadline = SimTime::seconds(5);
 };
 
 struct UdpRunResult {

@@ -193,14 +193,14 @@ agg::VoteTable make_votes(const ExperimentConfig& config,
   return agg::uniform_votes(config.group_size, rng, 0.0, 1.0);
 }
 
-std::unique_ptr<net::FaultModel> make_faults(const ExperimentConfig& config) {
+net::FaultModel make_faults(const ExperimentConfig& config) {
   if (config.partition_loss >= 0.0) {
-    return net::PartitionLoss::split_at(
+    return net::FaultModel::split_at(
         static_cast<MemberId::underlying>(config.group_size / 2),
         config.ucast_loss, config.partition_loss);
   }
-  if (config.ucast_loss <= 0.0) return std::make_unique<net::NoLoss>();
-  return std::make_unique<net::IndependentLoss>(config.ucast_loss);
+  // A negative --loss runs lossless, as it always has.
+  return net::FaultModel::iid(std::max(0.0, config.ucast_loss));
 }
 
 std::unique_ptr<hashing::HashFunction> make_hash(const ExperimentConfig& config,

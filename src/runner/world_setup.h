@@ -62,9 +62,8 @@ inline constexpr std::uint64_t kNodeBase = 0x1000;
                                         const membership::Group& group,
                                         Rng& rng);
 
-/// The static fault pipeline (no-loss / iid / partition) for the config.
-[[nodiscard]] std::unique_ptr<net::FaultModel> make_faults(
-    const ExperimentConfig& config);
+/// The paper's static loss (iid `ucastl`, or the `partl` split at N/2).
+[[nodiscard]] net::FaultModel make_faults(const ExperimentConfig& config);
 
 /// The well-known hash H: same salt at every member (it is group-wide
 /// knowledge), different across seeds so box assignments vary per run.
@@ -175,6 +174,10 @@ class CrashClock {
 /// keep host scheduling noise from failing a correct run.
 [[nodiscard]] SimTime scaled_deadline(SimTime horizon, double factor,
                                       SimTime floor);
+
+/// The floor both real-time drivers (the UDP run and the service's
+/// instances) pass to scaled_deadline.
+inline constexpr SimTime kDeadlineFloor = SimTime::seconds(5);
 
 /// Theoretical protocol horizon on the run clock: when a healthy run should
 /// have finished. Hier-gossip has the paper's closed form (Theorem 1:

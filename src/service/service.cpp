@@ -73,7 +73,7 @@ ServiceEngine::ServiceEngine(const ServiceConfig& config, InstanceMux& mux,
       xc.group_size, runner::hierarchy_fanout(xc), probe_hash);
   const SimTime horizon = runner::protocol_horizon(xc, probe.num_phases());
   instance_deadline_ = runner::scaled_deadline(
-      horizon, config_.deadline_factor, config_.min_deadline);
+      horizon, config_.deadline_factor, runner::kDeadlineFloor);
   // Backstop for the event loop: even a fully serialized stream (every
   // launch deferred behind a failing predecessor) resolves within this.
   const auto n = static_cast<SimTime::underlying>(config_.instances);
@@ -204,8 +204,7 @@ void ServiceEngine::launch(const Due& due) {
   // too). The members the instance starts without are reported crashed,
   // since measure_run counts them as crashed too.
   protocols::gossip::GossipTrace* tail = nullptr;
-  if (config_.collect_lineage && substrate_.simulator != nullptr &&
-      xc.protocol == runner::ProtocolKind::kHierGossip) {
+  if (config_.collect_lineage && substrate_.simulator != nullptr) {
     inst->lineage =
         std::make_unique<Lineage>(xc.group_size, *substrate_.simulator);
     inst->lineage->tracker.capture_hierarchy(world.hier);

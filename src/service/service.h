@@ -93,9 +93,9 @@ struct ServiceConfig {
   /// instances are running (draining ones have answered; they don't count).
   std::size_t max_in_flight = 8;
 
-  /// Per-instance deadline = max(min_deadline, deadline_factor * horizon).
+  /// Per-instance deadline = max(runner::kDeadlineFloor,
+  /// deadline_factor * horizon).
   double deadline_factor = 20.0;
-  SimTime min_deadline = SimTime::seconds(5);
 
   /// Attach a per-instance LineageTracker (simulator substrate only) and
   /// return its JSON per instance — input of `gridbox_explain --instance`.

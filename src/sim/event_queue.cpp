@@ -53,12 +53,4 @@ SimTime EventQueue::next_time() const {
   return heap_.front().time;
 }
 
-void EventQueue::clear() {
-  heap_.clear();
-  slab_.clear();
-  free_slots_.clear();
-  next_sequence_ = 0;
-  peak_size_ = 0;
-}
-
 }  // namespace gridbox::sim

@@ -119,13 +119,6 @@ class EventQueue {
     return count;
   }
 
-  /// Discards all pending events AND resets the queue's statistics:
-  /// total_pushed()/peak_size() return 0 and sequence numbering restarts,
-  /// exactly as if the queue were freshly constructed (capacity is kept).
-  /// A cleared queue is therefore indistinguishable from a new one — the
-  /// semantics replay tooling relies on when it reuses a queue across runs.
-  void clear();
-
  private:
   /// Heap element: orders events without touching their (large) bodies.
   struct Key {

@@ -62,14 +62,7 @@ void Simulator::schedule_timer_at(SimTime time, TimerTarget& target,
 std::uint64_t Simulator::run() {
   const obs::LayerScope layer(obs::Layer::kSimLoop);
   std::uint64_t count = 0;
-  while (step()) {
-    ++count;
-    // Checked against the lifetime total, not the per-call count: otherwise a
-    // caller looping over run()/run_until() would reset the runaway guard on
-    // every call and a reschedule loop could spin forever.
-    ensures(executed_ <= event_limit_,
-            "event limit exceeded: likely a runaway reschedule loop");
-  }
+  while (step()) ++count;
   return count;
 }
 
@@ -79,8 +72,6 @@ std::uint64_t Simulator::run_until(SimTime deadline) {
   while (!queue_.empty() && queue_.next_time() <= deadline) {
     (void)step();
     ++count;
-    ensures(executed_ <= event_limit_,
-            "event limit exceeded: likely a runaway reschedule loop");
   }
   if (now_ < deadline) now_ = deadline;
   return count;
@@ -94,6 +85,11 @@ bool Simulator::step() {
   now_ = event.time;
   ++executed_;
   execute(event);
+  // Checked against the lifetime total in every entry point: a caller
+  // driving step() itself, or looping over run()/run_until(), must not get
+  // round the runaway guard.
+  ensures(executed_ <= event_limit_,
+          "event limit exceeded: likely a runaway reschedule loop");
   return true;
 }
 

@@ -75,7 +75,6 @@ class Simulator final : public Scheduler {
 
   [[nodiscard]] std::uint64_t events_executed() const { return executed_; }
   [[nodiscard]] bool idle() const { return queue_.empty(); }
-  [[nodiscard]] std::size_t pending_events() const { return queue_.size(); }
 
   /// Deepest the event queue ever got (event_queue_depth telemetry).
   [[nodiscard]] std::size_t peak_pending_events() const {

@@ -102,7 +102,7 @@ ChaosSchedule make_schedule(const std::string& text, SimTime* clock,
                             std::uint64_t seed = 7,
                             std::size_t group_size = 16) {
   ChaosSchedule schedule(ChaosSpec::parse(text),
-                         std::make_unique<net::NoLoss>(), group_size,
+                         net::FaultModel{}, group_size,
                          Rng(seed));
   schedule.bind_clock([clock]() { return *clock; });
   return schedule;
@@ -201,7 +201,8 @@ TEST(ChaosSchedule, DecisionStreamsAreIndependent) {
 
 TEST(ChaosSchedule, LossDirectiveReplacesBaseModel) {
   SimTime clock = SimTime::zero();
-  // Base model is NoLoss, but the spec scripts loss 1.0: every send drops.
+  // The base model is lossless, but the spec scripts loss 1.0: every send
+  // drops.
   ChaosSchedule schedule = make_schedule("loss 1\n", &clock);
   for (int i = 0; i < 20; ++i) {
     EXPECT_TRUE(schedule.on_send(MemberId{0}, MemberId{1}).drop);

@@ -315,10 +315,9 @@ TEST(NodeCli, ParsesRunServiceAndHarnessFlags) {
 }
 
 TEST(NodeCli, ValidatesChaosSpecsAtTheCommandLine) {
-  EXPECT_EQ(must_parse_node({"--chaos-spec", "loss 0.05"})
-                .udp.experiment.chaos_spec,
+  EXPECT_EQ(must_parse_node({"--chaos", "loss 0.05"}).udp.experiment.chaos_spec,
             "loss 0.05");
-  EXPECT_NE(must_fail_node({"--chaos-spec", "frobnicate 3"}).find("--chaos-spec"),
+  EXPECT_NE(must_fail_node({"--chaos", "frobnicate 3"}).find("--chaos"),
             std::string::npos);
   EXPECT_EQ(must_parse_node({"--chaos", "loss 0.05;crash M3 at=10ms"})
                 .udp.experiment.chaos_spec,

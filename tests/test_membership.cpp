@@ -148,7 +148,7 @@ TEST(PerRoundCrash, ZeroNeverCrashes) {
   PerRoundCrash model(0.0);
   Rng rng(6);
   for (int i = 0; i < 1000; ++i) {
-    EXPECT_FALSE(model.crashes(MemberId{0}, i, rng));
+    EXPECT_FALSE(model.crashes(rng));
   }
 }
 
@@ -158,7 +158,7 @@ TEST(PerRoundCrash, EmpiricalRateMatches) {
   int crashes = 0;
   constexpr int kTrials = 200'000;
   for (int i = 0; i < kTrials; ++i) {
-    if (model.crashes(MemberId{0}, 0, rng)) ++crashes;
+    if (model.crashes(rng)) ++crashes;
   }
   EXPECT_NEAR(static_cast<double>(crashes) / kTrials, 0.01, 0.002);
 }
@@ -167,26 +167,14 @@ TEST(PerRoundCrash, RejectsOutOfRange) {
   EXPECT_THROW(PerRoundCrash{1.5}, PreconditionError);
 }
 
-TEST(ScheduledCrash, FiresOnlyAtScheduledRound) {
-  ScheduledCrash model;
-  model.add(MemberId{3}, 5);
-  Rng rng(8);
-  EXPECT_FALSE(model.crashes(MemberId{3}, 4, rng));
-  EXPECT_TRUE(model.crashes(MemberId{3}, 5, rng));
-  EXPECT_FALSE(model.crashes(MemberId{3}, 6, rng));
-  EXPECT_FALSE(model.crashes(MemberId{4}, 5, rng));
-}
-
 TEST(Group, ApplyRoundCrashesKillsAndCounts) {
   Group g(50);
-  ScheduledCrash model;
-  model.add(MemberId{10}, 0);
-  model.add(MemberId{20}, 0);
-  model.add(MemberId{30}, 1);
+  g.crash(MemberId{10});
   Rng rng(9);
-  EXPECT_EQ(g.apply_round_crashes(model, 0, rng), 2u);
-  EXPECT_EQ(g.alive_count(), 48u);
-  EXPECT_EQ(g.apply_round_crashes(model, 1, rng), 1u);
+  EXPECT_EQ(g.apply_round_crashes(PerRoundCrash(0.0), 0, rng), 0u);
+  EXPECT_EQ(g.alive_count(), 49u);
+  EXPECT_EQ(g.apply_round_crashes(PerRoundCrash(1.0), 1, rng), 49u);
+  EXPECT_EQ(g.alive_count(), 0u);
   EXPECT_FALSE(g.is_alive(MemberId{30}));
 }
 

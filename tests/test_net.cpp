@@ -68,7 +68,7 @@ TEST(Message, IsTriviallyCopyable) {
 }
 
 TEST(IndependentLoss, ZeroNeverDrops) {
-  IndependentLoss model(0.0);
+  const FaultModel model = FaultModel::iid(0.0);
   Rng rng(1);
   for (int i = 0; i < 1000; ++i) {
     EXPECT_FALSE(model.drops(MemberId{0}, MemberId{1}, rng));
@@ -76,7 +76,7 @@ TEST(IndependentLoss, ZeroNeverDrops) {
 }
 
 TEST(IndependentLoss, OneAlwaysDrops) {
-  IndependentLoss model(1.0);
+  const FaultModel model = FaultModel::iid(1.0);
   Rng rng(2);
   for (int i = 0; i < 1000; ++i) {
     EXPECT_TRUE(model.drops(MemberId{0}, MemberId{1}, rng));
@@ -84,7 +84,7 @@ TEST(IndependentLoss, OneAlwaysDrops) {
 }
 
 TEST(IndependentLoss, EmpiricalRateMatches) {
-  IndependentLoss model(0.25);
+  const FaultModel model = FaultModel::iid(0.25);
   Rng rng(3);
   int drops = 0;
   constexpr int kTrials = 100'000;
@@ -95,33 +95,77 @@ TEST(IndependentLoss, EmpiricalRateMatches) {
 }
 
 TEST(IndependentLoss, RejectsOutOfRangeProbability) {
-  EXPECT_THROW(IndependentLoss{-0.1}, PreconditionError);
-  EXPECT_THROW(IndependentLoss{1.1}, PreconditionError);
+  EXPECT_THROW((void)FaultModel::iid(-0.1), PreconditionError);
+  EXPECT_THROW((void)FaultModel::iid(1.1), PreconditionError);
 }
 
 TEST(PartitionLoss, CrossAndWithinRatesDiffer) {
-  const auto model = PartitionLoss::split_at(50, 0.0, 1.0);
+  const FaultModel model = FaultModel::split_at(50, 0.0, 1.0);
   Rng rng(4);
-  // Within partition (both < 50): never dropped (within_loss = 0).
-  EXPECT_FALSE(model->drops(MemberId{1}, MemberId{2}, rng));
-  EXPECT_FALSE(model->drops(MemberId{60}, MemberId{70}, rng));
-  // Across: always dropped (cross_loss = 1).
-  EXPECT_TRUE(model->drops(MemberId{1}, MemberId{60}, rng));
-  EXPECT_TRUE(model->drops(MemberId{60}, MemberId{1}, rng));
+  // Within partition (both < 50): never dropped (within = 0).
+  EXPECT_FALSE(model.drops(MemberId{1}, MemberId{2}, rng));
+  EXPECT_FALSE(model.drops(MemberId{60}, MemberId{70}, rng));
+  // Across: always dropped (cross = 1).
+  EXPECT_TRUE(model.drops(MemberId{1}, MemberId{60}, rng));
+  EXPECT_TRUE(model.drops(MemberId{60}, MemberId{1}, rng));
 }
 
 TEST(PartitionLoss, EmpiricalCrossRate) {
-  const auto model = PartitionLoss::split_at(10, 0.1, 0.6);
+  const FaultModel model = FaultModel::split_at(10, 0.1, 0.6);
   Rng rng(5);
   int within = 0;
   int cross = 0;
   constexpr int kTrials = 50'000;
   for (int i = 0; i < kTrials; ++i) {
-    if (model->drops(MemberId{0}, MemberId{1}, rng)) ++within;
-    if (model->drops(MemberId{0}, MemberId{20}, rng)) ++cross;
+    if (model.drops(MemberId{0}, MemberId{1}, rng)) ++within;
+    if (model.drops(MemberId{0}, MemberId{20}, rng)) ++cross;
   }
   EXPECT_NEAR(static_cast<double>(within) / kTrials, 0.1, 0.01);
   EXPECT_NEAR(static_cast<double>(cross) / kTrials, 0.6, 0.01);
+}
+
+// Draw parity: the simulator's byte-identity rests on each model consuming
+// exactly the draws it always did. `rng` is compared against an untouched
+// copy by their next raw() after the calls.
+TEST(FaultModel, ZeroValueNeverDraws) {
+  const FaultModel model;
+  Rng rng(11);
+  Rng untouched = rng;
+  for (int i = 0; i < 1000; ++i) {
+    EXPECT_FALSE(model.drops(MemberId{0}, MemberId{1}, rng));
+  }
+  EXPECT_EQ(rng.raw(), untouched.raw());
+}
+
+TEST(FaultModel, IidDrawsOncePerCall) {
+  const FaultModel model = FaultModel::iid(0.25);
+  Rng rng(12);
+  Rng untouched = rng;
+  for (int i = 0; i < 100; ++i) {
+    (void)model.drops(MemberId{0}, MemberId{1}, rng);
+    (void)untouched.raw();
+    Rng probe = rng;
+    Rng expected = untouched;
+    ASSERT_EQ(probe.raw(), expected.raw()) << "call " << i;
+  }
+}
+
+TEST(FaultModel, PartitionWithLosslessSidesDrawsOnlyForCrossSideMessages) {
+  const FaultModel model = FaultModel::split_at(10, 0.0, 0.6);
+  Rng rng(13);
+  Rng untouched = rng;
+  for (int i = 0; i < 100; ++i) {
+    EXPECT_FALSE(model.drops(MemberId{0}, MemberId{9}, rng));
+    EXPECT_FALSE(model.drops(MemberId{10}, MemberId{19}, rng));
+  }
+  {
+    Rng probe = rng;
+    Rng expected = untouched;
+    EXPECT_EQ(probe.raw(), expected.raw());
+  }
+  (void)model.drops(MemberId{0}, MemberId{10}, rng);
+  (void)untouched.raw();
+  EXPECT_EQ(rng.raw(), untouched.raw());
 }
 
 TEST(ConstantLatency, ReturnsConfiguredDelay) {
@@ -163,10 +207,9 @@ TEST(DistanceLatency, GrowsWithDistance) {
 
 class NetworkTest : public ::testing::Test {
  protected:
-  void make_network(std::unique_ptr<FaultModel> faults,
-                    SimTime latency = SimTime{5}) {
+  void make_network(FaultModel faults, SimTime latency = SimTime{5}) {
     network_ = std::make_unique<SimNetwork>(
-        simulator_, std::move(faults),
+        simulator_, faults,
         std::make_unique<ConstantLatency>(latency), Rng{42});
   }
 
@@ -175,7 +218,7 @@ class NetworkTest : public ::testing::Test {
 };
 
 TEST_F(NetworkTest, DeliversAfterLatency) {
-  make_network(std::make_unique<NoLoss>(), SimTime{7});
+  make_network(FaultModel{}, SimTime{7});
   Recorder rx;
   network_->attach(MemberId{1}, rx);
   network_->send(make_message(0, 1));
@@ -187,7 +230,7 @@ TEST_F(NetworkTest, DeliversAfterLatency) {
 }
 
 TEST_F(NetworkTest, DropsByFaultModel) {
-  make_network(std::make_unique<IndependentLoss>(1.0));
+  make_network(FaultModel::iid(1.0));
   Recorder rx;
   network_->attach(MemberId{1}, rx);
   for (int i = 0; i < 10; ++i) network_->send(make_message(0, 1));
@@ -199,14 +242,14 @@ TEST_F(NetworkTest, DropsByFaultModel) {
 }
 
 TEST_F(NetworkTest, UnattachedDestinationCountsDeadDest) {
-  make_network(std::make_unique<NoLoss>());
+  make_network(FaultModel{});
   network_->send(make_message(0, 9));
   simulator_.run();
   EXPECT_EQ(network_->stats().messages_dead_dest, 1u);
 }
 
 TEST_F(NetworkTest, DetachedEndpointMissesInFlightMessages) {
-  make_network(std::make_unique<NoLoss>());
+  make_network(FaultModel{});
   Recorder rx;
   network_->attach(MemberId{1}, rx);
   network_->send(make_message(0, 1));
@@ -217,7 +260,7 @@ TEST_F(NetworkTest, DetachedEndpointMissesInFlightMessages) {
 }
 
 TEST_F(NetworkTest, LivenessGateBlocksDeliveryAtArrivalTime) {
-  make_network(std::make_unique<NoLoss>());
+  make_network(FaultModel{});
   Recorder rx;
   bool alive = true;
   network_->attach(MemberId{1}, rx);
@@ -231,7 +274,7 @@ TEST_F(NetworkTest, LivenessGateBlocksDeliveryAtArrivalTime) {
 }
 
 TEST_F(NetworkTest, SelfSendIsDelivered) {
-  make_network(std::make_unique<NoLoss>());
+  make_network(FaultModel{});
   Recorder rx;
   network_->attach(MemberId{3}, rx);
   network_->send(make_message(3, 3));
@@ -240,7 +283,7 @@ TEST_F(NetworkTest, SelfSendIsDelivered) {
 }
 
 TEST_F(NetworkTest, BytesAndDistanceAccounting) {
-  make_network(std::make_unique<NoLoss>());
+  make_network(FaultModel{});
   Recorder rx;
   network_->attach(MemberId{1}, rx);
   network_->set_distance([](MemberId, MemberId) { return 2.5; });
@@ -252,7 +295,7 @@ TEST_F(NetworkTest, BytesAndDistanceAccounting) {
 }
 
 TEST_F(NetworkTest, EmpiricalDeliveryRateTracksLossModel) {
-  make_network(std::make_unique<IndependentLoss>(0.3));
+  make_network(FaultModel::iid(0.3));
   Recorder rx;
   network_->attach(MemberId{1}, rx);
   constexpr int kSends = 20'000;

@@ -257,10 +257,10 @@ TEST(ChaosChurn, ChurnDirectivesPerturbNoRngStream) {
   // for every non-random directive.
   SimTime clock = SimTime::zero();
   net::ChaosSchedule plain(ChaosSpec::parse("loss 0.3\n"),
-                           std::make_unique<net::NoLoss>(), 16, Rng(7));
+                           net::FaultModel{}, 16, Rng(7));
   net::ChaosSchedule churned(
       ChaosSpec::parse("loss 0.3\njoin M1 at=5ms\nrecover M2 at=9ms\n"),
-      std::make_unique<net::NoLoss>(), 16, Rng(7));
+      net::FaultModel{}, 16, Rng(7));
   plain.bind_clock([&] { return clock; });
   churned.bind_clock([&] { return clock; });
   for (int i = 0; i < 200; ++i) {
@@ -455,33 +455,55 @@ TEST(ServiceEngine, LineageCollectsOneDocumentPerInstance) {
   EXPECT_NE(multi.find("\"id\":1"), std::string::npos);
 }
 
-// Lineage reproduces every instance's measured completeness bit for bit,
-// also when its cohort is smaller than N: the members an instance starts
-// without are crashed to lineage as they are to measure_run.
+// Lineage reproduces every completed instance's measured completeness bit
+// for bit, for every protocol, also when its cohort is smaller than N: the
+// members an instance starts without are crashed to lineage as they are to
+// measure_run. Hier-gossip completes every instance; the baselines are not
+// fault-tolerant, so under loss or churn some of their instances time out,
+// and a failed instance has no lineage.
 TEST(ServiceEngine, LineageCompletenessMatchesEveryInstancesMeasurement) {
-  for (const char* chaos : {"", "join M7 at=12ms\n", "crash M3 at=3ms\n"}) {
-    service::ServiceConfig sc = small_service();
-    sc.experiment.chaos_spec = chaos;
-    sc.collect_lineage = true;
-    const service::ServiceResult result = service::run_service_experiment(sc);
-    ASSERT_TRUE(result.completed) << chaos;
-    std::size_t smallest_cohort = sc.experiment.group_size;
-    for (const service::InstanceResult& inst : result.instances) {
-      smallest_cohort = std::min(smallest_cohort, inst.participants);
-      const obs::JsonValue doc = obs::json_parse(inst.lineage_json);
-      const auto want_bp = static_cast<std::uint64_t>(
-          inst.measurement.mean_completeness * 10'000.0 + 0.5);
-      EXPECT_EQ(doc.number_or("completeness_bp", -1),
-                static_cast<double>(want_bp))
-          << "chaos '" << chaos << "' instance " << inst.id;
-      const obs::JsonValue* errors = doc.find("errors");
-      ASSERT_NE(errors, nullptr);
-      EXPECT_TRUE(errors->array.empty()) << "instance " << inst.id;
+  for (const runner::ProtocolKind protocol :
+       {runner::ProtocolKind::kHierGossip,
+        runner::ProtocolKind::kFullyDistributed,
+        runner::ProtocolKind::kCentralized,
+        runner::ProtocolKind::kLeaderElection,
+        runner::ProtocolKind::kCommittee}) {
+    std::size_t with_lineage = 0;
+    for (const char* chaos : {"", "join M7 at=12ms\n", "crash M3 at=3ms\n"}) {
+      const std::string where =
+          runner::to_string(protocol) + " chaos '" + chaos + "'";
+      service::ServiceConfig sc = small_service();
+      sc.experiment.protocol = protocol;
+      sc.experiment.chaos_spec = chaos;
+      sc.collect_lineage = true;
+      const service::ServiceResult result =
+          service::run_service_experiment(sc);
+      if (protocol == runner::ProtocolKind::kHierGossip) {
+        ASSERT_TRUE(result.completed) << where;
+      }
+      std::size_t smallest_cohort = sc.experiment.group_size;
+      for (const service::InstanceResult& inst : result.instances) {
+        smallest_cohort = std::min(smallest_cohort, inst.participants);
+        ASSERT_EQ(inst.lineage_json.empty(), !inst.completed)
+            << where << " instance " << inst.id;
+        if (!inst.completed) continue;
+        ++with_lineage;
+        const obs::JsonValue doc = obs::json_parse(inst.lineage_json);
+        const auto want_bp = static_cast<std::uint64_t>(
+            inst.measurement.mean_completeness * 10'000.0 + 0.5);
+        EXPECT_EQ(doc.number_or("completeness_bp", -1),
+                  static_cast<double>(want_bp))
+            << where << " instance " << inst.id;
+        const obs::JsonValue* errors = doc.find("errors");
+        ASSERT_NE(errors, nullptr);
+        EXPECT_TRUE(errors->array.empty()) << where << " instance " << inst.id;
+      }
+      // The churn streams do run instances without the whole group.
+      if (*chaos != '\0') {
+        EXPECT_LT(smallest_cohort, sc.experiment.group_size) << where;
+      }
     }
-    // The churn streams do run instances without the whole group.
-    if (*chaos != '\0') {
-      EXPECT_LT(smallest_cohort, sc.experiment.group_size) << chaos;
-    }
+    EXPECT_GT(with_lineage, 0u) << runner::to_string(protocol);
   }
 }
 

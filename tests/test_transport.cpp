@@ -37,7 +37,7 @@ class CountingEndpoint final : public net::Endpoint {
 
 TEST(Transport, SimNetworkDispatchesThroughTheInterface) {
   sim::Simulator sim;
-  net::SimNetwork network(sim, std::make_unique<net::NoLoss>(),
+  net::SimNetwork network(sim, net::FaultModel{},
                           std::make_unique<net::ConstantLatency>(SimTime{10}),
                           Rng{7});
   net::Transport& transport = network;

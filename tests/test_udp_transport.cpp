@@ -129,7 +129,7 @@ TEST(UdpTransport, ChaosShimDropsOnTheSendPath) {
   transport.attach(MemberId{1}, b);
 
   auto schedule = std::make_unique<net::ChaosSchedule>(
-      net::ChaosSpec::parse("loss 1.0"), std::make_unique<net::NoLoss>(), 2,
+      net::ChaosSpec::parse("loss 1.0"), net::FaultModel{}, 2,
       Rng{99});
   transport.install_chaos(std::move(schedule));
 
@@ -158,7 +158,7 @@ TEST(UdpTransport, ChaosShimDuplicatesViaTheTimerWheel) {
 
   auto schedule = std::make_unique<net::ChaosSchedule>(
       net::ChaosSpec::parse("dup p=1.0 extra=2 spread=2000us"),
-      std::make_unique<net::NoLoss>(), 2, Rng{5});
+      net::FaultModel{}, 2, Rng{5});
   transport.install_chaos(std::move(schedule));
 
   transport.send(net::Message{MemberId{0}, MemberId{1}, net::Frame{3}});

@@ -81,7 +81,7 @@ class DecodingSink final : public net::Endpoint {
 
 TEST(ZeroAlloc, SteadyStateSendDeliverPathDoesNotTouchTheHeap) {
   sim::Simulator sim;
-  net::SimNetwork network(sim, std::make_unique<net::NoLoss>(),
+  net::SimNetwork network(sim, net::FaultModel{},
                           std::make_unique<net::ConstantLatency>(SimTime{5}),
                           Rng{42});
   DecodingSink left;
@@ -193,7 +193,7 @@ TEST(ZeroAlloc, TransportVirtualDispatchAddsNoAllocations) {
   // the same steady-state proof as above, but every send goes through a
   // Transport& base reference, exactly as protocol nodes issue it.
   sim::Simulator sim;
-  net::SimNetwork network(sim, std::make_unique<net::NoLoss>(),
+  net::SimNetwork network(sim, net::FaultModel{},
                           std::make_unique<net::ConstantLatency>(SimTime{5}),
                           Rng{42});
   net::Transport& transport = network;
@@ -236,7 +236,7 @@ TEST(ZeroAlloc, TelemetryRecordPathDoesNotTouchTheHeap) {
   sim::Simulator sim;
   obs::TelemetryLane lane;
   sim.set_telemetry(&lane);
-  net::SimNetwork network(sim, std::make_unique<net::NoLoss>(),
+  net::SimNetwork network(sim, net::FaultModel{},
                           std::make_unique<net::ConstantLatency>(SimTime{5}),
                           Rng{42});
   DecodingSink left;

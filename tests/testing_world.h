@@ -8,6 +8,7 @@
 // run invariant checker is on by default for any protocol with trace hooks.
 #pragma once
 
+#include <algorithm>
 #include <memory>
 #include <optional>
 #include <string>
@@ -179,9 +180,8 @@ class World {
     return agg::VoteTable{std::move(values)};
   }
 
-  static std::unique_ptr<net::FaultModel> make_faults(double loss) {
-    if (loss <= 0.0) return std::make_unique<net::NoLoss>();
-    return std::make_unique<net::IndependentLoss>(loss);
+  static net::FaultModel make_faults(double loss) {
+    return net::FaultModel::iid(std::max(0.0, loss));
   }
 
   WorldOptions options_;

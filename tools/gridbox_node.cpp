@@ -49,7 +49,6 @@ network
   --loss P               iid unicast loss, applied via the userspace shim
   --chaos SPEC           chaos spec file (docs/chaos.md grammar), or
                          inline directives separated by ';'
-  --chaos-spec TEXT      inline chaos spec text
   --round-us U           gossip round duration in µs (default 10000)
   --deadline-factor F    wall-clock deadline multiplier (default 20)
 
@@ -128,7 +127,6 @@ int main(int argc, char** argv) {
   sc.service.epoch_interval = options.epoch_interval;
   sc.service.max_in_flight = options.in_flight;
   sc.service.deadline_factor = options.udp.deadline_factor;
-  sc.service.min_deadline = options.udp.min_deadline;
   sc.port_base = options.udp.port_base;
   sc.shards = options.udp.shards;
   try {
