@@ -16,7 +16,7 @@ int main(int argc, char** argv) {
                       "incompleteness vs M and vs value-selection policy",
                       "N=200, K=4, ucastl=0.25, pf=0.001, C=1.0");
 
-  const std::size_t jobs = bench::jobs_from_args(argc, argv);
+  const std::size_t jobs = bench::parse_args(argc, argv);
 
   // (a) Fanout sweep. Note rounds/phase = ceil(C*log_M N) shrinks as M
   // grows, so the per-phase message budget M*rounds is roughly constant:

@@ -18,7 +18,7 @@ int main(int argc, char** argv) {
                       "phase-advance policy vs incompleteness",
                       "N=200, K=4, M=2, ucastl=0.25, pf=0.001; sweep C");
 
-  const std::size_t jobs = bench::jobs_from_args(argc, argv);
+  const std::size_t jobs = bench::parse_args(argc, argv);
 
   struct Variant {
     const char* name;

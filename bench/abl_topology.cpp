@@ -18,7 +18,7 @@ int main(int argc, char** argv) {
                       "N=512, K=4, M=2, C=2, lossless; members scattered "
                       "uniformly in the unit square");
 
-  const std::size_t jobs = bench::jobs_from_args(argc, argv);
+  const std::size_t jobs = bench::parse_args(argc, argv);
 
   runner::Table table(
       {"hash", "mean link distance", "completeness", "msgs/run"});

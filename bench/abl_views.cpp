@@ -17,7 +17,7 @@ int main(int argc, char** argv) {
                       "independent random subsets per member");
 
   runner::ExperimentConfig base = bench::paper_defaults();
-  base.jobs = bench::jobs_from_args(argc, argv);
+  base.jobs = bench::parse_args(argc, argv);
   base.ucast_loss = 0.1;
   base.crash_probability = 0.0;
   base.gossip.round_multiplier_c = 2.0;

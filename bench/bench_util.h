@@ -56,6 +56,34 @@ inline std::size_t jobs_from_args(int argc, char** argv) {
   return 0;
 }
 
+/// The one argument parser every bench main calls, before any work: argv
+/// may hold only `--jobs N` (parsed by jobs_from_args). `--help` prints
+/// usage and exits 0; any other argument prints usage to stderr and exits
+/// 2, so a mistyped flag never runs the sweep and overwrites
+/// bench_results/.
+inline std::size_t parse_args(int argc, char** argv) {
+  const char* name = argc > 0 ? argv[0] : "bench";
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--jobs") == 0) {
+      ++i;  // its value, checked by jobs_from_args
+      continue;
+    }
+    const bool help = std::strcmp(argv[i], "--help") == 0;
+    if (!help) {
+      std::fprintf(stderr, "%s: unknown argument '%s'\n", name, argv[i]);
+    }
+    std::fprintf(help ? stdout : stderr,
+                 "usage: %s [--jobs N]\n"
+                 "  --jobs N  worker threads (default: GRIDBOX_JOBS, else "
+                 "every CPU)\n"
+                 "Prints the figure's table and writes it to "
+                 "bench_results/ under the working directory.\n",
+                 name);
+    std::exit(help ? 0 : 2);
+  }
+  return jobs_from_args(argc, argv);
+}
+
 /// Chaos identification for CSV cells: the spec on one line ('\n' -> ';'),
 /// or "-" when the run is chaos-free. Never empty, so columns stay aligned.
 inline std::string chaos_id(const std::string& chaos_spec) {

@@ -72,7 +72,7 @@ int main(int argc, char** argv) {
                       "N=256, K=4, M=2, C=1.0; 12 runs per cell; "
                       "'worst' is the worst run's mean completeness");
 
-  const std::size_t jobs = bench::jobs_from_args(argc, argv);
+  const std::size_t jobs = bench::parse_args(argc, argv);
 
   const std::vector<Regime> regimes = {
       {"clean", 0.0, 0.0},

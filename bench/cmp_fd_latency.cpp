@@ -114,7 +114,7 @@ int main(int argc, char** argv) {
       "Section 6.2 cost", "failure-detection latency vs aggregation runtime",
       "N=128; FD: fanout 2, 16 entries/msg; timeout tuned per loss rate");
 
-  const std::size_t jobs = bench::jobs_from_args(argc, argv);
+  const std::size_t jobs = bench::parse_args(argc, argv);
 
   // The aggregation protocol's full runtime at the same N (for reference).
   runner::ExperimentConfig agg = bench::paper_defaults();

@@ -6,8 +6,9 @@
 #include "bench/bench_util.h"
 #include "src/analysis/completeness.h"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace gridbox;
+  (void)bench::parse_args(argc, argv);
   bench::print_header("Figure 4", "analytic first-phase incompleteness vs N",
                       "K=2, b=4; overlay: analytic 1/N (paper's reference)");
 

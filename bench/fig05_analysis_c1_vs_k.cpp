@@ -6,8 +6,9 @@
 #include "bench/bench_util.h"
 #include "src/analysis/completeness.h"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace gridbox;
+  (void)bench::parse_args(argc, argv);
   bench::print_header("Figure 5", "analytic first-phase incompleteness vs K",
                       "N=2000, b=4; log-log axes in the paper");
 

@@ -15,7 +15,7 @@ int main(int argc, char** argv) {
       "defaults: ucastl=0.25, pf=0.001, K=4, M=2, C=1.0 (b ~ 0.75)");
 
   runner::ExperimentConfig base = bench::paper_defaults();
-  base.jobs = bench::jobs_from_args(argc, argv);
+  base.jobs = bench::parse_args(argc, argv);
   const runner::SweepResult sweep = runner::run_sweep(
       base, "N", {200, 400, 800, 1600, 3200},
       [](runner::ExperimentConfig& c, double x) {

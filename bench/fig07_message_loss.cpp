@@ -14,7 +14,7 @@ int main(int argc, char** argv) {
                       "N=200, K=4, M=2, C=1.0, pf=0.001");
 
   runner::ExperimentConfig base = bench::paper_defaults();
-  base.jobs = bench::jobs_from_args(argc, argv);
+  base.jobs = bench::parse_args(argc, argv);
   const runner::SweepResult sweep = runner::run_sweep(
       base, "ucastl", {0.40, 0.45, 0.50, 0.55, 0.60, 0.65, 0.70},
       [](runner::ExperimentConfig& c, double x) { c.ucast_loss = x; }, 16);

@@ -15,7 +15,7 @@ int main(int argc, char** argv) {
                       "per phase (paper's axis)");
 
   runner::ExperimentConfig base = bench::paper_defaults();
-  base.jobs = bench::jobs_from_args(argc, argv);
+  base.jobs = bench::parse_args(argc, argv);
   const runner::SweepResult sweep = runner::run_sweep(
       base, "rounds/phase", {1, 2, 3, 4, 5},
       [](runner::ExperimentConfig& c, double x) {

@@ -16,7 +16,7 @@ int main(int argc, char** argv) {
                       "half/half split");
 
   runner::ExperimentConfig base = bench::paper_defaults();
-  base.jobs = bench::jobs_from_args(argc, argv);
+  base.jobs = bench::parse_args(argc, argv);
   const runner::SweepResult sweep = runner::run_sweep(
       base, "partl", {0.50, 0.55, 0.60, 0.65, 0.70},
       [](runner::ExperimentConfig& c, double x) { c.partition_loss = x; },

@@ -14,7 +14,7 @@ int main(int argc, char** argv) {
                       "recovery, pf applied per member per gossip round");
 
   runner::ExperimentConfig base = bench::paper_defaults();
-  base.jobs = bench::jobs_from_args(argc, argv);
+  base.jobs = bench::parse_args(argc, argv);
   const runner::SweepResult sweep = runner::run_sweep(
       base, "pf", {0.002, 0.004, 0.006, 0.008},
       [](runner::ExperimentConfig& c, double x) { c.crash_probability = x; },

@@ -15,7 +15,7 @@ int main(int argc, char** argv) {
                       "K=4, M=2, C=1.4, ucastl=pf=0 (b ~ 1.0)");
 
   runner::ExperimentConfig base = bench::paper_defaults();
-  base.jobs = bench::jobs_from_args(argc, argv);
+  base.jobs = bench::parse_args(argc, argv);
   base.ucast_loss = 0.0;
   base.crash_probability = 0.0;
   base.gossip.round_multiplier_c = 1.4;

@@ -79,9 +79,7 @@ DecodeError decode_datagram(const std::uint8_t* data, std::size_t size,
   if (size != kDatagramHeaderBytes + payload_len) {
     return DecodeError::kLengthMismatch;
   }
-  out.source = MemberId(get_u32(data + 8));
-  out.destination = MemberId(get_u32(data + 12));
-  out.frame = Frame(data + kDatagramHeaderBytes, payload_len);
+  (void)read_record(data, out);
   return DecodeError::kOk;
 }
 
@@ -103,6 +101,14 @@ std::size_t count_records(const std::uint8_t* data, std::size_t size) {
     at += record;
   }
   return records;
+}
+
+std::size_t read_record(const std::uint8_t* data, Message& out) {
+  const std::uint16_t payload_len = get_u16(data + 6);
+  out.source = MemberId(get_u32(data + 8));
+  out.destination = MemberId(get_u32(data + 12));
+  out.frame.assign(data + kDatagramHeaderBytes, payload_len);
+  return kDatagramHeaderBytes + payload_len;
 }
 
 }  // namespace gridbox::net

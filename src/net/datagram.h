@@ -13,9 +13,11 @@
 //       16     n  payload      exactly payload_len frame bytes
 //
 // A sender packs every frame bound for one socket in one flush into as
-// few datagrams as fit, each at most kMaxDatagramBytes: 1472 bytes, the
-// payload of a 1500-byte Ethernet MTU after the IPv4 and UDP headers, so a
-// datagram never needs IP fragmentation off loopback either.
+// few datagrams as fit, each at most kMaxDatagramBytes: 65507 bytes, the
+// largest IPv4 UDP payload. Every address a mesh holds is on loopback,
+// whose 65536-byte MTU carries such a datagram unfragmented, so one flush
+// is one datagram per peer socket. (A mesh spanning hosts would need the
+// path MTU instead: 1472 bytes on Ethernet.)
 //
 // Decoding is strict and all-or-nothing. encode_datagram/decode_datagram
 // are the one-record codec: decode requires the buffer to be exactly
@@ -23,6 +25,8 @@
 // datagram, and a datagram that does not split exactly into well-formed
 // records (truncated, padded, oversize, or any bad header) is malformed as
 // a whole: none of its records are delivered, never partially accepted.
+// Once count_records has accepted a datagram, read_record walks it without
+// checking any header again.
 // That mirrors SimNetwork's contract ("never corrupts silently"): a
 // receiver either delivers the frame bytes unchanged or counts the
 // datagram malformed.
@@ -43,7 +47,7 @@ inline constexpr std::size_t kDatagramHeaderBytes = 16;
 inline constexpr std::size_t kMaxRecordBytes =
     kDatagramHeaderBytes + kMaxPayloadBytes;
 /// The most bytes one datagram carries (see the file comment).
-inline constexpr std::size_t kMaxDatagramBytes = 1472;
+inline constexpr std::size_t kMaxDatagramBytes = 65507;
 inline constexpr std::uint32_t kDatagramMagic = 0x47524258;  // "GRBX"
 inline constexpr std::uint8_t kDatagramVersion = 1;
 
@@ -83,5 +87,10 @@ enum class DecodeError : std::uint8_t {
 /// malformed or cut short. Never reads past `data + size`.
 [[nodiscard]] std::size_t count_records(const std::uint8_t* data,
                                         std::size_t size);
+
+/// Reads the record at `data` into `out`, copying only its payload bytes,
+/// and returns the record's size. Unchecked: `data` must start a record of
+/// a datagram count_records accepted.
+std::size_t read_record(const std::uint8_t* data, Message& out);
 
 }  // namespace gridbox::net

@@ -44,12 +44,7 @@ class Frame {
   /// Copies `size` bytes from `data`. Throws PreconditionError when `size`
   /// exceeds the constant bound — the transport-boundary enforcement that
   /// keeps a protocol from silently shipping a growing digest.
-  Frame(const std::uint8_t* data, std::size_t size) {
-    expects(size <= kMaxPayloadBytes,
-            "payload exceeds the constant message size bound");
-    size_ = static_cast<std::uint16_t>(size);
-    if (size > 0) std::memcpy(bytes_.data(), data, size);
-  }
+  Frame(const std::uint8_t* data, std::size_t size) { assign(data, size); }
 
   /// Convenience for tests and setup code that already has a byte vector.
   explicit Frame(const std::vector<std::uint8_t>& bytes)
@@ -57,6 +52,18 @@ class Frame {
 
   Frame(std::initializer_list<std::uint8_t> bytes)
       : Frame(bytes.begin(), bytes.size()) {}
+
+  /// Replaces the contents with `size` bytes from `data` in place, copying
+  /// only those bytes (and re-zeroing any the old contents held past them),
+  /// so a receive path can reuse one frame for every record it delivers.
+  /// Throws PreconditionError past the bound, as the constructor does.
+  void assign(const std::uint8_t* data, std::size_t size) {
+    expects(size <= kMaxPayloadBytes,
+            "payload exceeds the constant message size bound");
+    if (size < size_) std::memset(bytes_.data() + size, 0, size_ - size);
+    if (size > 0) std::memcpy(bytes_.data(), data, size);
+    size_ = static_cast<std::uint16_t>(size);
+  }
 
   [[nodiscard]] const std::uint8_t* data() const { return bytes_.data(); }
   [[nodiscard]] std::size_t size() const { return size_; }

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <memory>
 #include <utility>
 
 #include "src/common/ensure.h"
@@ -27,14 +28,6 @@ bool same_address(const sockaddr_in& a, const sockaddr_in& b) {
 
 }  // namespace
 
-UdpTransport::Batch::Batch() : iov{}, to{}, msgs{} {
-  for (std::size_t i = 0; i < kBatch; ++i) {
-    iov[i] = iovec{bytes[i].data(), bytes[i].size()};
-    msgs[i].msg_hdr.msg_iov = &iov[i];
-    msgs[i].msg_hdr.msg_iovlen = 1;
-  }
-}
-
 UdpTransport::UdpTransport(Reactor& reactor, Options options)
     : reactor_(reactor), options_(options), peers_{this} {
   hooks_.recv_batch = [](int fd, mmsghdr* msgs, unsigned count) {
@@ -44,8 +37,14 @@ UdpTransport::UdpTransport(Reactor& reactor, Options options)
     return ::sendmmsg(fd, msgs, count, 0);
   };
   for (std::size_t i = 0; i < kBatch; ++i) {
-    tx_.msgs[i].msg_hdr.msg_name = &tx_.to[i];
-    tx_.msgs[i].msg_hdr.msg_namelen = sizeof(sockaddr_in);
+    tx_msgs_[i].msg_hdr.msg_name = &tx_to_[i];
+    tx_msgs_[i].msg_hdr.msg_namelen = sizeof(sockaddr_in);
+    tx_msgs_[i].msg_hdr.msg_iov = &tx_iov_[i];
+    tx_msgs_[i].msg_hdr.msg_iovlen = 1;
+  }
+  for (std::size_t i = 0; i < kRecvBatch; ++i) {
+    rx_msgs_[i].msg_hdr.msg_iov = &rx_iov_[i];
+    rx_msgs_[i].msg_hdr.msg_iovlen = 1;
   }
 
   fd_ = ::socket(AF_INET, SOCK_DGRAM | SOCK_NONBLOCK, 0);
@@ -143,12 +142,13 @@ void UdpTransport::set_hooks(Hooks hooks) {
 void UdpTransport::transmit(const Message& message) {
   // The header, not the kernel address, carries identity: every member of
   // this shard sends from the one shard socket.
-  const std::size_t slot = open_datagram(
-      address_of(message.destination),
-      kDatagramHeaderBytes + message.frame.size());
-  iovec& iov = tx_.iov[slot];
-  iov.iov_len += encode_datagram(
-      message, static_cast<std::uint8_t*>(iov.iov_base) + iov.iov_len);
+  const std::size_t record = kDatagramHeaderBytes + message.frame.size();
+  const std::size_t slot =
+      open_datagram(address_of(message.destination), record);
+  std::vector<std::uint8_t>& bytes = tx_bytes_[slot];
+  const std::size_t at = bytes.size();
+  bytes.resize(at + record);
+  (void)encode_datagram(message, bytes.data() + at);
   ++tx_frames_[slot];
 }
 
@@ -156,28 +156,31 @@ std::size_t UdpTransport::open_datagram(const sockaddr_in& to,
                                         std::size_t record) {
   // A destination's newest datagram in the outbox is its open one.
   for (std::size_t slot = tx_count_; slot-- > 0;) {
-    if (!same_address(tx_.to[slot], to)) continue;
-    if (tx_.iov[slot].iov_len + record <= kMaxDatagramBytes) return slot;
+    if (!same_address(tx_to_[slot], to)) continue;
+    if (tx_bytes_[slot].size() + record <= kMaxDatagramBytes) return slot;
     break;
   }
   if (tx_count_ == kBatch) flush();
   const std::size_t slot = tx_count_++;
-  tx_.to[slot] = to;
-  tx_.iov[slot].iov_len = 0;
+  tx_to_[slot] = to;
+  tx_bytes_[slot].clear();
   tx_frames_[slot] = 0;
   return slot;
 }
 
 void UdpTransport::flush() {
+  for (std::size_t slot = 0; slot < tx_count_; ++slot) {
+    tx_iov_[slot] = iovec{tx_bytes_[slot].data(), tx_bytes_[slot].size()};
+  }
   std::size_t next = 0;
   while (next < tx_count_) {
-    const int n = hooks_.send_batch(fd_, &tx_.msgs[next],
+    const int n = hooks_.send_batch(fd_, &tx_msgs_[next],
                                     static_cast<unsigned>(tx_count_ - next));
     if (n > 0) {
       for (const std::size_t end = next + static_cast<std::size_t>(n);
            next < end; ++next) {
         for (UdpTransport* peer : peers_) {
-          if (same_address(peer->self_, tx_.to[next])) {
+          if (same_address(peer->self_, tx_to_[next])) {
             peer->frames_handed_.fetch_add(tx_frames_[next],
                                            std::memory_order_release);
             break;
@@ -225,23 +228,22 @@ void UdpTransport::send(Message message) {
   transmit(message);
 }
 
-void UdpTransport::consume(const std::uint8_t* bytes, std::size_t size) {
+std::size_t UdpTransport::consume(const std::uint8_t* bytes,
+                                  std::size_t size) {
   const std::size_t records = count_records(bytes, size);
   if (records == 0) {
     // Byte soup, or a datagram that does not split exactly into records:
     // count it once and keep the socket draining — never deliver any of
     // it, never crash.
     ++stats_.messages_malformed;
-    return;
+    return 0;
   }
   frames_read_ += records;
   for (std::size_t at = 0; at < size;) {
-    const std::size_t record = record_size(bytes + at, size - at);
-    Message message;
-    (void)decode_datagram(bytes + at, record, message);
-    deliver(message);
-    at += record;
+    at += read_record(bytes + at, rx_message_);
+    deliver(rx_message_);
   }
+  return records;
 }
 
 void UdpTransport::deliver(const Message& message) {
@@ -269,17 +271,28 @@ void UdpTransport::deliver(const Message& message) {
 }
 
 void UdpTransport::on_readable(int fd) {
-  // The budget scales with the members this socket serves, so one wake
-  // clears a phase's worth of deliveries at any N: a flat per-socket cap
-  // lets deliveries at N = 10^4 queue past their phases.
+  if (rx_bytes_ == nullptr) {
+    constexpr std::size_t kSlot = kMaxDatagramBytes + 1;
+    rx_bytes_ = std::make_unique_for_overwrite<std::uint8_t[]>(kRecvBatch *
+                                                               kSlot);
+    for (std::size_t i = 0; i < kRecvBatch; ++i) {
+      rx_iov_[i] = iovec{rx_bytes_.get() + i * kSlot, kSlot};
+    }
+  }
+  // The budget counts frames and scales with the members this socket
+  // serves, so one wake clears a phase's worth of deliveries at any N: a
+  // flat per-socket cap lets deliveries at N = 10^4 queue past their
+  // phases. A call asks for no more datagrams than frames are left, and
+  // every datagram costs at least one, so a wake overshoots the budget by
+  // at most the records of one batch.
   const std::size_t budget =
       options_.max_drain * std::max<std::size_t>(1, attached_);
   std::size_t spent = 0;
   std::size_t received = 0;
   while (spent < budget) {
     const unsigned want =
-        static_cast<unsigned>(std::min(kBatch, budget - spent));
-    const int n = hooks_.recv_batch(fd, rx_.msgs.data(), want);
+        static_cast<unsigned>(std::min(kRecvBatch, budget - spent));
+    const int n = hooks_.recv_batch(fd, rx_msgs_.data(), want);
     if (n < 0) {
       if (errno == EINTR) {
         // Interrupted before a datagram was read: retry, but charged to
@@ -295,13 +308,15 @@ void UdpTransport::on_readable(int fd) {
     }
     if (n == 0) break;
     for (std::size_t i = 0; i < static_cast<std::size_t>(n); ++i) {
-      consume(rx_.bytes[i].data(), rx_.msgs[i].msg_len);
+      const std::size_t records = consume(
+          static_cast<const std::uint8_t*>(rx_iov_[i].iov_base),
+          rx_msgs_[i].msg_len);
+      spent += std::max<std::size_t>(1, records);
     }
-    spent += static_cast<std::size_t>(n);
     received += static_cast<std::size_t>(n);
   }
   // A budget exhausted with the socket still hot: the reactor will wake
-  // again immediately; the histogram records the whole wake's drain.
+  // again immediately; the histogram records the whole wake's datagrams.
   reactor_.telemetry().drain_per_wake.observe(received);
 }
 

@@ -19,15 +19,19 @@
 // when full, and by the reactor at the end of every loop iteration
 // (IoHandler::flush). While the outbox fills, each destination socket has
 // one open datagram, and a frame bound there is appended to it as one more
-// record; a record that would take it past kMaxDatagramBytes (1472, the
-// Ethernet MTU payload) opens a new one. A flush never holds a frame back,
-// so packing adds no latency, and the kernel pays per datagram, not per
-// frame. Receives drain with recvmmsg(2), up to max_drain datagrams per
-// attached member per wake, and a datagram is delivered only if all of it
-// splits into well-formed records. NetworkStats count frames: a datagram
-// the kernel refuses at send drops all of its frames, and kernel receive
-// loss is the frames handed to this socket minus the frames read from it,
-// folded into messages_dropped once the run is over (see final_stats()).
+// record; only a record that would take it past kMaxDatagramBytes (65507,
+// the largest loopback datagram) opens a new one, so a flush sends one
+// datagram per peer socket. A flush never holds a frame back, so packing
+// adds no latency, and the kernel pays per datagram, not per frame.
+// Receives drain with recvmmsg(2), up to max_drain frames per attached
+// member per wake; a datagram is delivered only if all of it splits into
+// well-formed records, each read once, in place, into one reused Message.
+// The batch buffers are allocated on the first send or receive, and hold
+// only as many bytes as the datagrams they have carried. NetworkStats
+// count frames: a datagram the kernel refuses at send drops all of its
+// frames, and kernel receive loss is the frames handed to this socket
+// minus the frames read from it, folded into messages_dropped once the run
+// is over (see final_stats()).
 //
 // Chaos shim: the same ChaosSchedule grammar the simulator uses is applied
 // in userspace on the send path — a send may be dropped, delayed (the
@@ -76,8 +80,10 @@ using AddressTable = std::vector<sockaddr_in>;
 
 class UdpTransport final : public Transport, public IoHandler {
  public:
-  /// Datagrams per recvmmsg/sendmmsg call; also the outbox capacity.
+  /// Datagrams per sendmmsg call; also the outbox capacity.
   static constexpr std::size_t kBatch = 64;
+  /// Datagrams per recvmmsg call.
+  static constexpr std::size_t kRecvBatch = 32;
 
   struct Options {
     /// The socket binds the lowest free loopback port >= port_base
@@ -86,8 +92,10 @@ class UdpTransport final : public Transport, public IoHandler {
     /// Receive buffer request (the kernel clamps to rmem_max); large
     /// because every peer of the shard's members bursts at this socket.
     int rcvbuf_bytes = 4 << 20;
-    /// Datagrams drained per attached member per on_readable call before
-    /// yielding back to the reactor, so a flood cannot starve timers.
+    /// Frames drained per attached member per on_readable call before
+    /// yielding back to the reactor, so a flood cannot starve timers. A
+    /// datagram is read whole, so a wake overshoots by at most the frames
+    /// of one receive batch.
     std::size_t max_drain = 256;
   };
 
@@ -174,8 +182,8 @@ class UdpTransport final : public Transport, public IoHandler {
   [[nodiscard]] std::size_t open_datagram(const sockaddr_in& to,
                                           std::size_t record);
   /// Splits one received datagram and delivers its records, or counts it
-  /// malformed whole.
-  void consume(const std::uint8_t* bytes, std::size_t size);
+  /// malformed whole. Returns the number of records it held (0 malformed).
+  std::size_t consume(const std::uint8_t* bytes, std::size_t size);
   /// Classifies and delivers one decoded record.
   void deliver(const Message& message);
   [[nodiscard]] const sockaddr_in& address_of(MemberId id) const;
@@ -198,25 +206,28 @@ class UdpTransport final : public Transport, public IoHandler {
   /// Frames peers' flushes handed this socket (written on their threads).
   alignas(64) std::atomic<std::uint64_t> frames_handed_{0};
 
-  /// One recvmmsg/sendmmsg batch: buffers, their iovecs, destination
-  /// addresses (send side only) and message headers. Each buffer holds one
-  /// byte more than the largest legal datagram, so an oversize datagram is
-  /// seen (and rejected), not silently truncated into a plausible prefix.
-  /// The bytes are left uninitialised: only bytes a send encoded or a
-  /// receive filled are ever read.
-  struct Batch {
-    Batch();
-    Batch(const Batch&) = delete;
-    Batch& operator=(const Batch&) = delete;
-    std::array<std::array<std::uint8_t, kMaxDatagramBytes + 1>, kBatch> bytes;
-    std::array<iovec, kBatch> iov;
-    std::array<sockaddr_in, kBatch> to;
-    std::array<mmsghdr, kBatch> msgs;
-  };
-  Batch rx_;
-  Batch tx_;                  ///< the outbox
-  std::size_t tx_count_ = 0;  ///< datagrams waiting in the outbox
+  /// The outbox: per datagram its packed records, address and frame
+  /// count, plus the sendmmsg headers pointing at them. A datagram's bytes
+  /// keep their capacity across flushes, so they grow to the largest
+  /// datagram their slot has carried and a warmed-up outbox never
+  /// allocates.
+  std::array<std::vector<std::uint8_t>, kBatch> tx_bytes_;
+  std::array<sockaddr_in, kBatch> tx_to_{};
   std::array<std::uint32_t, kBatch> tx_frames_{};  ///< records per datagram
+  std::array<iovec, kBatch> tx_iov_{};
+  std::array<mmsghdr, kBatch> tx_msgs_{};
+  std::size_t tx_count_ = 0;  ///< datagrams waiting in the outbox
+
+  /// The receive batch: kRecvBatch buffers of kMaxDatagramBytes + 1 bytes,
+  /// one more than the largest legal datagram, so an oversize datagram is
+  /// seen (and rejected), not silently truncated into a plausible prefix.
+  /// Allocated on the first receive and left uninitialised: only bytes a
+  /// receive filled are read, and a buffer's pages are touched only as far
+  /// as the datagrams it has held.
+  std::unique_ptr<std::uint8_t[]> rx_bytes_;
+  std::array<iovec, kRecvBatch> rx_iov_{};
+  std::array<mmsghdr, kRecvBatch> rx_msgs_{};
+  Message rx_message_;  ///< every received record is read into this one
 };
 
 }  // namespace gridbox::net

@@ -51,6 +51,31 @@ TEST(BenchUtil, JobsFromArgsWarnsOnNegativeZeroAndMissing) {
             std::string::npos);
 }
 
+std::size_t parse_args(std::vector<std::string> args) {
+  std::vector<char*> argv;
+  static std::string arg0 = "bench";
+  argv.push_back(arg0.data());
+  for (std::string& a : args) argv.push_back(a.data());
+  return bench::parse_args(static_cast<int>(argv.size()), argv.data());
+}
+
+TEST(BenchUtil, ParseArgsTakesOnlyJobs) {
+  EXPECT_EQ(parse_args({"--jobs", "3"}), 3u);
+  EXPECT_EQ(parse_args({}), 0u);
+  ::testing::internal::CaptureStderr();
+  EXPECT_EQ(parse_args({"--jobs", "8x"}), 0u);  // still warn and fall back
+  EXPECT_NE(::testing::internal::GetCapturedStderr().find("8x"),
+            std::string::npos);
+}
+
+TEST(BenchUtil, ParseArgsExitsOnUnknownArgumentsAndHelp) {
+  EXPECT_EXIT((void)parse_args({"--bogus"}), ::testing::ExitedWithCode(2),
+              "unknown argument '--bogus'");
+  EXPECT_EXIT((void)parse_args({"--jobs", "2", "x"}),
+              ::testing::ExitedWithCode(2), "usage: bench");
+  EXPECT_EXIT((void)parse_args({"--help"}), ::testing::ExitedWithCode(0), "");
+}
+
 TEST(BenchUtil, ChaosIdNormalizesSpecs) {
   EXPECT_EQ(bench::chaos_id(""), "-");
   EXPECT_EQ(bench::chaos_id("loss 0.2\n"), "loss 0.2");

@@ -9,11 +9,13 @@
 //   3. the same corpus pushed through UdpTransport::on_readable via a
 //      scripted recvmmsg hook, asserting the malformed counter accounts for
 //      every rejected buffer and nothing crashes,
-//   4. packed datagrams — 1..k valid records up to kMaxDatagramBytes — whole,
-//      truncated, extended, or bit-flipped in one record's header, through
-//      the record walker and through on_readable: a well-formed pack
-//      delivers every record in order and byte-identical, anything else is
-//      exactly one malformed and nothing delivered.
+//   4. packed datagrams — 1..40 valid records, or enough to fill
+//      kMaxDatagramBytes exactly — whole, truncated, extended, or
+//      bit-flipped in one record's header, through the record walker and
+//      through on_readable: a well-formed pack delivers every record in
+//      order and byte-identical, anything else is exactly one malformed and
+//      nothing delivered; and a pack one byte over the cap is rejected
+//      whole.
 //
 // The binary runs under whatever sanitizers the build enables (the chaos
 // suite is exercised under ASan/UBSan in CI); "no crash, no UB" is the
@@ -142,8 +144,9 @@ TEST(DatagramFuzz, MutatedDatagramsNeverCrashTheDecoder) {
   EXPECT_GT(rejected, 0u);
 }
 
-/// 1..40 valid records for members 0..7, packed back to back up
-/// to the datagram cap, with the messages they encode.
+/// Valid records for members 0..7 packed back to back, with the messages
+/// they encode: 1..40 records, or in one pack of eight as many as fill the
+/// datagram cap exactly, so the extend mutation also crosses the cap.
 struct Pack {
   std::vector<std::uint8_t> bytes;
   std::vector<net::Message> messages;
@@ -152,17 +155,31 @@ struct Pack {
 
 [[nodiscard]] Pack packed_datagram(Rng& rng) {
   Pack pack;
-  const auto want = rng.uniform_int(1, 40);
+  const bool to_cap = rng.uniform_int(0, 7) == 0;
+  const auto want = to_cap ? ~std::uint64_t{0} : rng.uniform_int(1, 40);
   std::uint8_t record[net::kMaxRecordBytes];
-  while (pack.messages.size() < want) {
-    const auto payload = static_cast<std::size_t>(
+  std::uint8_t body[net::kMaxPayloadBytes];
+  while (pack.messages.size() < want &&
+         pack.bytes.size() < net::kMaxDatagramBytes) {
+    auto payload = static_cast<std::size_t>(
         rng.uniform_int(0, net::kMaxPayloadBytes));
-    std::vector<std::uint8_t> body(payload);
-    for (auto& b : body) b = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
+    if (to_cap) {
+      const std::size_t room = net::kMaxDatagramBytes - pack.bytes.size();
+      if (room <= net::kMaxRecordBytes) {
+        payload = room - net::kDatagramHeaderBytes;  // lands on the cap
+      } else if (room - net::kDatagramHeaderBytes - payload <
+                 net::kDatagramHeaderBytes) {
+        payload = room - 2 * net::kDatagramHeaderBytes;  // room for one more
+      }
+    }
+    for (std::size_t at = 0; at < payload; at += 8) {
+      const std::uint64_t draw = rng.uniform_int(0, ~std::uint64_t{0});
+      std::memcpy(body + at, &draw, std::min<std::size_t>(8, payload - at));
+    }
     const net::Message message{
         MemberId(static_cast<std::uint32_t>(rng.uniform_int(0, 1u << 20))),
         MemberId(static_cast<std::uint32_t>(rng.uniform_int(0, 7))),
-        net::Frame(body.data(), body.size())};
+        net::Frame(body, payload)};
     const std::size_t size = net::encode_datagram(message, record);
     if (pack.bytes.size() + size > net::kMaxDatagramBytes) break;
     pack.bytes.insert(pack.bytes.end(), record, record + size);
@@ -256,12 +273,15 @@ TEST(DatagramFuzz, PackedDatagramsSplitWholeOrNotAtAll) {
   EXPECT_GT(rejected, 0u);
 }
 
+/// Keeps the messages of the current case and counts every delivery.
 class RecordingEndpoint final : public net::Endpoint {
  public:
   void on_message(const net::Message& message) override {
     messages_.push_back(message);
+    ++delivered_;
   }
   std::vector<net::Message> messages_;
+  std::uint64_t delivered_ = 0;
 };
 
 TEST(DatagramFuzz, ReceivePathDeliversPacksWholeOrNotAtAll) {
@@ -295,11 +315,11 @@ TEST(DatagramFuzz, ReceivePathDeliversPacksWholeOrNotAtAll) {
     const auto mutation = static_cast<PackMutation>(rng.uniform_int(0, 3));
     const int expect = mutate_pack(rng, mutation, pack);
     const std::uint64_t malformed = transport.stats().messages_malformed;
-    const std::size_t delivered = endpoint.messages_.size();
+    endpoint.messages_.clear();
     queued = true;
     transport.on_readable(transport.fd());
     const std::uint64_t bad = transport.stats().messages_malformed - malformed;
-    const std::size_t got = endpoint.messages_.size() - delivered;
+    const std::size_t got = endpoint.messages_.size();
     // All or nothing: one malformed and no frame, or every frame and no
     // malformed.
     ASSERT_TRUE((bad == 1 && got == 0) || (bad == 0 && got > 0))
@@ -308,14 +328,75 @@ TEST(DatagramFuzz, ReceivePathDeliversPacksWholeOrNotAtAll) {
     if (expect < 0) continue;
     ASSERT_EQ(got, static_cast<std::size_t>(expect)) << "case " << i;
     for (std::size_t r = 0; r < got; ++r) {
-      const net::Message& out = endpoint.messages_[delivered + r];
+      const net::Message& out = endpoint.messages_[r];
       ASSERT_TRUE(out.frame == pack.messages[r].frame) << "case " << i;
       ASSERT_EQ(out.source, pack.messages[r].source);
       ASSERT_EQ(out.destination, pack.messages[r].destination);
     }
   }
-  EXPECT_EQ(transport.stats().messages_delivered, endpoint.messages_.size());
+  EXPECT_EQ(transport.stats().messages_delivered, endpoint.delivered_);
   EXPECT_EQ(transport.stats().messages_dead_dest, 0u);
+}
+
+/// Full-size records tiling exactly `size` bytes; the last one is shorter.
+[[nodiscard]] std::vector<std::uint8_t> tiled_datagram(std::size_t size) {
+  std::vector<std::uint8_t> bytes;
+  std::uint8_t record[net::kMaxRecordBytes];
+  const std::vector<std::uint8_t> body(net::kMaxPayloadBytes, 0xC4);
+  while (bytes.size() < size) {
+    const std::size_t payload = std::min(
+        net::kMaxPayloadBytes,
+        size - bytes.size() - net::kDatagramHeaderBytes);
+    const std::size_t n = net::encode_datagram(
+        net::Message{MemberId{1}, MemberId{0}, net::Frame(body.data(), payload)},
+        record);
+    bytes.insert(bytes.end(), record, record + n);
+  }
+  return bytes;
+}
+
+TEST(DatagramFuzz, ReceivePathAcceptsTheCapAndRejectsOneByteMoreWhole) {
+  net::Reactor reactor(net::Reactor::Options{});
+  net::UdpTransport::Options topt;
+  topt.port_base = 50100;
+  net::UdpTransport transport(reactor, topt);
+  RecordingEndpoint endpoint;
+  transport.attach(MemberId{0}, endpoint);
+
+  std::vector<std::uint8_t> pending;
+  net::UdpTransport::Hooks hooks;
+  hooks.recv_batch = [&pending](int, mmsghdr* msgs, unsigned) -> int {
+    if (pending.empty()) {
+      errno = EAGAIN;
+      return -1;
+    }
+    const iovec& iov = msgs[0].msg_hdr.msg_iov[0];
+    const std::size_t n = std::min(iov.iov_len, pending.size());
+    std::memcpy(iov.iov_base, pending.data(), n);
+    msgs[0].msg_len = static_cast<unsigned>(n);
+    pending.clear();
+    return 1;
+  };
+  transport.set_hooks(std::move(hooks));
+
+  // Every record is well formed in both; only the total size differs.
+  const auto at_cap = tiled_datagram(net::kMaxDatagramBytes);
+  const auto over_cap = tiled_datagram(net::kMaxDatagramBytes + 1);
+  ASSERT_EQ(at_cap.size(), net::kMaxDatagramBytes);
+  ASSERT_EQ(over_cap.size(), net::kMaxDatagramBytes + 1);
+  const std::size_t records = net::count_records(at_cap.data(), at_cap.size());
+  ASSERT_GT(records, 200u);
+  EXPECT_EQ(net::count_records(over_cap.data(), over_cap.size()), 0u);
+
+  pending = at_cap;
+  transport.on_readable(transport.fd());
+  EXPECT_EQ(endpoint.delivered_, records);
+  EXPECT_EQ(transport.stats().messages_malformed, 0u);
+
+  pending = over_cap;
+  transport.on_readable(transport.fd());
+  EXPECT_EQ(endpoint.delivered_, records) << "an oversize datagram leaked";
+  EXPECT_EQ(transport.stats().messages_malformed, 1u);
 }
 
 class NullEndpoint final : public net::Endpoint {

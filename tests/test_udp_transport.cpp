@@ -376,6 +376,47 @@ TEST(UdpTransport, DrainBudgetIsMaxDrainPerAttachedMember) {
   }
 }
 
+TEST(UdpTransport, DrainBudgetCountsFramesNotDatagrams) {
+  net::Reactor reactor(reactor_options());
+  net::UdpTransport::Options topt;
+  topt.port_base = 43420;
+  topt.max_drain = 100;
+  net::UdpTransport transport(reactor, topt);
+  CollectingEndpoint members[3];
+  for (std::uint32_t m = 0; m < 3; ++m) {
+    transport.attach(MemberId{m}, members[m]);
+  }
+
+  // An endless queue of packed datagrams, ten records each, round-robin
+  // over the three members.
+  constexpr std::size_t kRecords = 10;
+  std::uint64_t handed = 0;
+  net::UdpTransport::Hooks hooks;
+  hooks.recv_batch = [&](int, mmsghdr* msgs, unsigned count) {
+    for (unsigned i = 0; i < count; ++i) {
+      std::vector<std::uint8_t> datagram;
+      for (std::size_t r = 0; r < kRecords; ++r) {
+        const MemberId to{static_cast<std::uint32_t>(handed++ % 3)};
+        const auto record = encoded(MemberId{7}, to, 1);
+        datagram.insert(datagram.end(), record.begin(), record.end());
+      }
+      ScriptedRecv::fill(msgs[i], datagram);
+    }
+    return static_cast<int>(count);
+  };
+  transport.set_hooks(std::move(hooks));
+
+  // The budget is max_drain x 3 = 300 frames. A datagram is read whole, so
+  // the wake may overshoot, but by less than one receive batch of frames —
+  // not by a factor of the records a datagram carries.
+  transport.on_readable(transport.fd());
+  const std::uint64_t budget = 300;
+  const std::uint64_t delivered = transport.stats().messages_delivered;
+  EXPECT_EQ(delivered, handed);
+  EXPECT_GE(delivered, budget);
+  EXPECT_LT(delivered, budget + net::UdpTransport::kRecvBatch * kRecords);
+}
+
 TEST(UdpTransport, RoutesByAddressTableAndRejectsMisaddressedDatagrams) {
   net::Reactor reactor(reactor_options());
   net::UdpTransport::Options topt;
@@ -429,9 +470,12 @@ TEST(UdpTransport, KernelReceiveDropsCloseTheAccounting) {
   transport.attach(MemberId{0}, a);
   transport.attach(MemberId{1}, b);
 
-  // Flood the socket before any drain: most datagrams cannot fit.
+  // Flood the socket before any drain: full-size frames pack into several
+  // cap-size datagrams, and a minimum buffer keeps only the first.
+  const net::Frame full(
+      std::vector<std::uint8_t>(net::kMaxPayloadBytes, 9));
   for (int i = 0; i < 2000; ++i) {
-    transport.send(net::Message{MemberId{0}, MemberId{1}, net::Frame{9}});
+    transport.send(net::Message{MemberId{0}, MemberId{1}, full});
   }
   transport.flush();
 
@@ -570,9 +614,9 @@ TEST(UdpTransport, PacksFramesForOneSocketInSendOrderUpToTheCap) {
   auto capture = std::make_shared<CapturingSend>();
   capture_sends(transport, capture);
 
-  // Enough bytes for more than one outbox (kBatch datagrams), so packing
-  // also spans the mid-fill flush.
-  constexpr std::uint32_t kFrames = 1000;
+  // Enough bytes for more than one outbox (kBatch cap-size datagrams), so
+  // packing also spans the mid-fill flush.
+  constexpr std::uint32_t kFrames = 40000;
   for (std::uint32_t i = 0; i < kFrames; ++i) {
     transport.send(net::Message{MemberId{0}, MemberId{1}, numbered_frame(i)});
   }
@@ -599,6 +643,30 @@ TEST(UdpTransport, PacksFramesForOneSocketInSendOrderUpToTheCap) {
   }
   EXPECT_EQ(next, kFrames);
   EXPECT_EQ(transport.stats().messages_sent, kFrames);
+  EXPECT_EQ(transport.stats().messages_dropped, 0u);
+}
+
+TEST(UdpTransport, OneFlushSendsOneDatagramPerPeerSocket) {
+  net::Reactor reactor(reactor_options());
+  net::UdpTransport::Options topt;
+  topt.port_base = 43630;
+  net::UdpTransport transport(reactor, topt);
+  transport.set_addresses(foreign_addresses(9050, 8, 4));
+  auto capture = std::make_shared<CapturingSend>();
+  capture_sends(transport, capture);
+
+  // A round's worth of traffic: 300 frames of 140 bytes for each of four
+  // peer sockets, interleaved, in one flush.
+  const net::Frame frame(std::vector<std::uint8_t>(140, 0x33));
+  for (std::uint32_t i = 0; i < 4 * 300; ++i) {
+    transport.send(net::Message{MemberId{0}, MemberId{i % 8}, frame});
+  }
+  transport.flush();
+
+  ASSERT_EQ(capture->sent.size(), 4u);
+  for (const auto& datagram : capture->sent) {
+    EXPECT_EQ(records_of(datagram.bytes).size(), 300u);
+  }
   EXPECT_EQ(transport.stats().messages_dropped, 0u);
 }
 

@@ -2,7 +2,8 @@
 //
 // This binary replaces the global operator new with a counting shim and
 // asserts that the steady-state transport path — send -> event queue ->
-// deliver_frame -> on_message — and the typed periodic-timer re-arm path
+// deliver_frame -> on_message, and over loopback UDP send -> flush ->
+// receive -> on_message — and the typed periodic-timer re-arm path
 // execute without touching the heap once warmed up. Warm-up is allowed to
 // allocate: the event-queue slab, the key heap, and the endpoint map all
 // grow to their high-water mark there. After that, every per-message and
@@ -11,6 +12,8 @@
 // Kept as a separate test executable so the operator-new override cannot
 // perturb the main suite.
 #include <gtest/gtest.h>
+
+#include <poll.h>
 
 #include <atomic>
 #include <cstdlib>
@@ -26,6 +29,7 @@
 #include "src/net/message.h"
 #include "src/net/network.h"
 #include "src/net/reactor.h"
+#include "src/net/udp_transport.h"
 #include "src/obs/telemetry.h"
 #include "src/sim/event_queue.h"
 #include "src/sim/simulator.h"
@@ -33,30 +37,57 @@
 namespace {
 
 std::atomic<std::uint64_t> g_heap_allocs{0};
+std::atomic<std::uint64_t> g_heap_bytes{0};
 
 std::uint64_t heap_allocs() {
   return g_heap_allocs.load(std::memory_order_relaxed);
 }
 
+std::uint64_t heap_bytes() {
+  return g_heap_bytes.load(std::memory_order_relaxed);
+}
+
 }  // namespace
 
-// Counting shims. Only the unaligned forms are replaced: the containers on
-// the suspect list (std::vector, std::unordered_map, std::function) all
-// allocate through plain operator new. (The telemetry tests below keep
-// their over-aligned TelemetryLane on the stack, so the aligned forms
-// never enter the measured window.)
+// Counting shims, for the plain and the over-aligned forms (a
+// UdpTransport is over-aligned, so constructing one on the heap takes the
+// aligned form).
 void* operator new(std::size_t size) {
   g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
+  g_heap_bytes.fetch_add(size, std::memory_order_relaxed);
   if (void* p = std::malloc(size != 0 ? size : 1)) return p;
   throw std::bad_alloc{};
 }
 
+void* operator new(std::size_t size, std::align_val_t align) {
+  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
+  g_heap_bytes.fetch_add(size, std::memory_order_relaxed);
+  const auto alignment = static_cast<std::size_t>(align);
+  const std::size_t rounded = (size + alignment - 1) / alignment * alignment;
+  if (void* p = std::aligned_alloc(alignment,
+                                   rounded != 0 ? rounded : alignment)) {
+    return p;
+  }
+  throw std::bad_alloc{};
+}
+
 void* operator new[](std::size_t size) { return ::operator new(size); }
+void* operator new[](std::size_t size, std::align_val_t align) {
+  return ::operator new(size, align);
+}
 
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
 
 namespace gridbox {
 namespace {
@@ -275,6 +306,65 @@ TEST(ZeroAlloc, TelemetryRecordPathDoesNotTouchTheHeap) {
   EXPECT_GT(lane.timers_fired.load(std::memory_order_relaxed), 0u);
   EXPECT_GT(lane.timer_lateness_us.total(), 0u);
   EXPECT_GT(lane.queue_depth_hw.load(std::memory_order_relaxed), 0u);
+}
+
+TEST(ZeroAlloc, ConstructingAUdpTransportAllocatesNoBatchBuffer) {
+  // The send and receive batch buffers come with the first send or
+  // receive: a transport that has carried no traffic (the setup probe, a
+  // node before its loop) costs less than one datagram of heap.
+  net::Reactor reactor(net::Reactor::Options{});
+  const std::uint64_t before = heap_bytes();
+  auto transport =
+      std::make_unique<net::UdpTransport>(reactor, net::UdpTransport::Options{});
+  const std::uint64_t after = heap_bytes();
+  EXPECT_LT(after - before, net::kMaxDatagramBytes)
+      << "constructing a transport allocated " << (after - before) << " bytes";
+}
+
+TEST(ZeroAlloc, WarmedUdpLoopbackSendFlushReceiveDoesNotAllocate) {
+  // One transport sends to its own socket on loopback: the outbox packs
+  // each burst into one datagram, the flush hands it to the kernel, and the
+  // receive path reads it back and delivers every record in place.
+  net::Reactor reactor(net::Reactor::Options{});
+  net::UdpTransport transport(reactor, net::UdpTransport::Options{});
+  DecodingSink left;
+  DecodingSink right;
+  transport.attach(MemberId{1}, left);
+  transport.attach(MemberId{2}, right);
+
+  agg::ByteWriter w;
+  w.u8(7);
+  w.u64(0xfeedfaceULL);
+  w.f64(3.5);
+  const net::Frame frame = w.take();
+
+  std::uint64_t sent = 0;
+  const auto burst = [&](int messages) {
+    for (int i = 0; i < messages; ++i) {
+      transport.send(net::Message{MemberId{1}, MemberId{2}, frame});
+      transport.send(net::Message{MemberId{2}, MemberId{1}, frame});
+    }
+    transport.flush();
+    sent += 2u * static_cast<std::uint64_t>(messages);
+    while (left.received() + right.received() < sent) {
+      pollfd ready{transport.fd(), POLLIN, 0};
+      if (::poll(&ready, 1, 1000) <= 0) return;
+      transport.on_readable(transport.fd());
+    }
+  };
+
+  // Warm-up: allocates the receive batch and grows the outbox datagram.
+  burst(64);
+
+  const std::uint64_t before = heap_allocs();
+  for (int round = 0; round < 100; ++round) burst(32);
+  const std::uint64_t after = heap_allocs();
+
+  EXPECT_EQ(after - before, 0u)
+      << "warmed-up UDP send/flush/receive allocated " << (after - before)
+      << " time(s) over " << 100 * 64 << " messages";
+  EXPECT_EQ(left.received() + right.received(), sent);
+  EXPECT_EQ(transport.stats().messages_delivered, sent);
 }
 
 TEST(ZeroAlloc, CountingShimIsLive) {
